@@ -15,6 +15,7 @@ from .errors import (
     DimensionError,
     InsufficientDataError,
     ParameterError,
+    _require_int,
 )
 
 __all__ = [
@@ -183,19 +184,13 @@ def thin(chain, m):
     Rows 1, 1+m, 1+2m, ... (1-based) survive, so the output has
     ceil(rows / m) rows and ``thin(chain, 1)`` is an identity copy.
     """
-    if isinstance(m, bool) or not isinstance(m, (int, np.integer)):
-        raise ParameterError("thinning stride must be an integer")
-    if m < 1:
-        raise ParameterError(f"thinning stride must be >= 1, got {m}")
+    _require_int(m, "thinning stride", 1)
     return ChainMatrix(chain.values[::m], chain.labels)
 
 
 def discard_initial(chain, k):
     """Drop the first ``k`` rows (burn-in); ``k=0`` is an identity copy."""
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
-        raise ParameterError("discard count must be an integer")
-    if k < 0:
-        raise ParameterError(f"discard count must be >= 0, got {k}")
+    _require_int(k, "discard count", 0)
     if k >= chain.rows:
         raise InsufficientDataError(
             f"discarding {k} rows leaves nothing of a {chain.rows}-row chain"

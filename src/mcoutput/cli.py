@@ -41,7 +41,7 @@ from .inference import (
 )
 from .lcd_demo import DemoConfig, run_demo
 from .mcse import batch_means_sigma, correlogram, default_batch_size, sqrt_batch_size
-from .quantiles import _bandwidth, kde_at, quantile_ci
+from .quantiles import KDE_BANDWIDTH_RULE, kde_at, kde_bandwidth, quantile_ci
 
 __all__ = [
     "main",
@@ -54,7 +54,6 @@ __all__ = [
     "loads_report",
 ]
 
-KDE_BANDWIDTH_RULE = "0.9 * min(sd, iqr/1.34) * n^(-1/5)"
 PLOT_KINDS = ("trace", "acf", "ccf", "density", "region")
 
 
@@ -259,7 +258,7 @@ def _write_density(chain, i, b, alpha, bonf_k, grid_points, sigma, out_dir, stem
     label = chain.label(i)
     col = chain.column(i)
     n = chain.rows
-    pad = 3.0 * _bandwidth(col)
+    pad = 3.0 * kde_bandwidth(col)
     grid = np.linspace(col.min() - pad, col.max() + pad, grid_points)
     dens = kde_at(col, grid)
     curve_path = out_dir / f"{stem}_density_{_safe(label)}.csv"
@@ -296,6 +295,15 @@ def _write_region(region, path):
     _write_rows(path, ["kind", "x", "y"], rows)
 
 
+def _batch_size(args, n):
+    return default_batch_size(n) if args.batch_size is None else args.batch_size
+
+
+def _check_grid_points(args):
+    if args.grid_points < 2:
+        raise UsageError(f"--grid-points must be >= 2, got {args.grid_points}")
+
+
 def _resolve_out_dir(arg):
     out_dir = Path(arg or os.environ.get("MCOUTPUT_OUT_DIR") or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -319,7 +327,7 @@ def cmd_analyze(args):
     config = StoppingConfig(
         p=p, alpha=args.alpha, epsilon=args.epsilon, use_flat_top=args.flat_top
     )
-    b = args.batch_size if args.batch_size else default_batch_size(n)
+    b = _batch_size(args, n)
     verdict, lam, sig = evaluate_verdict(chain, config, batch_size=b)
 
     quantile_entries = []
@@ -399,6 +407,7 @@ def cmd_analyze(args):
 
 
 def cmd_demo(args):
+    _check_grid_points(args)
     config = DemoConfig(
         seed=args.seed,
         alpha=args.alpha,
@@ -546,7 +555,8 @@ def cmd_plotdata(args):
         _write_correlogram(series, path)
         written.append(path)
     elif args.kind == "density":
-        b = args.batch_size if args.batch_size else default_batch_size(n)
+        _check_grid_points(args)
+        b = _batch_size(args, n)
         sigma = batch_means_sigma(chain, b)
         bonf_k = 3 * p
         for i in range(p):
@@ -561,7 +571,7 @@ def cmd_plotdata(args):
             raise UsageError(
                 f"region plot data needs a two-column chain, got p={p}"
             )
-        b = args.batch_size if args.batch_size else default_batch_size(n)
+        b = _batch_size(args, n)
         sigma = batch_means_sigma(chain, b)
         region = hotelling_region(
             chain.values.mean(axis=0), sigma, n, args.alpha,

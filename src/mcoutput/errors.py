@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check."""
+
+import numpy as np
 
 
 class OutputAnalysisError(Exception):
@@ -49,3 +51,11 @@ class DegreesOfFreedomError(OutputAnalysisError):
 
 class UsageError(OutputAnalysisError):
     """The command line was invoked with inconsistent arguments."""
+
+
+def _require_int(value, what, low=None):
+    """Raise ParameterError unless value is an integer (not a bool) >= low."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ParameterError(f"{what} must be an integer")
+    if low is not None and value < low:
+        raise ParameterError(f"{what} must be >= {low}, got {value}")

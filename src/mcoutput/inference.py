@@ -26,9 +26,9 @@ from .errors import (
     NumericsError,
     ParameterError,
     SingularEstimateError,
+    _require_int,
 )
 from .mcse import (
-    CovarianceEstimate,
     batch_means_sigma,
     default_batch_size,
     flat_top_sigma,
@@ -97,8 +97,10 @@ def min_ess_cutoff(alpha=0.05, epsilon=0.05, p=1):
         raise ParameterError(f"alpha must be inside (0, 1), got {alpha}")
     if not 0.0 < epsilon < 1.0:
         raise ParameterError(f"epsilon must be inside (0, 1), got {epsilon}")
-    if isinstance(p, bool) or not isinstance(p, (int, np.integer)) or p < 1:
-        raise ParameterError(f"p must be an integer >= 1, got {p}")
+    try:
+        _require_int(p, "p", 1)
+    except ParameterError:
+        raise ParameterError(f"p must be an integer >= 1, got {p}") from None
     chi2 = chi2_quantile(1.0 - alpha, p)
     log_m = (
         (2.0 / p) * math.log(2.0)
@@ -114,10 +116,10 @@ def min_ess_cutoff(alpha=0.05, epsilon=0.05, p=1):
 def ess(n, lambda_est, sigma_est):
     """Multivariate effective sample size n * (det Lambda / det Sigma)^(1/p).
 
-    Determinants go through Cholesky factorizations in log space, which
-    makes the estimate exactly invariant under rescaling the functional
-    and raises :class:`SingularEstimateError` instead of returning junk
-    when either matrix is not positive definite.
+    Determinants come from each estimate's Cholesky factor in log space,
+    which makes the estimate exactly invariant under rescaling the
+    functional; :class:`SingularEstimateError` is raised instead of
+    returning junk when either matrix is not positive definite.
     """
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
@@ -126,9 +128,13 @@ def ess(n, lambda_est, sigma_est):
         raise DimensionError(
             f"matrix sizes differ: lambda is {p}, sigma is {sigma_est.dim}"
         )
-    log_det_lambda = _chol_logdet(lambda_est.matrix, "target covariance")
-    log_det_sigma = _chol_logdet(sigma_est.matrix, "asymptotic covariance")
-    return float(n) * math.exp((log_det_lambda - log_det_sigma) / p)
+    for est, what in ((lambda_est, "target"), (sigma_est, "asymptotic")):
+        if est.chol is None:
+            hint = "; retry with plain batch means" if est.kind == "flat-top" else ""
+            raise SingularEstimateError(
+                f"{what} covariance ({est.kind}) is not positive definite{hint}"
+            )
+    return float(n) * math.exp((lambda_est.log_det - sigma_est.log_det) / p)
 
 
 def rhat_from_ess(ess_value):
@@ -136,17 +142,6 @@ def rhat_from_ess(ess_value):
     if not (math.isfinite(ess_value) and ess_value > 0.0):
         raise ParameterError(f"ess must be positive and finite, got {ess_value}")
     return math.sqrt(1.0 + 1.0 / ess_value)
-
-
-def _chol_logdet(matrix, what):
-    try:
-        chol = np.linalg.cholesky(matrix)
-    except np.linalg.LinAlgError:
-        raise SingularEstimateError(
-            f"{what} is not positive definite; with the flat-top estimator, "
-            "retry with plain batch means"
-        ) from None
-    return 2.0 * float(np.log(np.diag(chol)).sum())
 
 
 @dataclass(frozen=True)
@@ -224,30 +219,24 @@ def hotelling_region(mean, sigma_est, n, alpha, q):
         raise DegreesOfFreedomError(
             f"need q > p for the Hotelling correction, got q={q}, p={p}"
         )
-    sigma = sigma_est.matrix
-    try:
-        chol = np.linalg.cholesky(sigma)
-    except np.linalg.LinAlgError:
-        raise SingularEstimateError(
-            "sigma estimate is not positive definite"
-        ) from None
+    if sigma_est.chol is None:
+        raise SingularEstimateError("sigma estimate is not positive definite")
     t2 = q * p / (q - p + 1.0) * f_quantile(1.0 - alpha, p, q - p + 1.0)
-    log_det = 2.0 * float(np.log(np.diag(chol)).sum())
     log_volume = (
         math.log(2.0)
         + (p / 2.0) * math.log(math.pi)
         - math.log(p)
         - math.lgamma(p / 2.0)
         + (p / 2.0) * math.log(t2 / n)
-        + 0.5 * log_det
+        + 0.5 * sigma_est.log_det
     )
     boundary = None
     if p == 2:
         theta = np.linspace(0.0, 2.0 * math.pi, BOUNDARY_POINTS, endpoint=False)
         circle = np.column_stack([np.cos(theta), np.sin(theta)])
-        boundary = center + math.sqrt(t2 / n) * (circle @ chol.T)
+        boundary = center + math.sqrt(t2 / n) * (circle @ sigma_est.chol.T)
         boundary.setflags(write=False)
-    shape = sigma / n
+    shape = sigma_est.matrix / n
     shape.setflags(write=False)
     center.setflags(write=False)
     return ConfidenceRegion(
@@ -269,7 +258,7 @@ def default_hotelling_df(sigma_est, p):
     return sigma_est.n_used // sigma_est.batch_size - p
 
 
-@dataclass
+@dataclass(frozen=True)
 class StoppingConfig:
     """Tuning knobs for the sequential stopping rule.
 
@@ -292,9 +281,10 @@ class StoppingConfig:
     cutoff: EssCutoff = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.cutoff = min_ess_cutoff(self.alpha, self.epsilon, self.p)
+        cutoff = min_ess_cutoff(self.alpha, self.epsilon, self.p)
+        object.__setattr__(self, "cutoff", cutoff)
         if self.n_star is None:
-            self.n_star = self.cutoff.rounded
+            object.__setattr__(self, "n_star", self.cutoff.rounded)
         if self.n_star < 8:
             raise ParameterError(f"n_star must be >= 8, got {self.n_star}")
         if not self.check_growth > 1.0:
@@ -322,23 +312,6 @@ class StoppingVerdict:
     fallback_used: bool
 
 
-def _sigma_with_fallback(chain, b, use_flat_top):
-    if use_flat_top:
-        candidate = flat_top_sigma(chain, b)
-        if candidate.is_psd and _is_invertible(candidate.matrix):
-            return candidate, False
-        return batch_means_sigma(chain, b), True
-    return batch_means_sigma(chain, b), False
-
-
-def _is_invertible(matrix):
-    try:
-        np.linalg.cholesky(matrix)
-    except np.linalg.LinAlgError:
-        return False
-    return True
-
-
 def evaluate_verdict(chain, config, batch_size=None):
     """Run one convergence check on a chain.
 
@@ -353,7 +326,10 @@ def evaluate_verdict(chain, config, batch_size=None):
         )
     b = default_batch_size(n) if batch_size is None else batch_size
     lam = sample_cov_lambda(chain)
-    sig, fallback = _sigma_with_fallback(chain, b, config.use_flat_top)
+    sig = flat_top_sigma(chain, b) if config.use_flat_top else None
+    fallback = sig is not None and sig.chol is None
+    if sig is None or fallback:
+        sig = batch_means_sigma(chain, b)
     value = ess(n, lam, sig)
     verdict = StoppingVerdict(
         n=n,

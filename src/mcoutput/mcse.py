@@ -7,7 +7,7 @@ Lambda of the functional itself (plain sample covariance with divisor n).
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -15,6 +15,7 @@ from .errors import (
     DegenerateDataError,
     InsufficientDataError,
     ParameterError,
+    _require_int,
 )
 
 __all__ = [
@@ -31,12 +32,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CovarianceEstimate:
-    """A p-by-p covariance estimate plus the metadata needed to reuse it.
+    """A p-by-p covariance estimate, factored once, plus its metadata.
 
     Attributes
     ----------
     matrix : ndarray
-        Symmetrized p-by-p estimate (read-only).
+        Symmetrized p-by-p estimate; construction marks it read-only.
     kind : str
         One of ``"batch-means"``, ``"flat-top"``, ``"sample-cov"``.
     batch_size : int
@@ -44,18 +45,36 @@ class CovarianceEstimate:
     n_used : int
         Rows actually consumed (trailing rows beyond the last complete
         batch are dropped from the end).
+    chol, log_det : ndarray, float, or None
+        Lower Cholesky factor (read-only) and log det of ``matrix``; both
+        None when the matrix is not positive definite.
     is_psd : bool
-        Whether the symmetrized matrix is positive semidefinite. Batch
-        means and sample covariance are PSD by construction; the flat-top
-        combination can fail, and consumers that need an inverse are
-        expected to check this flag and fall back to plain batch means.
+        Whether the matrix is positive semidefinite. Batch means and
+        sample covariance are PSD by construction; the flat-top
+        combination can fail, and a PSD matrix can still be singular, so
+        consumers that need an inverse check ``chol`` instead.
     """
 
     matrix: np.ndarray
     kind: str
     batch_size: int
     n_used: int
-    is_psd: bool
+    chol: np.ndarray | None = field(default=None, init=False, repr=False)
+    log_det: float | None = field(default=None, init=False)
+    is_psd: bool = field(default=True, init=False)
+
+    def __post_init__(self):
+        self.matrix.setflags(write=False)
+        try:
+            chol = np.linalg.cholesky(self.matrix)
+        except np.linalg.LinAlgError:
+            eigs = np.linalg.eigvalsh(self.matrix)
+            tol = 1e-12 * max(1.0, float(np.abs(eigs).max()))
+            object.__setattr__(self, "is_psd", bool(eigs.min() >= -tol))
+            return
+        chol.setflags(write=False)
+        object.__setattr__(self, "chol", chol)
+        object.__setattr__(self, "log_det", 2.0 * float(np.log(np.diag(chol)).sum()))
 
     @property
     def dim(self):
@@ -72,19 +91,20 @@ class CorrelogramSeries:
     n_used: int
 
 
-def _finalize(matrix, kind, batch_size, n_used):
-    sym = 0.5 * (matrix + matrix.T)
-    eigs = np.linalg.eigvalsh(sym)
-    tol = 1e-12 * max(1.0, float(np.abs(eigs).max())) if sym.size else 0.0
-    is_psd = bool(eigs.min() >= -tol) if sym.size else True
-    sym.setflags(write=False)
-    return CovarianceEstimate(
-        matrix=sym,
-        kind=kind,
-        batch_size=int(batch_size),
-        n_used=int(n_used),
-        is_psd=is_psd,
-    )
+def _batch_means_matrix(chain, b):
+    """Symmetrized batch-means matrix and the number of rows it used."""
+    n = chain.rows
+    a = n // b
+    if a < 2:
+        raise InsufficientDataError(
+            f"need at least two complete batches: n={n}, b={b}"
+        )
+    used = a * b
+    data = chain.values[:used]
+    batch_means = data.reshape(a, b, chain.cols).mean(axis=1)
+    centered = batch_means - data.mean(axis=0)
+    mat = (b / (a - 1.0)) * (centered.T @ centered)
+    return 0.5 * (mat + mat.T), used
 
 
 def batch_means_sigma(chain, b):
@@ -106,40 +126,25 @@ def batch_means_sigma(chain, b):
     -------
     CovarianceEstimate
     """
-    if isinstance(b, bool) or not isinstance(b, (int, np.integer)):
-        raise ParameterError("batch length must be an integer")
-    if b < 1:
-        raise ParameterError(f"batch length must be >= 1, got {b}")
-    n = chain.rows
-    a = n // b
-    if a < 2:
-        raise InsufficientDataError(
-            f"need at least two complete batches: n={n}, b={b}"
-        )
-    used = a * b
-    data = chain.values[:used]
-    batch_means = data.reshape(a, b, chain.cols).mean(axis=1)
-    centered = batch_means - data.mean(axis=0)
-    mat = (b / (a - 1.0)) * (centered.T @ centered)
-    return _finalize(mat, "batch-means", b, used)
+    _require_int(b, "batch length", 1)
+    mat, used = _batch_means_matrix(chain, b)
+    return CovarianceEstimate(mat, "batch-means", int(b), int(used))
 
 
 def flat_top_sigma(chain, b):
     """Flat-top (lugsail style) combination 2*Sigma_hat(b) - Sigma_hat(b/2).
 
     Cancels the leading-order bias of plain batch means at the price of a
-    matrix that is not guaranteed positive semidefinite; check ``is_psd``
+    matrix that is not guaranteed positive definite; check ``chol``
     before inverting and fall back to :func:`batch_means_sigma` when it
-    fails.
+    is None.
     """
-    if isinstance(b, bool) or not isinstance(b, (int, np.integer)):
-        raise ParameterError("batch length must be an integer")
+    _require_int(b, "batch length")
     if b < 2 or b % 2 != 0:
         raise ParameterError(f"flat-top batch length must be even and >= 2, got {b}")
-    coarse = batch_means_sigma(chain, b)
-    fine = batch_means_sigma(chain, b // 2)
-    mat = 2.0 * coarse.matrix - fine.matrix
-    return _finalize(mat, "flat-top", b, coarse.n_used)
+    coarse, used = _batch_means_matrix(chain, b)
+    fine, _ = _batch_means_matrix(chain, b // 2)
+    return CovarianceEstimate(2.0 * coarse - fine, "flat-top", int(b), int(used))
 
 
 def sample_cov_lambda(chain):
@@ -149,13 +154,12 @@ def sample_cov_lambda(chain):
         raise InsufficientDataError(f"need at least two rows, got {n}")
     centered = chain.values - chain.values.mean(axis=0)
     mat = (centered.T @ centered) / n
-    return _finalize(mat, "sample-cov", 0, n)
+    return CovarianceEstimate(0.5 * (mat + mat.T), "sample-cov", 0, n)
 
 
 def default_batch_size(n):
     """Cube-root batch length floored to the nearest even integer (min 2)."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise ParameterError("n must be an integer")
+    _require_int(n, "n")
     if n < 8:
         raise InsufficientDataError(f"need n >= 8 to pick a batch length, got {n}")
     # integer cube root; round-then-correct avoids float cbrt edge cases
@@ -180,8 +184,7 @@ def sqrt_batch_size(n):
     trade variance for much smaller bias, which is the safer direction
     when the estimate gates a termination decision.
     """
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise ParameterError("n must be an integer")
+    _require_int(n, "n")
     if n < 8:
         raise InsufficientDataError(f"need n >= 8 to pick a batch length, got {n}")
     b = math.isqrt(int(n))
@@ -197,8 +200,7 @@ def correlogram(chain, max_lag, pair=(0, 0)):
     deviations, so the lag-0 autocorrelation is exactly 1 and the lag-0
     cross-correlation is the ordinary sample correlation.
     """
-    if isinstance(max_lag, bool) or not isinstance(max_lag, (int, np.integer)):
-        raise ParameterError("max_lag must be an integer")
+    _require_int(max_lag, "max_lag")
     n = chain.rows
     if not 0 <= max_lag < n:
         raise ParameterError(f"max_lag must satisfy 0 <= L < n={n}, got {max_lag}")

@@ -27,10 +27,12 @@ __all__ = [
     "empirical_quantile",
     "indicator_sigma2",
     "kde_at",
+    "kde_bandwidth",
     "quantile_ci",
 ]
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+KDE_BANDWIDTH_RULE = "0.9 * min(sd, iqr/1.34) * n^(-1/5)"
 
 
 @dataclass(frozen=True)
@@ -90,7 +92,9 @@ def indicator_sigma2(v, y, b):
     return float(est.matrix[0, 0])
 
 
-def _bandwidth(arr):
+def kde_bandwidth(arr):
+    """Bandwidth of :func:`kde_at` for a 1-D array: ``KDE_BANDWIDTH_RULE``,
+    with the standard deviation alone when the interquartile range is zero."""
     n = arr.size
     sd = float(arr.std())
     q75, q25 = np.percentile(arr, [75.0, 25.0])
@@ -102,16 +106,15 @@ def _bandwidth(arr):
 def kde_at(v, x):
     """Gaussian kernel density estimate at ``x``.
 
-    The bandwidth is 0.9 * min(sd, IQR / 1.34) * n^(-1/5); when the
-    interquartile range collapses to zero the standard deviation alone
-    sets the scale. Accepts a scalar or a 1-D grid of evaluation points.
+    The bandwidth comes from :func:`kde_bandwidth`. Accepts a scalar or a
+    1-D grid of evaluation points.
     """
     arr = _as_series(v)
     if arr.size < 2:
         raise DegenerateDataError("density estimation needs at least two points")
     if arr.min() == arr.max():
         raise DegenerateDataError("density estimation needs a non-constant series")
-    h = _bandwidth(arr)
+    h = kde_bandwidth(arr)
     scalar = np.ndim(x) == 0
     pts = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.empty(pts.size)

@@ -240,6 +240,32 @@ def test_plotdata_usage_errors(small_two_col, tmp_path, capsys):
     assert "two-column" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("b", ["0", "-4"])
+def test_nonpositive_batch_size_is_an_error(small_two_col, tmp_path, capsys, b):
+    """A zero batch length used to fall through to the default silently."""
+    out = tmp_path / "out"
+    for argv in (
+        ["analyze", str(small_two_col)],
+        ["plotdata", str(small_two_col), "--kind", "density"],
+        ["plotdata", str(small_two_col), "--kind", "region"],
+    ):
+        assert main(argv + ["--batch-size", b, "--out-dir", str(out)]) == 1
+        assert f"batch length must be >= 1, got {b}" in capsys.readouterr().err
+    assert list(out.glob("*")) == []
+
+
+@pytest.mark.parametrize("points", ["1", "0"])
+def test_grid_points_below_two_is_a_usage_error(small_two_col, tmp_path, capsys, points):
+    out = tmp_path / "out"
+    for argv in (
+        ["plotdata", str(small_two_col), "--kind", "density"],
+        ["demo", "--max-n", "500"],
+    ):
+        assert main(argv + ["--grid-points", points, "--out-dir", str(out)]) == 1
+        assert f"--grid-points must be >= 2, got {points}" in capsys.readouterr().err
+    assert list(out.glob("*")) == []
+
+
 def test_out_dir_environment_variable(tmp_path, monkeypatch):
     env_dir = tmp_path / "from_env"
     monkeypatch.setenv("MCOUTPUT_OUT_DIR", str(env_dir))

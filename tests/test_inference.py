@@ -1,5 +1,6 @@
 """Cutoffs, effective sample size, Hotelling regions, and the stopping rule."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -158,10 +159,62 @@ def test_ess_rejects_singular_sigma():
     lam = sample_cov_lambda(chain)
     singular = CovarianceEstimate(
         matrix=np.zeros((2, 2)), kind="batch-means", batch_size=10,
-        n_used=1_000, is_psd=True,
+        n_used=1_000,
     )
     with pytest.raises(SingularEstimateError):
         ess(chain.rows, lam, singular)
+
+
+def _duplicate_column_chain():
+    """+1/-1 in equal numbers, twice: Lambda is exactly the all-ones matrix."""
+    x = np.tile([1.0, -1.0], 250)[np.argsort(RngStream(19).uniform(500))]
+    return ChainMatrix(np.column_stack([x, x]))
+
+
+@pytest.mark.parametrize("use_flat_top", [False, True])
+def test_singular_lambda_error_names_the_target_covariance(use_flat_top):
+    chain = _duplicate_column_chain()
+    cfg = StoppingConfig(p=2, n_star=8, use_flat_top=use_flat_top)
+    with pytest.raises(SingularEstimateError) as info:
+        evaluate_verdict(chain, cfg, batch_size=10)
+    message = str(info.value)
+    assert "target covariance" in message
+    assert "flat-top" not in message and "batch means" not in message
+
+
+def test_singular_flat_top_error_suggests_batch_means():
+    x = (-1.0) ** np.arange(512) + 0.01 * RngStream(17).normal(512)
+    chain = ChainMatrix(x)
+    flat = flat_top_sigma(chain, 2)
+    assert flat.chol is None and flat.log_det is None
+    with pytest.raises(SingularEstimateError, match="retry with plain batch means"):
+        ess(chain.rows, sample_cov_lambda(chain), flat)
+
+
+def _count_factorizations(monkeypatch):
+    calls = []
+    for name in ("cholesky", "eigvalsh"):
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _original=original, **kwargs):
+            calls.append(1)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("use_flat_top", [False, True])
+def test_each_estimate_is_factored_once(monkeypatch, use_flat_top):
+    chain = generate_ar1(Ar1Spec(rho=0.5, dim=2), 4_000, RngStream(29))
+    cfg = StoppingConfig(p=2, use_flat_top=use_flat_top)
+    calls = _count_factorizations(monkeypatch)
+    verdict, _, sig = evaluate_verdict(chain, cfg)
+    assert not verdict.fallback_used
+    assert len(calls) <= 2
+    calls.clear()
+    hotelling_region(chain.values.mean(axis=0), sig, chain.rows, 0.05, 50)
+    assert calls == []
 
 
 def test_rhat_formula_and_stopping_equivalence():
@@ -213,7 +266,7 @@ def test_hotelling_volume_matches_polygon_area():
 def test_hotelling_contains():
     sig = CovarianceEstimate(
         matrix=np.eye(2), kind="batch-means", batch_size=10,
-        n_used=1_000, is_psd=True,
+        n_used=1_000,
     )
     region = hotelling_region([0.0, 0.0], sig, 1_000, 0.05, 98)
     assert region.contains([0.0, 0.0])
@@ -227,7 +280,7 @@ def test_hotelling_contains():
 def test_hotelling_validation():
     sig = CovarianceEstimate(
         matrix=np.eye(2), kind="batch-means", batch_size=10,
-        n_used=100, is_psd=True,
+        n_used=100,
     )
     with pytest.raises(DegreesOfFreedomError):
         hotelling_region([0.0, 0.0], sig, 100, 0.05, 2)
@@ -238,6 +291,13 @@ def test_hotelling_validation():
     region = hotelling_region([0.0, 0.0], sig, 100, 0.05, 8)
     with pytest.raises(DimensionError):
         region.interval()
+    indefinite = CovarianceEstimate(
+        matrix=np.array([[1.0, 2.0], [2.0, 1.0]]), kind="flat-top",
+        batch_size=10, n_used=100,
+    )
+    assert indefinite.chol is None and not indefinite.is_psd
+    with pytest.raises(SingularEstimateError):
+        hotelling_region([0.0, 0.0], indefinite, 100, 0.05, 8)
 
 
 def test_default_hotelling_df_rule():
@@ -263,6 +323,15 @@ def test_stopping_config_defaults_and_validation():
         StoppingConfig(p=1, check_growth=1.0)
     with pytest.raises(ParameterError):
         StoppingConfig(p=1, max_n=0)
+
+
+def test_stopping_config_is_frozen():
+    """A changed alpha would leave the cutoff computed from the old one."""
+    cfg = StoppingConfig(p=2)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.alpha = 0.5
+    assert cfg.alpha == 0.05
+    assert cfg.cutoff.value == pytest.approx(M2, rel=1e-12)
 
 
 def test_evaluate_verdict_dimension_check():
