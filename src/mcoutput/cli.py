@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, lcd_demo
 from .chain import ChainMatrix, discard_initial
 from .errors import (
     DegenerateDataError,
@@ -38,8 +38,8 @@ from .inference import (
     default_hotelling_df,
     evaluate_verdict,
     hotelling_region,
+    min_ess_cutoff,
 )
-from .lcd_demo import DemoConfig, run_demo
 from .mcse import batch_means_sigma, correlogram, default_batch_size, sqrt_batch_size
 from .quantiles import KDE_BANDWIDTH_RULE, kde_at, kde_bandwidth, quantile_ci
 
@@ -408,13 +408,13 @@ def cmd_analyze(args):
 
 def cmd_demo(args):
     _check_grid_points(args)
-    config = DemoConfig(
+    config = lcd_demo.DemoConfig(
         seed=args.seed,
         alpha=args.alpha,
         epsilon=args.epsilon,
         max_n=args.max_n,
     )
-    report = run_demo(config)
+    report = lcd_demo.run_demo(config)
     out_dir = _resolve_out_dir(args.out_dir)
     chain = report.chain
     n = chain.rows
@@ -473,16 +473,16 @@ def cmd_demo(args):
         "kind": "demo-report",
         "config": {
             "seed": config.seed,
-            "stream_id": config.stream_id,
-            "proposal_sd": config.proposal_sd,
+            "stream_id": lcd_demo.STREAM_ID,
+            "proposal_sd": lcd_demo.PROPOSAL_SD,
             "beta_start": report.beta_start,
             "alpha": config.alpha,
             "epsilon": config.epsilon,
-            "long_run_n": config.long_run_n,
+            "long_run_n": lcd_demo.LONG_RUN_N,
             "max_n": config.max_n,
-            "check_growth": config.check_growth,
-            "acf_lags": config.acf_lags,
-            "credible_levels": list(config.credible_levels),
+            "check_growth": StoppingConfig.check_growth,
+            "acf_lags": lcd_demo.ACF_LAGS,
+            "credible_levels": list(lcd_demo.CREDIBLE_LEVELS),
             "kde_bandwidth_rule": KDE_BANDWIDTH_RULE,
             "bands": "Bonferroni-adjusted, simultaneous across markers",
         },
@@ -494,9 +494,7 @@ def cmd_demo(args):
         "terminated": report.terminated,
         "ess": final.ess,
         "cutoff": final.cutoff,
-        "cutoff_rounded": StoppingConfig(
-            p=2, alpha=config.alpha, epsilon=config.epsilon
-        ).cutoff.rounded,
+        "cutoff_rounded": min_ess_cutoff(config.alpha, config.epsilon, 2).rounded,
         "rhat": final.rhat,
         "accept_rate": report.accept_rate,
         "verdicts": [_verdict_dict(v) for v in report.verdicts],
@@ -593,7 +591,11 @@ def _parse_quantiles(text):
     try:
         levels = tuple(float(part) for part in text.split(","))
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad quantile list: {text!r}")
+        levels = ()
+    if not levels or not all(0.0 < q < 1.0 for q in levels):
+        raise argparse.ArgumentTypeError(
+            f"bad quantile list {text!r}: levels must be numbers inside (0, 1)"
+        )
     return levels
 
 

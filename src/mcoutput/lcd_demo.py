@@ -15,21 +15,13 @@ The functional pushed through the output-analysis machinery is
 the mean time to failure and the probability a lamp survives 1500 hours.
 """
 
-import csv
 import math
 from dataclasses import dataclass
-from importlib import resources
 
 import numpy as np
 
 from .chain import RngStream
-from .errors import (
-    DataError,
-    DegenerateDataError,
-    NumericsError,
-    ParameterError,
-    ParseError,
-)
+from .errors import DataError, NumericsError, ParameterError
 from .inference import (
     StoppingConfig,
     default_hotelling_df,
@@ -46,6 +38,11 @@ __all__ = [
     "LAMBDA_PRIOR_RATE",
     "POSTERIOR_LAMBDA_SHAPE",
     "RELIABILITY_HOURS",
+    "STREAM_ID",
+    "PROPOSAL_SD",
+    "LONG_RUN_N",
+    "ACF_LAGS",
+    "CREDIBLE_LEVELS",
     "LcdData",
     "PosteriorState",
     "DemoConfig",
@@ -77,34 +74,21 @@ RELIABILITY_HOURS = 1500.0
 
 _LOG_REL_HOURS = math.log(RELIABILITY_HOURS)
 
+# Fixed settings of the demo run; every report echoes them.
+STREAM_ID = 0
+PROPOSAL_SD = 0.1
+LONG_RUN_N = 100_000
+ACF_LAGS = 50
+CREDIBLE_LEVELS = (0.025, 0.975)
+
 
 class LcdData:
-    """The 31 lamp failure times plus cached transforms for the samplers.
-
-    Any externally supplied values (for example the shipped CSV fixture)
-    are cross-checked against the embedded table, so an LcdData instance
-    always carries exactly this study's data.
-    """
+    """The embedded 31 lamp failure times plus cached transforms."""
 
     __slots__ = ("times", "log_times", "sum_log_times", "total_hours")
 
-    def __init__(self, failure_hours=None):
-        ref = np.asarray(LCD_FAILURE_HOURS, dtype=float)
-        if failure_hours is None:
-            t = ref
-        else:
-            t = np.asarray(failure_hours, dtype=float)
-            if t.ndim != 1:
-                raise DataError("failure times must be a flat sequence")
-            if t.size != ref.size:
-                raise DataError(
-                    f"expected {ref.size} failure times, got {t.size}"
-                )
-            if not np.array_equal(np.sort(t), np.sort(ref)):
-                raise DataError(
-                    "failure times do not match the embedded data table"
-                )
-        t = t.copy()
+    def __init__(self):
+        t = np.array(LCD_FAILURE_HOURS, dtype=float)
         t.setflags(write=False)
         self.times = t
         log_t = np.log(t)
@@ -121,30 +105,6 @@ class LcdData:
     def load(cls):
         """The embedded data table."""
         return cls()
-
-    @classmethod
-    def from_csv(cls, path=None):
-        """Load from a one-column CSV with header; defaults to the shipped fixture."""
-        if path is None:
-            ref = resources.files("mcoutput").joinpath("data/lcd_failure_hours.csv")
-            with resources.as_file(ref) as p:
-                return cls.from_csv(p)
-        values = []
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                raise ParseError("file is empty", line=1)
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != 1:
-                    raise ParseError(f"expected one column, got {len(row)}", line=lineno)
-                try:
-                    values.append(float(row[0]))
-                except ValueError:
-                    raise ParseError(f"not a number: {row[0]!r}", line=lineno) from None
-        return cls(values)
 
 
 @dataclass(frozen=True)
@@ -376,14 +336,14 @@ class _WeibullGibbsSampler:
         return np.vstack(self._param_blocks)
 
 
-def posterior_sampler(data, proposal_sd=0.1, beta_start=None):
+def posterior_sampler(data, proposal_sd=PROPOSAL_SD, beta_start=None):
     """A stateful sampler(k, rng) over h = (MTTF, R(1500)) rows."""
     if beta_start is None:
         beta_start = weibull_mle_beta(data)
     return _WeibullGibbsSampler(data, proposal_sd, beta_start)
 
 
-def sample_posterior(data, n, rng, proposal_sd=0.1, beta_start=None):
+def sample_posterior(data, n, rng, proposal_sd=PROPOSAL_SD, beta_start=None):
     """Fixed-length run: returns (h, params, accept_rate) arrays of n rows."""
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
@@ -392,36 +352,18 @@ def sample_posterior(data, n, rng, proposal_sd=0.1, beta_start=None):
     return h, sampler.params, sampler.accept_rate
 
 
-@dataclass
+@dataclass(frozen=True)
 class DemoConfig:
-    """Configuration for :func:`run_demo`."""
+    """The settings of :func:`run_demo` that the command line exposes.
+
+    :class:`StoppingConfig` validates alpha, epsilon and max_n before the
+    first draw; the other run settings are the module constants above.
+    """
 
     seed: int = 0
-    stream_id: int = 0
-    proposal_sd: float = 0.1
-    beta_start: float | None = None
     alpha: float = 0.05
     epsilon: float = 0.05
-    long_run_n: int = 100_000
     max_n: int = 200_000
-    check_growth: float = 1.5
-    acf_lags: int = 50
-    credible_levels: tuple = (0.025, 0.975)
-
-    def __post_init__(self):
-        if not self.proposal_sd > 0.0:
-            raise ParameterError("proposal_sd must be positive")
-        if self.beta_start is not None and not self.beta_start > 0.0:
-            raise ParameterError("beta_start must be positive")
-        if self.long_run_n < 1:
-            raise ParameterError("long_run_n must be >= 1")
-        lo, hi = self.credible_levels
-        if not (0.0 < lo < hi < 1.0):
-            raise ParameterError(
-                f"credible levels must satisfy 0 < lo < hi < 1, got {self.credible_levels}"
-            )
-        if self.acf_lags < 1:
-            raise ParameterError("acf_lags must be >= 1")
 
 
 @dataclass
@@ -468,7 +410,7 @@ def run_demo(config=None):
     itself (the pilot, meant for catching gross mixing problems early);
     this chain's ESS there is around a sixth of the cutoff, so the run
     continues. Rather than creeping upward in small increments, the
-    production run then goes straight to ``long_run_n`` draws, an order
+    production run then goes straight to ``LONG_RUN_N`` draws, an order
     of magnitude past the pilot, and re-checks there; only if that still
     falls short does the schedule continue geometrically. Checking a
     noisy ESS estimate often, just below its own crossing point, would
@@ -485,22 +427,16 @@ def run_demo(config=None):
     if config is None:
         config = DemoConfig()
     data = LcdData.load()
-    beta_start = (
-        config.beta_start if config.beta_start is not None else weibull_mle_beta(data)
-    )
-    rng = RngStream(config.seed, config.stream_id)
-    sampler = _WeibullGibbsSampler(data, config.proposal_sd, beta_start)
+    beta_start = weibull_mle_beta(data)
+    rng = RngStream(config.seed, STREAM_ID)
+    sampler = _WeibullGibbsSampler(data, PROPOSAL_SD, beta_start)
     stop_cfg = StoppingConfig(
-        p=2,
-        alpha=config.alpha,
-        epsilon=config.epsilon,
-        check_growth=config.check_growth,
-        max_n=config.max_n,
+        p=2, alpha=config.alpha, epsilon=config.epsilon, max_n=config.max_n
     )
     def next_check(n):
-        if n < config.long_run_n:
-            return config.long_run_n
-        return math.ceil(n * config.check_growth)
+        if n < LONG_RUN_N:
+            return LONG_RUN_N
+        return math.ceil(n * stop_cfg.check_growth)
 
     chain, verdicts = stopping_controller(
         sampler,
@@ -527,13 +463,13 @@ def run_demo(config=None):
         col = chain.column(i)
         estimates = tuple(
             quantile_ci(col, level, config.alpha, b)
-            for level in config.credible_levels
+            for level in CREDIBLE_LEVELS
         )
         quantile_estimates[label] = estimates
         credible_intervals[label] = (estimates[0].point, estimates[-1].point)
-        correlograms[label] = correlogram(chain, config.acf_lags, (i, i))
+        correlograms[label] = correlogram(chain, ACF_LAGS, (i, i))
     correlograms[f"{chain.label(0)}:{chain.label(1)}"] = correlogram(
-        chain, config.acf_lags, (0, 1)
+        chain, ACF_LAGS, (0, 1)
     )
 
     return DemoReport(

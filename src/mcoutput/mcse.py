@@ -29,6 +29,10 @@ __all__ = [
     "correlogram",
 ]
 
+# pivot^2 / diagonal entry at or below which a Cholesky factor marks the
+# estimate numerically singular; duplicated columns give about 1e-16
+_MIN_RELATIVE_PIVOT = 1e-12
+
 
 @dataclass(frozen=True)
 class CovarianceEstimate:
@@ -47,7 +51,8 @@ class CovarianceEstimate:
         batch are dropped from the end).
     chol, log_det : ndarray, float, or None
         Lower Cholesky factor (read-only) and log det of ``matrix``; both
-        None when the matrix is not positive definite.
+        None when the matrix is not positive definite or is numerically
+        singular (some relative Cholesky pivot at or below 1e-12).
     is_psd : bool
         Whether the matrix is positive semidefinite. Batch means and
         sample covariance are PSD by construction; the flat-top
@@ -71,6 +76,8 @@ class CovarianceEstimate:
             eigs = np.linalg.eigvalsh(self.matrix)
             tol = 1e-12 * max(1.0, float(np.abs(eigs).max()))
             object.__setattr__(self, "is_psd", bool(eigs.min() >= -tol))
+            return
+        if (np.diag(chol) ** 2 <= _MIN_RELATIVE_PIVOT * np.diag(self.matrix)).any():
             return
         chol.setflags(write=False)
         object.__setattr__(self, "chol", chol)

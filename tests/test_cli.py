@@ -266,6 +266,58 @@ def test_grid_points_below_two_is_a_usage_error(small_two_col, tmp_path, capsys,
     assert list(out.glob("*")) == []
 
 
+@pytest.mark.parametrize("levels", ["0.5,95", "nan", "0", "1", "0.5,-0.1", "abc"])
+def test_quantile_levels_outside_unit_interval_are_rejected(
+    small_two_col, tmp_path, capsys, levels
+):
+    """A level of 95 used to become a failure entry, and nan a null level."""
+    out = tmp_path / "out"
+    argv = ["analyze", str(small_two_col), "--quantiles", levels, "--out-dir", str(out)]
+    assert main(argv) == 1
+    assert "bad quantile list" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_analyze_too_few_batches_gives_no_region(tmp_path):
+    path = tmp_path / "short.csv"
+    write_chain_csv(ChainMatrix(RngStream(21).normal(size=(40, 2))), path)
+    out = tmp_path / "report.json"
+    assert main(["analyze", str(path), "--batch-size", "10", "--out", str(out)]) == 2
+    report = loads_report(out.read_text())
+    assert report["region"] is None
+    assert report["region_reason"] == "too few batches for a region: q=2 <= p=2"
+
+
+def test_analyze_tied_upper_tail_reports_a_quantile_failure(tmp_path):
+    """With the top 10% of a column tied at its maximum, the indicator
+    series at the 0.975 quantile is constant: that entry carries a reason
+    and null estimates, and every other entry is computed."""
+    x = RngStream(23).normal(size=(2000, 2))
+    tail = x[:, 1] >= np.quantile(x[:, 1], 0.9)
+    x[tail, 1] = x[:, 1].max()
+    path = tmp_path / "tied.csv"
+    write_chain_csv(ChainMatrix(x), path)
+    out = tmp_path / "report.json"
+    assert main(["analyze", str(path), "--out", str(out)]) in (0, 2)
+    entries = loads_report(out.read_text())["quantiles"]
+    failed = [e for e in entries if "reason" in e]
+    assert [(e["column"], e["q"]) for e in failed] == [("col1", 0.975)]
+    assert "is constant" in failed[0]["reason"]
+    for key in ("point", "indicator_sigma2", "density_at", "ci_lo", "ci_hi"):
+        assert failed[0][key] is None
+    assert all(e["point"] is not None for e in entries if "reason" not in e)
+
+
+@pytest.mark.parametrize("max_n", ["19", "30"])
+def test_demo_too_short_budget_is_an_error(tmp_path, capsys, max_n):
+    """Too few draws for a region or a quantile interval: exit 1 before
+    the output directory is created."""
+    out = tmp_path / "out"
+    assert main(["demo", "--max-n", max_n, "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
 def test_out_dir_environment_variable(tmp_path, monkeypatch):
     env_dir = tmp_path / "from_env"
     monkeypatch.setenv("MCOUTPUT_OUT_DIR", str(env_dir))

@@ -182,6 +182,22 @@ def test_singular_lambda_error_names_the_target_covariance(use_flat_top):
     assert "flat-top" not in message and "batch means" not in message
 
 
+def test_duplicated_column_is_singular_on_every_seed():
+    """Rounding lets Cholesky succeed on about a quarter of these chains;
+    the relative-pivot test must still mark Lambda singular every time."""
+    for seed in range(40):
+        rng = RngStream(seed)
+        x = rng.normal(2000)
+        chain = ChainMatrix(np.column_stack([x, rng.normal(2000), x]))
+        lam = sample_cov_lambda(chain)
+        assert lam.chol is None and lam.log_det is None and lam.is_psd
+        with pytest.raises(SingularEstimateError) as info:
+            evaluate_verdict(chain, StoppingConfig(p=3, n_star=8))
+        assert str(info.value) == (
+            "target covariance (sample-cov) is not positive definite"
+        )
+
+
 def test_singular_flat_top_error_suggests_batch_means():
     x = (-1.0) ** np.arange(512) + 0.01 * RngStream(17).normal(512)
     chain = ChainMatrix(x)
