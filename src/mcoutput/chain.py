@@ -7,7 +7,6 @@ component of the functional whose expectation is being estimated.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import lfilter
 from scipy.special import ndtri
 
 from .errors import (
@@ -241,6 +240,8 @@ def generate_ar1(spec, n, rng):
 
     Consumes exactly n * dim normals from ``rng`` in row-major order.
     """
+    from scipy.signal import lfilter
+
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
     z = rng.normal(size=(int(n), spec.dim))

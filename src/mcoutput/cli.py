@@ -16,6 +16,7 @@ variable, falling back to the current directory.
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -27,6 +28,7 @@ import numpy as np
 from . import __version__, lcd_demo
 from .chain import ChainMatrix, discard_initial
 from .errors import (
+    DataError,
     DegenerateDataError,
     InsufficientDataError,
     OutputAnalysisError,
@@ -51,7 +53,6 @@ __all__ = [
     "read_chain_csv",
     "write_chain_csv",
     "dumps_report",
-    "loads_report",
 ]
 
 PLOT_KINDS = ("trace", "acf", "ccf", "density", "region")
@@ -59,11 +60,6 @@ PLOT_KINDS = ("trace", "acf", "ccf", "density", "region")
 
 # ---------------------------------------------------------------------------
 # serialization
-
-def _float_repr(x):
-    # 17 significant digits: enough to reproduce any double exactly
-    return format(x, ".17g")
-
 
 def _write_json(obj, out, level, indent):
     pad = " " * (indent * level)
@@ -80,7 +76,8 @@ def _write_json(obj, out, level, indent):
         out.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
         x = float(obj)
-        out.append(_float_repr(x) if math.isfinite(x) else "null")
+        # 17 significant digits: enough to reproduce any double exactly
+        out.append(format(x, ".17g") if math.isfinite(x) else "null")
     elif isinstance(obj, dict):
         if not obj:
             out.append("{}")
@@ -113,24 +110,29 @@ def dumps_report(report):
     return "".join(out) + "\n"
 
 
-def loads_report(text):
-    return json.loads(text)
+def _write_csv(path, header, *columns):
+    """Write a header row, then one CRLF-terminated line per row: float
+    columns to 17 significant digits, every other column (integer indices
+    and lags, string kinds) as ``str``."""
+    columns = [np.asarray(col) for col in columns]
+    line = ",".join("%.17g" if c.dtype.kind == "f" else "%s" for c in columns)
+    line += "\r\n"
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerow(header)
+        fh.writelines(line % row for row in zip(*columns))
 
 
 def write_chain_csv(chain, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([chain.label(i) for i in range(chain.cols)])
-        for row in chain.values:
-            writer.writerow([_float_repr(v) for v in row])
+    _write_csv(path, [chain.label(i) for i in range(chain.cols)], *chain.values.T)
 
 
 def read_chain_csv(path):
-    """Read a chain from comma-delimited text with a header row."""
-    labels = None
+    """Read a chain from comma-delimited text with a header row.
+
+    Blank lines are skipped; a leading UTF-8 byte-order mark is dropped.
+    """
     rows = []
-    width = None
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
@@ -150,7 +152,16 @@ def read_chain_csv(path):
                 raise ParseError(str(exc), line=lineno) from None
     if not rows:
         raise ParseError("no data rows after the header", line=2)
-    return ChainMatrix(np.asarray(rows, dtype=float), labels)
+    values = np.asarray(rows, dtype=float)
+    del rows
+    try:
+        return ChainMatrix(values, labels)
+    except DataError as exc:
+        # only a non-finite cell gets here; find its line by reading again
+        bad_row = int(np.flatnonzero(~np.isfinite(values).all(axis=1))[0])
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            lines = [n for n, row in enumerate(csv.reader(fh), start=1) if row]
+        raise ParseError(str(exc), line=lines[bad_row + 1]) from None
 
 
 def _covariance_dict(est):
@@ -200,17 +211,6 @@ def _quantile_failure_dict(column_label, q, alpha, reason):
     }
 
 
-def _verdict_dict(verdict):
-    return {
-        "n": verdict.n,
-        "ess": verdict.ess,
-        "cutoff": verdict.cutoff,
-        "rhat": verdict.rhat,
-        "terminate": verdict.terminate,
-        "fallback_used": verdict.fallback_used,
-    }
-
-
 # ---------------------------------------------------------------------------
 # shared plot-data writers
 
@@ -218,34 +218,13 @@ def _safe(label):
     return "".join(c if c.isalnum() else "_" for c in str(label)).lower()
 
 
-def _write_rows(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(
-                [_float_repr(v) if isinstance(v, float) else v for v in row]
-            )
-
-
 def _write_trace(values, path):
-    _write_rows(
-        path,
-        ["index", "value"],
-        [(i + 1, float(v)) for i, v in enumerate(values)],
-    )
+    _write_csv(path, ["index", "value"], np.arange(1, len(values) + 1), values)
 
 
 def _write_correlogram(series, path):
-    band = 3.0 / math.sqrt(series.n_used)
-    _write_rows(
-        path,
-        ["lag", "value", "band"],
-        [
-            (int(lag), float(val), band)
-            for lag, val in zip(series.lags, series.values)
-        ],
-    )
+    band = np.full(len(series.lags), 3.0 / math.sqrt(series.n_used))
+    _write_csv(path, ["lag", "value", "band"], series.lags, series.values, band)
 
 
 def _write_density(chain, i, b, alpha, bonf_k, grid_points, sigma, out_dir, stem):
@@ -262,11 +241,7 @@ def _write_density(chain, i, b, alpha, bonf_k, grid_points, sigma, out_dir, stem
     grid = np.linspace(col.min() - pad, col.max() + pad, grid_points)
     dens = kde_at(col, grid)
     curve_path = out_dir / f"{stem}_density_{_safe(label)}.csv"
-    _write_rows(
-        curve_path,
-        ["grid", "kde"],
-        [(float(g), float(d)) for g, d in zip(grid, dens)],
-    )
+    _write_csv(curve_path, ["grid", "kde"], grid, dens)
 
     adj_alpha = alpha / bonf_k
     from scipy.special import ndtri
@@ -279,20 +254,14 @@ def _write_density(chain, i, b, alpha, bonf_k, grid_points, sigma, out_dir, stem
         qe = quantile_ci(col, level, adj_alpha, b)
         rows.append((f"q{level:g}", qe.point, qe.ci[0], qe.ci[1]))
     markers_path = out_dir / f"{stem}_density_{_safe(label)}_markers.csv"
-    _write_rows(
-        markers_path,
-        ["kind", "value", "band_lo", "band_hi"],
-        rows,
-    )
+    _write_csv(markers_path, ["kind", "value", "band_lo", "band_hi"], *zip(*rows))
     return [curve_path, markers_path]
 
 
 def _write_region(region, path):
-    rows = [
-        ("boundary", float(x), float(y)) for x, y in region.boundary
-    ]
-    rows.append(("center", float(region.center[0]), float(region.center[1])))
-    _write_rows(path, ["kind", "x", "y"], rows)
+    points = np.vstack([region.boundary, region.center])
+    kinds = ["boundary"] * len(region.boundary) + ["center"]
+    _write_csv(path, ["kind", "x", "y"], kinds, *points.T)
 
 
 def _batch_size(args, n):
@@ -424,7 +393,7 @@ def cmd_demo(args):
     write_chain_csv(chain, chain_path)
     files["chain"] = chain_path.name
     params_path = out_dir / "demo_params.csv"
-    write_chain_csv(ChainMatrix(report.params, ("lambda", "beta")), params_path)
+    _write_csv(params_path, ["lambda", "beta"], *report.params.T)
     files["params"] = params_path.name
 
     for j, name in enumerate(("lambda", "beta")):
@@ -497,7 +466,7 @@ def cmd_demo(args):
         "cutoff_rounded": min_ess_cutoff(config.alpha, config.epsilon, 2).rounded,
         "rhat": final.rhat,
         "accept_rate": report.accept_rate,
-        "verdicts": [_verdict_dict(v) for v in report.verdicts],
+        "verdicts": [dataclasses.asdict(v) for v in report.verdicts],
         "estimates": estimates,
         "target_covariance": _covariance_dict(report.lambda_est),
         "asymptotic_covariance": _covariance_dict(report.sigma_est),
@@ -670,10 +639,7 @@ def main(argv=None):
         return 0 if exc.code == 0 else 1
     try:
         return args.func(args)
-    except OutputAnalysisError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (OutputAnalysisError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -357,7 +357,8 @@ class DemoConfig:
     """The settings of :func:`run_demo` that the command line exposes.
 
     :class:`StoppingConfig` validates alpha, epsilon and max_n before the
-    first draw; the other run settings are the module constants above.
+    first draw, and :func:`run_demo` also requires max_n > ``ACF_LAGS``;
+    the other run settings are the module constants above.
     """
 
     seed: int = 0
@@ -433,6 +434,11 @@ def run_demo(config=None):
     stop_cfg = StoppingConfig(
         p=2, alpha=config.alpha, epsilon=config.epsilon, max_n=config.max_n
     )
+    if config.max_n <= ACF_LAGS:
+        raise ParameterError(
+            f"max_n must be >= {ACF_LAGS + 1} for correlograms to lag "
+            f"{ACF_LAGS}, got {config.max_n}"
+        )
     def next_check(n):
         if n < LONG_RUN_N:
             return LONG_RUN_N

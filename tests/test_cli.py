@@ -1,19 +1,25 @@
 """Command line behavior: exit codes, report contents, file outputs."""
 
 import csv
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mcoutput
 from mcoutput import Ar1Spec, ChainMatrix, RngStream, generate_ar1, sqrt_batch_size
 from mcoutput.cli import (
     dumps_report,
-    loads_report,
     main,
     read_chain_csv,
     write_chain_csv,
 )
+from mcoutput.errors import ParseError
 
 
 @pytest.fixture(scope="module")
@@ -33,7 +39,7 @@ def _read_rows(path):
 def test_analyze_long_chain_terminates(ar1_csv, tmp_path, capsys):
     out = tmp_path / "report.json"
     assert main(["analyze", str(ar1_csv), "--out", str(out)]) == 0
-    report = loads_report(out.read_text())
+    report = json.loads(out.read_text())
     n = report["input"]["n"]
     assert n == 100_000
     # iid-equivalent fraction for AR(1) at rho = .5 is (1-rho)/(1+rho) = 1/3
@@ -60,14 +66,14 @@ def test_analyze_report_is_deterministic_and_roundtrips(ar1_csv, tmp_path):
     text = out1.read_text()
     assert text == out2.read_text()
     # parse, re-serialize: 17-digit floats make this byte-stable
-    assert dumps_report(loads_report(text)) == text
+    assert dumps_report(json.loads(text)) == text
 
 
 def test_analyze_short_chain_says_run_longer(tmp_path):
     path = tmp_path / "short.csv"
     write_chain_csv(ChainMatrix(RngStream(5).normal(size=500)), path)
     assert main(["analyze", str(path), "--out-dir", str(tmp_path)]) == 2
-    report = loads_report((tmp_path / "short_report.json").read_text())
+    report = json.loads((tmp_path / "short_report.json").read_text())
     assert report["terminated"] is False
     assert report["ess"] < report["n_star"]
 
@@ -108,7 +114,7 @@ def test_analyze_discard_drops_initial_rows(tmp_path):
     path = tmp_path / "warm.csv"
     write_chain_csv(ChainMatrix(RngStream(7).normal(size=100)), path)
     main(["analyze", str(path), "--discard", "40", "--out-dir", str(tmp_path)])
-    report = loads_report((tmp_path / "warm_report.json").read_text())
+    report = json.loads((tmp_path / "warm_report.json").read_text())
     assert report["input"]["n"] == 60
     assert report["config"]["discard_first"] == 40
 
@@ -127,7 +133,7 @@ def test_demo_small_run_is_deterministic(tmp_path):
     args = ["demo", "--epsilon", "0.3", "--max-n", "2000"]
     assert main(args + ["--out-dir", str(d1)]) == 0
     assert main(args + ["--out-dir", str(d2)]) == 0
-    report = loads_report((d1 / "demo_report.json").read_text())
+    report = json.loads((d1 / "demo_report.json").read_text())
     assert (d1 / "demo_report.json").read_text() == (d2 / "demo_report.json").read_text()
     assert (d1 / "demo_chain.csv").read_text() == (d2 / "demo_chain.csv").read_text()
     assert report["terminated"] is True
@@ -140,11 +146,11 @@ def test_demo_cutoff_echo_tracks_epsilon(tmp_path):
     assert main(
         ["demo", "--epsilon", "0.025", "--max-n", "500", "--out-dir", str(tmp_path)]
     ) == 2
-    report = loads_report((tmp_path / "demo_report.json").read_text())
+    report = json.loads((tmp_path / "demo_report.json").read_text())
     assert report["cutoff_rounded"] == 30116
     assert [v["n"] for v in report["verdicts"]] == [500]
     assert main(["demo", "--max-n", "500", "--out-dir", str(tmp_path)]) == 2
-    report = loads_report((tmp_path / "demo_report.json").read_text())
+    report = json.loads((tmp_path / "demo_report.json").read_text())
     assert report["cutoff_rounded"] == 7529
 
 
@@ -152,7 +158,7 @@ def test_demo_chain_reanalysis_reproduces_ess(tmp_path):
     """Feeding the demo's own chain back through analyze with the same
     batch length must reproduce the reported ESS bit for bit."""
     main(["demo", "--epsilon", "0.3", "--max-n", "2000", "--out-dir", str(tmp_path)])
-    demo_report = loads_report((tmp_path / "demo_report.json").read_text())
+    demo_report = json.loads((tmp_path / "demo_report.json").read_text())
     b = demo_report["asymptotic_covariance"]["batch_size"]
     assert b == sqrt_batch_size(demo_report["n"])
     out = tmp_path / "re.json"
@@ -161,7 +167,7 @@ def test_demo_chain_reanalysis_reproduces_ess(tmp_path):
          "--batch-size", str(b), "--out", str(out)]
     )
     assert code in (0, 2)
-    re_report = loads_report(out.read_text())
+    re_report = json.loads(out.read_text())
     assert re_report["ess"] == demo_report["ess"]
     assert re_report["asymptotic_covariance"]["matrix"] == (
         demo_report["asymptotic_covariance"]["matrix"]
@@ -283,7 +289,7 @@ def test_analyze_too_few_batches_gives_no_region(tmp_path):
     write_chain_csv(ChainMatrix(RngStream(21).normal(size=(40, 2))), path)
     out = tmp_path / "report.json"
     assert main(["analyze", str(path), "--batch-size", "10", "--out", str(out)]) == 2
-    report = loads_report(out.read_text())
+    report = json.loads(out.read_text())
     assert report["region"] is None
     assert report["region_reason"] == "too few batches for a region: q=2 <= p=2"
 
@@ -299,7 +305,7 @@ def test_analyze_tied_upper_tail_reports_a_quantile_failure(tmp_path):
     write_chain_csv(ChainMatrix(x), path)
     out = tmp_path / "report.json"
     assert main(["analyze", str(path), "--out", str(out)]) in (0, 2)
-    entries = loads_report(out.read_text())["quantiles"]
+    entries = json.loads(out.read_text())["quantiles"]
     failed = [e for e in entries if "reason" in e]
     assert [(e["column"], e["q"]) for e in failed] == [("col1", 0.975)]
     assert "is constant" in failed[0]["reason"]
@@ -308,14 +314,113 @@ def test_analyze_tied_upper_tail_reports_a_quantile_failure(tmp_path):
     assert all(e["point"] is not None for e in entries if "reason" not in e)
 
 
-@pytest.mark.parametrize("max_n", ["19", "30"])
+@pytest.mark.parametrize("max_n", ["19", "30", "50"])
 def test_demo_too_short_budget_is_an_error(tmp_path, capsys, max_n):
-    """Too few draws for a region or a quantile interval: exit 1 before
-    the output directory is created."""
+    """The correlograms to lag 50 need more than 50 draws: exit 1 before
+    any draw, naming the budget, and create no output directory."""
     out = tmp_path / "out"
     assert main(["demo", "--max-n", max_n, "--out-dir", str(out)]) == 1
-    assert capsys.readouterr().err.startswith("error:")
+    err = capsys.readouterr().err
+    assert err.startswith("error: max_n must be >= 51")
+    assert err.rstrip().endswith(f"got {max_n}")
     assert not out.exists()
+
+
+def test_demo_smallest_budget_writes_a_report(tmp_path):
+    out = tmp_path / "out"
+    assert main(["demo", "--max-n", "51", "--out-dir", str(out)]) == 2
+    report = json.loads((out / "demo_report.json").read_text())
+    assert report["n"] == 51
+    assert report["terminated"] is False
+
+
+def test_utf8_byte_order_mark_is_not_part_of_the_first_label(tmp_path):
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbfx,y\r\n1,2\r\n3,4\r\n")
+    assert read_chain_csv(path).labels == ("x", "y")
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN"])
+def test_non_finite_cell_reports_its_line(tmp_path, capsys, cell):
+    """The line number counts the blank lines before the bad row."""
+    path = tmp_path / "bad.csv"
+    path.write_text(f"x,y\n1,2\n\n3,4\n\n5,{cell}\n7,8\n")
+    with pytest.raises(ParseError) as info:
+        read_chain_csv(path)
+    assert info.value.line == 6
+    assert str(info.value) == "line 6: chain values must all be finite"
+    assert main(["analyze", str(path), "--out-dir", str(tmp_path / "out")]) == 1
+    assert "line 6:" in capsys.readouterr().err
+
+
+def test_write_chain_csv_exact_bytes(tmp_path):
+    """csv-module quoting in the header, CRLF line ends, 17-digit floats."""
+    path = tmp_path / "quoted.csv"
+    chain = ChainMatrix([[0.1, -2.5], [1e-300, 0.1]], ["a,b", 'q"x'])
+    write_chain_csv(chain, path)
+    assert path.read_bytes() == (
+        b'"a,b","q""x"\r\n'
+        b"0.10000000000000001,-2.5\r\n"
+        b"1e-300,0.10000000000000001\r\n"
+    )
+    assert read_chain_csv(path).labels == ("a,b", 'q"x')
+
+
+@pytest.fixture()
+def tiny_exact(tmp_path):
+    """64 rows of multiples of 1/8: the values and the column means are
+    exact in binary, so their 17-digit text is short and known."""
+    rows = [f"{((i * 7) % 11 - 5) / 4},{((i * 5) % 13 - 6) / 8}" for i in range(64)]
+    path = tmp_path / "tiny.csv"
+    path.write_text("x,y\n" + "\n".join(rows) + "\n")
+    return path
+
+
+def _crlf_lines(path):
+    text = path.read_bytes()
+    assert text.endswith(b"\r\n") and b"\n" not in text.replace(b"\r\n", b"")
+    return text.decode().split("\r\n")[:-1]
+
+
+def test_plotdata_files_exact_bytes(tiny_exact, tmp_path):
+    out = tmp_path / "out"
+    for kind in ("trace", "acf", "region"):
+        argv = ["plotdata", str(tiny_exact), "--kind", kind, "--lags", "5"]
+        assert main(argv + ["--out-dir", str(out)]) == 0
+
+    trace = _crlf_lines(out / "tiny_trace_x.csv")
+    assert trace[:4] == ["index,value", "1,-1.25", "2,0.5", "3,-0.5"]
+    assert trace[-1] == "64,-1"
+    assert [r.split(",")[0] for r in trace[1:]] == [str(i) for i in range(1, 65)]
+    assert _crlf_lines(out / "tiny_trace_y.csv")[:3] == [
+        "index,value", "1,-0.75", "2,-0.125"
+    ]
+
+    acf = _crlf_lines(out / "tiny_acf_x.csv")
+    assert acf[:2] == ["lag,value,band", "0,1,0.375"]  # band 3/sqrt(64)
+    assert [r.split(",")[0] for r in acf[1:]] == ["0", "1", "2", "3", "4", "5"]
+    assert {r.split(",")[2] for r in acf[1:]} == {"0.375"}
+
+    region = _crlf_lines(out / "tiny_region.csv")
+    assert region[0] == "kind,x,y"
+    assert len(region) == 1 + 129
+    assert [r.split(",")[0] for r in region[1:-1]] == ["boundary"] * 128
+    assert region[-1] == "center,-0.0078125,-0.00390625"
+    for row in region[1:]:
+        for cell in row.split(",")[1:]:
+            assert format(float(cell), ".17g") == cell
+
+
+def test_importing_the_cli_does_not_load_scipy_signal():
+    """Only generate_ar1 filters; no command line path needs scipy.signal."""
+    src = str(Path(mcoutput.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, mcoutput.cli; print('scipy.signal' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True,
+    )
+    assert done.stdout.strip() == "False"
 
 
 def test_out_dir_environment_variable(tmp_path, monkeypatch):

@@ -225,6 +225,9 @@ def test_run_demo_config_validation():
         config.max_n = 10
     with pytest.raises(ParameterError):
         run_demo(DemoConfig(max_n=0))
+    # correlograms to lag ACF_LAGS need more draws than lags
+    with pytest.raises(ParameterError, match="max_n must be >= 51"):
+        run_demo(DemoConfig(max_n=50))
 
 
 def test_run_demo_defaults():
