@@ -14,10 +14,8 @@ from .chain import (
     Ar1Spec,
     ChainMatrix,
     RngStream,
-    append,
     discard_initial,
     generate_ar1,
-    thin,
 )
 from .errors import (
     DataError,
@@ -52,11 +50,6 @@ from .lcd_demo import (
     DemoConfig,
     DemoReport,
     LcdData,
-    PosteriorState,
-    functional_h,
-    gibbs_lambda,
-    log_unnormalized_posterior,
-    mh_beta,
     run_demo,
     weibull_mle_beta,
 )
@@ -84,10 +77,8 @@ __all__ = [
     "Ar1Spec",
     "ChainMatrix",
     "RngStream",
-    "append",
     "discard_initial",
     "generate_ar1",
-    "thin",
     "CovarianceEstimate",
     "CorrelogramSeries",
     "batch_means_sigma",
@@ -117,13 +108,8 @@ __all__ = [
     "quantile_ci",
     "LCD_FAILURE_HOURS",
     "LcdData",
-    "PosteriorState",
     "DemoConfig",
     "DemoReport",
-    "log_unnormalized_posterior",
-    "gibbs_lambda",
-    "mh_beta",
-    "functional_h",
     "weibull_mle_beta",
     "run_demo",
     "OutputAnalysisError",

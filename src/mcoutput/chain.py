@@ -21,8 +21,6 @@ __all__ = [
     "ChainMatrix",
     "RngStream",
     "Ar1Spec",
-    "append",
-    "thin",
     "discard_initial",
     "generate_ar1",
 ]
@@ -86,11 +84,9 @@ class ChainMatrix:
 
     Notes
     -----
-    The stored array is marked read-only, and :func:`append` builds a new
-    matrix instead of mutating, so estimates taken from a ChainMatrix can
-    never be invalidated by later growth. Zero rows are allowed as a
-    staging value for :func:`append`; every estimator enforces its own
-    minimum length.
+    The stored array is marked read-only, so estimates taken from a
+    ChainMatrix can never be invalidated by later changes. Zero rows are
+    allowed; every estimator enforces its own minimum length.
     """
 
     __slots__ = ("_data", "labels")
@@ -117,11 +113,6 @@ class ChainMatrix:
         self._data = arr
         self.labels = labels
 
-    @classmethod
-    def empty(cls, cols, labels=None):
-        """A 0-by-cols staging chain to append into."""
-        return cls(np.empty((0, int(cols))), labels)
-
     @property
     def values(self):
         """Read-only view of the underlying (rows, cols) array."""
@@ -146,45 +137,8 @@ class ChainMatrix:
             return self.labels[i]
         return f"col{i}"
 
-    def append(self, block):
-        return append(self, block)
-
-    def thin(self, m):
-        return thin(self, m)
-
     def __repr__(self):
         return f"ChainMatrix(rows={self.rows}, cols={self.cols})"
-
-
-def append(chain, block):
-    """Return a new chain equal to ``chain`` with ``block`` rows added.
-
-    A 1-D block is one row when the chain has several columns, and a run
-    of rows when the chain is univariate. Earlier rows are carried over
-    bit-identically; the input chain is never touched.
-    """
-    arr = np.array(block, dtype=float)
-    if arr.ndim == 1:
-        arr = arr[None, :] if chain.cols > 1 else arr[:, None]
-    if arr.ndim != 2:
-        raise DimensionError(f"block must be 1- or 2-dimensional, got ndim={arr.ndim}")
-    if arr.shape[1] != chain.cols:
-        raise DimensionError(
-            f"block width {arr.shape[1]} does not match chain width {chain.cols}"
-        )
-    if arr.size and not np.isfinite(arr).all():
-        raise DataError("appended values must all be finite")
-    return ChainMatrix(np.vstack([chain.values, arr]), chain.labels)
-
-
-def thin(chain, m):
-    """Keep every m-th row starting from the first.
-
-    Rows 1, 1+m, 1+2m, ... (1-based) survive, so the output has
-    ceil(rows / m) rows and ``thin(chain, 1)`` is an identity copy.
-    """
-    _require_int(m, "thinning stride", 1)
-    return ChainMatrix(chain.values[::m], chain.labels)
 
 
 def discard_initial(chain, k):

@@ -36,6 +36,7 @@ from .errors import (
     UsageError,
 )
 from .inference import (
+    CHECK_GROWTH,
     StoppingConfig,
     default_hotelling_df,
     evaluate_verdict,
@@ -129,17 +130,18 @@ def write_chain_csv(chain, path):
 def read_chain_csv(path):
     """Read a chain from comma-delimited text with a header row.
 
-    Blank lines are skipped; a leading UTF-8 byte-order mark is dropped.
+    Blank lines are skipped, so the header is the first non-blank row; a
+    leading UTF-8 byte-order mark is dropped. Error lines are physical.
     """
     rows = []
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        numbered = enumerate(csv.reader(fh), start=1)
+        header_line, header = next(((n, row) for n, row in numbered if row), (1, None))
         if header is None:
             raise ParseError("file is empty", line=1)
         labels = [cell.strip() for cell in header]
         width = len(labels)
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, row in numbered:
             if not row:
                 continue
             if len(row) != width:
@@ -151,7 +153,7 @@ def read_chain_csv(path):
             except ValueError as exc:
                 raise ParseError(str(exc), line=lineno) from None
     if not rows:
-        raise ParseError("no data rows after the header", line=2)
+        raise ParseError("no data rows after the header", line=header_line + 1)
     values = np.asarray(rows, dtype=float)
     del rows
     try:
@@ -216,6 +218,19 @@ def _quantile_failure_dict(column_label, q, alpha, reason):
 
 def _safe(label):
     return "".join(c if c.isalnum() else "_" for c in str(label)).lower()
+
+
+def _check_file_labels(chain):
+    """Per-column files are named by label; two columns may not share one."""
+    seen = {}
+    for i in range(chain.cols):
+        key = _safe(chain.label(i))
+        if key in seen:
+            raise UsageError(
+                f"columns {chain.label(seen[key])!r} and {chain.label(i)!r} "
+                f"would write the same '{key}' files; give them distinct labels"
+            )
+        seen[key] = i
 
 
 def _write_trace(values, path):
@@ -449,7 +464,7 @@ def cmd_demo(args):
             "epsilon": config.epsilon,
             "long_run_n": lcd_demo.LONG_RUN_N,
             "max_n": config.max_n,
-            "check_growth": StoppingConfig.check_growth,
+            "check_growth": CHECK_GROWTH,
             "acf_lags": lcd_demo.ACF_LAGS,
             "credible_levels": list(lcd_demo.CREDIBLE_LEVELS),
             "kde_bandwidth_rule": KDE_BANDWIDTH_RULE,
@@ -501,6 +516,8 @@ def cmd_plotdata(args):
     out_dir = _resolve_out_dir(args.out_dir)
     stem = Path(args.input).stem
     written = []
+    if args.kind in ("trace", "acf", "density"):
+        _check_file_labels(chain)
 
     if args.kind == "trace":
         for i in range(p):
@@ -523,6 +540,8 @@ def cmd_plotdata(args):
         written.append(path)
     elif args.kind == "density":
         _check_grid_points(args)
+        if not 0.0 < args.alpha < 1.0:
+            raise UsageError(f"--alpha must be inside (0, 1), got {args.alpha}")
         b = _batch_size(args, n)
         sigma = batch_means_sigma(chain, b)
         bonf_k = 3 * p
@@ -644,9 +663,5 @@ def main(argv=None):
         return 1
 
 
-def _script():
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    _script()
+    sys.exit(main())

@@ -36,6 +36,7 @@ from .mcse import (
 )
 
 __all__ = [
+    "CHECK_GROWTH",
     "EssCutoff",
     "StoppingConfig",
     "StoppingVerdict",
@@ -52,6 +53,8 @@ __all__ = [
 ]
 
 BOUNDARY_POINTS = 128
+# after a failed check, the next waits for the chain to grow by this factor
+CHECK_GROWTH = 1.5
 
 
 def chi2_quantile(prob, dof):
@@ -265,7 +268,7 @@ class StoppingConfig:
     ``n_star`` defaults to the rounded cutoff M(alpha, epsilon, p): the
     first check never happens before the minimum ESS could possibly be
     reached. After a failed check the next one waits for the chain to
-    grow by ``check_growth``, so estimation cost stays proportional to
+    grow by ``CHECK_GROWTH``, so estimation cost stays proportional to
     the final chain length. ``use_flat_top`` switches Sigma to the
     flat-top estimator with automatic fallback to plain batch means when
     the combination is not usable.
@@ -275,7 +278,6 @@ class StoppingConfig:
     alpha: float = 0.05
     epsilon: float = 0.05
     n_star: int | None = None
-    check_growth: float = 1.5
     max_n: int = 1_000_000
     use_flat_top: bool = False
     cutoff: EssCutoff = field(init=False, repr=False)
@@ -287,10 +289,6 @@ class StoppingConfig:
             object.__setattr__(self, "n_star", self.cutoff.rounded)
         if self.n_star < 8:
             raise ParameterError(f"n_star must be >= 8, got {self.n_star}")
-        if not self.check_growth > 1.0:
-            raise ParameterError(
-                f"check_growth must be > 1, got {self.check_growth}"
-            )
         if self.max_n < 1:
             raise ParameterError(f"max_n must be >= 1, got {self.max_n}")
 
@@ -355,7 +353,7 @@ def stopping_controller(
     ``sampler(k, rng)`` must return the next k rows (shape (k, p)) of the
     functional's evaluations, continuing from wherever it left off. The
     controller runs n_star steps, checks, then re-checks every time the
-    chain has grown by ``config.check_growth``, stopping early at
+    chain has grown by ``CHECK_GROWTH``, stopping early at
     ``config.max_n``. It never raises just because the budget ran out:
     the last verdict simply has ``terminate=False``.
 
@@ -390,7 +388,7 @@ def stopping_controller(
         if verdict.terminate or n >= config.max_n:
             return chain, verdicts
         if next_check_fn is None:
-            proposed = math.ceil(n * config.check_growth)
+            proposed = math.ceil(n * CHECK_GROWTH)
         else:
             proposed = int(next_check_fn(n))
         target = min(config.max_n, max(proposed, n + 1))

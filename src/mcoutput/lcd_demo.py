@@ -23,6 +23,7 @@ import numpy as np
 from .chain import RngStream
 from .errors import DataError, NumericsError, ParameterError
 from .inference import (
+    CHECK_GROWTH,
     StoppingConfig,
     default_hotelling_df,
     evaluate_verdict,
@@ -44,16 +45,14 @@ __all__ = [
     "ACF_LAGS",
     "CREDIBLE_LEVELS",
     "LcdData",
-    "PosteriorState",
     "DemoConfig",
     "DemoReport",
     "log_unnormalized_posterior",
+    "sum_t_pow",
     "gibbs_lambda",
     "mh_beta",
     "functional_h",
     "weibull_mle_beta",
-    "posterior_sampler",
-    "sample_posterior",
     "run_demo",
 ]
 
@@ -101,27 +100,10 @@ class LcdData:
     def n(self):
         return self.times.size
 
-    @classmethod
-    def load(cls):
-        """The embedded data table."""
-        return cls()
 
-
-@dataclass(frozen=True)
-class PosteriorState:
-    """Current (lambda, beta) of the Metropolis-within-Gibbs scan."""
-
-    lam: float
-    beta: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.lam) and self.lam > 0.0):
-            raise ParameterError(f"lambda must be positive and finite, got {self.lam}")
-        if not (math.isfinite(self.beta) and self.beta > 0.0):
-            raise ParameterError(f"beta must be positive and finite, got {self.beta}")
-
-
-def _sum_t_pow(beta, data):
+# The sampler kernel: one scan of the chain is gibbs_lambda, then mh_beta,
+# then functional_h, with the power sum s = sum_t_pow(beta) carried along.
+def sum_t_pow(beta, data):
     """sum_i t_i^beta, computed as exp(beta * log t_i)."""
     with np.errstate(over="ignore"):
         return float(np.exp(beta * data.log_times).sum())
@@ -140,7 +122,7 @@ def log_unnormalized_posterior(lam, beta, data):
         return -math.inf
     if lam <= 0.0 or beta <= 0.0:
         return -math.inf
-    s = _sum_t_pow(beta, data)
+    s = sum_t_pow(beta, data)
     return (
         (POSTERIOR_LAMBDA_SHAPE - 1.0) * math.log(lam)
         + data.n * math.log(beta)
@@ -177,53 +159,50 @@ def _standard_gamma(shape, rng):
             return d * v
 
 
-def gibbs_lambda(beta, data, rng):
-    """Exact draw from the lambda full conditional Gamma(33.5, 2350 + sum t_i^beta)."""
-    if not (math.isfinite(beta) and beta > 0.0):
-        raise ParameterError(f"beta must be positive and finite, got {beta}")
-    rate = LAMBDA_PRIOR_RATE + _sum_t_pow(beta, data)
-    return _standard_gamma(POSTERIOR_LAMBDA_SHAPE, rng) / rate
+def gibbs_lambda(s, rng):
+    """Exact draw from the lambda full conditional Gamma(33.5, 2350 + s).
+
+    ``s`` is sum t_i^beta at the current beta (see :func:`sum_t_pow`).
+    """
+    if not (math.isfinite(s) and s >= 0.0):
+        raise ParameterError(f"power sum must be finite and >= 0, got {s}")
+    return _standard_gamma(POSTERIOR_LAMBDA_SHAPE, rng) / (LAMBDA_PRIOR_RATE + s)
 
 
-def _mh_step(lam, beta, s_cur, data, proposal_sd, rng):
+def mh_beta(lam, beta, s, data, proposal_sd, rng):
     """One random-walk Metropolis update of beta given lambda.
 
-    Returns (beta, sum t_i^beta, accepted). ``s_cur`` must equal
-    sum t_i^beta for the incoming beta; it is carried so the scan only
-    pays for one power-sum per proposal.
-    """
-    prop = beta + proposal_sd * rng.normal()
-    if prop <= 0.0:
-        # off the support: reject outright, no accept draw needed
-        return beta, s_cur, False
-    s_prop = _sum_t_pow(prop, data)
-    delta = (
-        data.n * math.log(prop / beta)
-        + (prop - beta) * (data.sum_log_times - BETA_PRIOR_RATE)
-        - lam * (s_prop - s_cur)
-    )
-    if math.log(rng.uniform()) < delta:
-        return prop, s_prop, True
-    return beta, s_cur, False
-
-
-def mh_beta(state, data, proposal_sd, rng):
-    """Metropolis-Hastings update of beta with a N(beta, proposal_sd^2) walk.
-
-    Returns (new beta, accepted). Nonpositive proposals are rejected
-    outright since the posterior has no mass there; a zero move has
-    log-ratio exactly 0 and is always accepted.
+    Proposes N(beta, proposal_sd^2) and returns (beta, sum t_i^beta,
+    accepted). ``s`` must equal sum t_i^beta for the incoming beta; it is
+    carried so the scan only pays for one power sum per proposal.
+    Nonpositive proposals are rejected outright since the posterior has
+    no mass there; a zero move has log-ratio exactly 0 and is always
+    accepted.
     """
     if not proposal_sd >= 0.0:
         raise ParameterError(f"proposal_sd must be >= 0, got {proposal_sd}")
-    s_cur = _sum_t_pow(state.beta, data)
-    beta_new, _, accepted = _mh_step(
-        state.lam, state.beta, s_cur, data, proposal_sd, rng
+    prop = beta + proposal_sd * rng.normal()
+    if prop <= 0.0:
+        # off the support: reject outright, no accept draw needed
+        return beta, s, False
+    s_prop = sum_t_pow(prop, data)
+    delta = (
+        data.n * math.log(prop / beta)
+        + (prop - beta) * (data.sum_log_times - BETA_PRIOR_RATE)
+        - lam * (s_prop - s)
     )
-    return beta_new, accepted
+    if math.log(rng.uniform()) < delta:
+        return prop, s_prop, True
+    return beta, s, False
 
 
-def _h_values(lam, beta):
+def functional_h(lam, beta):
+    """(MTTF, R(1500)) at (lambda, beta).
+
+    MTTF = lambda^(-1/beta) * Gamma(1 + 1/beta) via log-gamma, and
+    R(1500) = exp(-lambda * 1500^beta), clamped to 0 when t^beta
+    overflows (log-reliability -inf).
+    """
     inv_beta = 1.0 / beta
     mttf = math.exp(-math.log(lam) * inv_beta + math.lgamma(1.0 + inv_beta))
     try:
@@ -233,17 +212,7 @@ def _h_values(lam, beta):
     return mttf, math.exp(-lam * t_pow)
 
 
-def functional_h(state):
-    """(MTTF, R(1500)) at the given posterior state.
-
-    MTTF = lambda^(-1/beta) * Gamma(1 + 1/beta) via log-gamma, and
-    R(1500) = exp(-lambda * 1500^beta), clamped to 0 when t^beta
-    overflows (log-reliability -inf).
-    """
-    return _h_values(state.lam, state.beta)
-
-
-def weibull_mle_beta(data, tol=1e-10):
+def weibull_mle_beta(data):
     """Maximum likelihood beta for a Weibull sample (profile likelihood root).
 
     Solves sum(t^b ln t)/sum(t^b) - 1/b - mean(ln t) = 0, which is
@@ -283,40 +252,36 @@ def weibull_mle_beta(data, tol=1e-10):
             )
     from scipy.optimize import brentq
 
-    return float(brentq(score, lo, hi, xtol=tol))
+    return float(brentq(score, lo, hi, xtol=1e-10))
 
 
 class _WeibullGibbsSampler:
     """Stateful scan usable as a stopping-controller sampler."""
 
-    def __init__(self, data, proposal_sd, beta_start):
-        if not proposal_sd > 0.0:
-            raise ParameterError(f"proposal_sd must be positive, got {proposal_sd}")
+    def __init__(self, data, beta_start):
         if not (math.isfinite(beta_start) and beta_start > 0.0):
             raise ParameterError(f"beta_start must be positive, got {beta_start}")
         self._data = data
-        self._proposal_sd = proposal_sd
         self._beta = beta_start
-        self._s_cur = _sum_t_pow(beta_start, data)
+        self._s_cur = sum_t_pow(beta_start, data)
         self._param_blocks = []
         self.steps = 0
         self.accepted = 0
 
     def __call__(self, k, rng):
         data = self._data
-        sd = self._proposal_sd
         beta = self._beta
         s_cur = self._s_cur
         h = np.empty((k, 2))
         pr = np.empty((k, 2))
         for i in range(k):
-            lam = _standard_gamma(POSTERIOR_LAMBDA_SHAPE, rng) / (
-                LAMBDA_PRIOR_RATE + s_cur
+            lam = gibbs_lambda(s_cur, rng)
+            beta, s_cur, accepted = mh_beta(
+                lam, beta, s_cur, data, PROPOSAL_SD, rng
             )
-            beta, s_cur, accepted = _mh_step(lam, beta, s_cur, data, sd, rng)
             if accepted:
                 self.accepted += 1
-            h[i, 0], h[i, 1] = _h_values(lam, beta)
+            h[i, 0], h[i, 1] = functional_h(lam, beta)
             pr[i, 0] = lam
             pr[i, 1] = beta
         self._beta = beta
@@ -334,22 +299,6 @@ class _WeibullGibbsSampler:
         if not self._param_blocks:
             return np.empty((0, 2))
         return np.vstack(self._param_blocks)
-
-
-def posterior_sampler(data, proposal_sd=PROPOSAL_SD, beta_start=None):
-    """A stateful sampler(k, rng) over h = (MTTF, R(1500)) rows."""
-    if beta_start is None:
-        beta_start = weibull_mle_beta(data)
-    return _WeibullGibbsSampler(data, proposal_sd, beta_start)
-
-
-def sample_posterior(data, n, rng, proposal_sd=PROPOSAL_SD, beta_start=None):
-    """Fixed-length run: returns (h, params, accept_rate) arrays of n rows."""
-    if n < 1:
-        raise ParameterError(f"n must be >= 1, got {n}")
-    sampler = posterior_sampler(data, proposal_sd, beta_start)
-    h = sampler(int(n), rng)
-    return h, sampler.params, sampler.accept_rate
 
 
 @dataclass(frozen=True)
@@ -427,10 +376,10 @@ def run_demo(config=None):
     """
     if config is None:
         config = DemoConfig()
-    data = LcdData.load()
+    data = LcdData()
     beta_start = weibull_mle_beta(data)
     rng = RngStream(config.seed, STREAM_ID)
-    sampler = _WeibullGibbsSampler(data, PROPOSAL_SD, beta_start)
+    sampler = _WeibullGibbsSampler(data, beta_start)
     stop_cfg = StoppingConfig(
         p=2, alpha=config.alpha, epsilon=config.epsilon, max_n=config.max_n
     )
@@ -442,7 +391,7 @@ def run_demo(config=None):
     def next_check(n):
         if n < LONG_RUN_N:
             return LONG_RUN_N
-        return math.ceil(n * stop_cfg.check_growth)
+        return math.ceil(n * CHECK_GROWTH)
 
     chain, verdicts = stopping_controller(
         sampler,

@@ -34,10 +34,11 @@ from mcoutput.lcd_demo import (
     LcdData,
     gibbs_lambda,
     log_unnormalized_posterior,
+    mh_beta,
     run_demo,
+    sum_t_pow,
     weibull_mle_beta,
 )
-from mcoutput.lcd_demo import _mh_step, _sum_t_pow
 
 
 def _report(num, ok, detail):
@@ -156,7 +157,7 @@ def test_criterion_06_demo_reproduction():
 
 
 def test_criterion_07_weibull_mle():
-    bhat = weibull_mle_beta(LcdData.load())
+    bhat = weibull_mle_beta(LcdData())
     ok = abs(bhat - 1.12) <= 0.01
     _report(7, ok, f"profile MLE beta {bhat:.4f}")
 
@@ -207,12 +208,13 @@ def test_criterion_09_quantile_clt():
 
 
 def test_criterion_10_kernel_fidelity():
-    data = LcdData.load()
+    data = LcdData()
     rate = LAMBDA_PRIOR_RATE + data.total_hours
 
     # exact-draw kernel: empirical CDF against the conjugate Gamma
     rng = RngStream(91)
-    draws = np.sort([gibbs_lambda(1.0, data, rng) for _ in range(100_000)])
+    s_one = sum_t_pow(1.0, data)
+    draws = np.sort([gibbs_lambda(s_one, rng) for _ in range(100_000)])
     cdf = gammainc(POSTERIOR_LAMBDA_SHAPE, rate * draws)
     n = draws.size
     upper = np.abs(np.arange(1, n + 1) / n - cdf).max()
@@ -224,10 +226,10 @@ def test_criterion_10_kernel_fidelity():
     lam = POSTERIOR_LAMBDA_SHAPE / rate
     rng = RngStream(92)
     beta = 1.1
-    s_cur = _sum_t_pow(beta, data)
+    s_cur = sum_t_pow(beta, data)
     betas = np.empty(1_000_000)
     for i in range(betas.size):
-        beta, s_cur, _ = _mh_step(lam, beta, s_cur, data, 0.1, rng)
+        beta, s_cur, _ = mh_beta(lam, beta, s_cur, data, 0.1, rng)
         betas[i] = beta
     edges = np.linspace(betas.min(), betas.max(), 41)
     counts, _ = np.histogram(betas, bins=edges)

@@ -7,10 +7,8 @@ from mcoutput import (
     Ar1Spec,
     ChainMatrix,
     RngStream,
-    append,
     discard_initial,
     generate_ar1,
-    thin,
 )
 from mcoutput.errors import (
     DataError,
@@ -90,74 +88,11 @@ def test_chain_labels():
         ChainMatrix([[1.0, 2.0]], labels=("only_one",))
 
 
-def test_append_grows_without_mutating():
-    base = ChainMatrix([[1.0, 2.0]], labels=("a", "b"))
-    grown = append(base, [[3.0, 4.0], [5.0, 6.0]])
-    assert base.rows == 1
-    assert grown.rows == 3
-    assert grown.labels == ("a", "b")
-    np.testing.assert_array_equal(grown.values[:1], base.values)
-
-
-def test_append_1d_block_orientation():
-    # univariate chain: a flat block is a run of new rows
-    uni = append(ChainMatrix([1.0]), [2.0, 3.0])
-    assert uni.rows == 3
-    # multivariate chain: a flat block is a single new row
-    multi = append(ChainMatrix([[1.0, 2.0]]), [3.0, 4.0])
-    assert multi.rows == 2
-    np.testing.assert_array_equal(multi.values[1], [3.0, 4.0])
-
-
-def test_append_width_mismatch():
-    with pytest.raises(DimensionError):
-        append(ChainMatrix([[1.0, 2.0]]), [[1.0, 2.0, 3.0]])
-
-
-def test_append_from_empty_staging():
-    stage = ChainMatrix.empty(2, labels=("u", "v"))
-    assert stage.rows == 0
-    grown = stage.append([[1.0, 2.0], [3.0, 4.0]])
-    assert grown.rows == 2
-    assert grown.labels == ("u", "v")
-
-
-def test_append_is_associative():
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        blocks = [rng.normal(size=(rng.integers(1, 6), 3)) for _ in range(3)]
-        one_by_one = ChainMatrix(blocks[0])
-        for blk in blocks[1:]:
-            one_by_one = append(one_by_one, blk)
-        all_at_once = append(ChainMatrix(blocks[0]), np.vstack(blocks[1:]))
-        np.testing.assert_array_equal(one_by_one.values, all_at_once.values)
-
-
-def test_thin_identity_and_length():
-    c = ChainMatrix(np.arange(10.0))
-    assert thin(c, 1).rows == 10
-    np.testing.assert_array_equal(thin(c, 1).values, c.values)
-    assert thin(c, 3).rows == 4  # ceil(10 / 3)
-    np.testing.assert_array_equal(thin(c, 3).column(0), [0.0, 3.0, 6.0, 9.0])
-
-
-@pytest.mark.parametrize("a,b", [(2, 3), (3, 2), (4, 4), (1, 5), (7, 2)])
-def test_thin_composes(a, b):
-    """Thinning by a then by b is the same chain as thinning by a*b."""
-    c = ChainMatrix(np.random.default_rng(1).normal(size=(211, 2)))
-    np.testing.assert_array_equal(
-        thin(thin(c, a), b).values, thin(c, a * b).values
-    )
-
-
-def test_thin_rejects_bad_strides():
-    c = ChainMatrix(np.arange(5.0))
-    with pytest.raises(ParameterError):
-        thin(c, 0)
-    with pytest.raises(ParameterError):
-        thin(c, 1.5)
-    with pytest.raises(ParameterError):
-        thin(c, True)
+def test_chain_allows_zero_rows():
+    empty = ChainMatrix(np.empty((0, 2)), labels=("u", "v"))
+    assert empty.rows == 0
+    assert empty.cols == 2
+    assert empty.labels == ("u", "v")
 
 
 def test_discard_initial():

@@ -353,6 +353,68 @@ def test_non_finite_cell_reports_its_line(tmp_path, capsys, cell):
     assert "line 6:" in capsys.readouterr().err
 
 
+def test_blank_lines_before_the_header_are_skipped(tmp_path):
+    plain = tmp_path / "plain.csv"
+    plain.write_text("a,b\r\n1,2\r\n3,4\r\n5,6\r\n")
+    padded = tmp_path / "padded.csv"
+    padded.write_text("\r\n" + plain.read_text())
+    want, got = read_chain_csv(plain), read_chain_csv(padded)
+    assert got.labels == want.labels == ("a", "b")
+    np.testing.assert_array_equal(got.values, want.values)
+
+
+def test_ragged_row_after_leading_blanks_names_its_line(tmp_path):
+    path = tmp_path / "ragged.csv"
+    path.write_text("\n\na,b\n1,2\n3\n")
+    with pytest.raises(ParseError) as info:
+        read_chain_csv(path)
+    assert info.value.line == 5
+    assert "expected 2 columns, got 1" in str(info.value)
+
+
+def test_non_finite_cell_after_leading_blanks_names_its_line(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("\n\nx,y\n1,2\n\n3,inf\n")
+    with pytest.raises(ParseError) as info:
+        read_chain_csv(path)
+    assert info.value.line == 6
+
+
+@pytest.mark.parametrize("alpha", ["1.5", "0", "-1", "nan"])
+def test_plotdata_density_rejects_alpha_outside_unit_interval(
+    tmp_path, capsys, alpha
+):
+    path = tmp_path / "one.csv"
+    write_chain_csv(ChainMatrix(RngStream(15).normal(size=64)), path)
+    out = tmp_path / "out"
+    argv = ["plotdata", str(path), "--kind", "density", f"--alpha={alpha}"]
+    assert main(argv + ["--out-dir", str(out)]) == 1
+    assert list(out.iterdir()) == []
+    err = capsys.readouterr().err
+    assert "--alpha must be inside (0, 1)" in err
+    assert f"got {float(alpha)}" in err
+
+
+@pytest.mark.parametrize("header", ["x y,x_y", "a,a"])
+def test_plotdata_labels_sharing_a_file_name_are_rejected(
+    tmp_path, capsys, header
+):
+    path = tmp_path / "clash.csv"
+    rows = "".join(f"{v},{-v}\n" for v in RngStream(3).normal(size=64))
+    path.write_text(header + "\n" + rows)
+    first, second = header.split(",")
+    out = tmp_path / "out"
+    for kind in ("trace", "acf", "density"):
+        argv = ["plotdata", str(path), "--kind", kind, "--out-dir", str(out)]
+        assert main(argv) == 1
+        assert list(out.iterdir()) == []
+        err = capsys.readouterr().err
+        assert f"columns {first!r} and {second!r}" in err
+    # one file per invocation: no clash
+    argv = ["plotdata", str(path), "--kind", "ccf", "--out-dir", str(out)]
+    assert main(argv) == 0
+
+
 def test_write_chain_csv_exact_bytes(tmp_path):
     """csv-module quoting in the header, CRLF line ends, 17-digit floats."""
     path = tmp_path / "quoted.csv"
@@ -411,16 +473,38 @@ def test_plotdata_files_exact_bytes(tiny_exact, tmp_path):
             assert format(float(cell), ".17g") == cell
 
 
-def test_importing_the_cli_does_not_load_scipy_signal():
-    """Only generate_ar1 filters; no command line path needs scipy.signal."""
+def _fresh_python(*args):
+    """Run a new interpreter that imports this checkout's mcoutput."""
     src = str(Path(mcoutput.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = "import sys, mcoutput.cli; print('scipy.signal' in sys.modules)"
-    done = subprocess.run(
-        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
-        capture_output=True, text=True, check=True,
+    return subprocess.run(
+        [sys.executable, *args], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True,
     )
+
+
+def test_importing_the_cli_does_not_load_scipy_signal():
+    """Only generate_ar1 filters; no command line path needs scipy.signal."""
+    code = "import sys, mcoutput.cli; print('scipy.signal' in sys.modules)"
+    done = _fresh_python("-c", code)
+    assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+def test_module_entry_point_exit_codes(tmp_path):
+    """``python -m mcoutput.cli`` passes main's return value to the shell."""
+    done = _fresh_python("-m", "mcoutput.cli", "--version")
+    assert done.returncode == 0
+    assert done.stdout.strip() == mcoutput.__version__
+    path = tmp_path / "short.csv"
+    write_chain_csv(ChainMatrix(RngStream(5).normal(size=500)), path)
+    done = _fresh_python("-m", "mcoutput.cli", "analyze", str(path),
+                         "--out-dir", str(tmp_path))
+    assert done.returncode == 2, done.stderr
+    done = _fresh_python("-m", "mcoutput.cli", "demo", "--max-n", "19",
+                         "--out-dir", str(tmp_path / "demo"))
+    assert done.returncode == 1
+    assert "max_n" in done.stderr
 
 
 def test_out_dir_environment_variable(tmp_path, monkeypatch):

@@ -29,6 +29,7 @@ from mcoutput import (
     sample_cov_lambda,
     stopping_controller,
 )
+from mcoutput.inference import CHECK_GROWTH
 from mcoutput.errors import (
     DegreesOfFreedomError,
     DimensionError,
@@ -329,14 +330,15 @@ def test_stopping_config_defaults_and_validation():
     cfg = StoppingConfig(p=2)
     assert cfg.cutoff.value == pytest.approx(M2, rel=1e-12)
     assert cfg.n_star == 7529
-    assert cfg.check_growth == 1.5
+    assert CHECK_GROWTH == 1.5
     assert not cfg.use_flat_top
     explicit = StoppingConfig(p=1, n_star=500)
     assert explicit.n_star == 500
     with pytest.raises(ParameterError):
         StoppingConfig(p=1, n_star=7)
-    with pytest.raises(ParameterError):
-        StoppingConfig(p=1, check_growth=1.0)
+    # the check growth is a constant; next_check_fn overrides the schedule
+    with pytest.raises(TypeError):
+        StoppingConfig(p=1, check_growth=2.0)
     with pytest.raises(ParameterError):
         StoppingConfig(p=1, max_n=0)
 
@@ -438,7 +440,7 @@ def test_controller_check_schedule_is_geometric():
     ns = [v.n for v in verdicts]
     assert ns[0] == cfg.n_star
     for prev, cur in zip(ns, ns[1:]):
-        assert cur == min(cfg.max_n, math.ceil(prev * cfg.check_growth))
+        assert cur == min(cfg.max_n, math.ceil(prev * CHECK_GROWTH))
     assert ns[-1] == cfg.max_n
     assert not verdicts[-1].terminate
 

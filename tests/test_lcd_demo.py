@@ -13,15 +13,15 @@ from mcoutput.lcd_demo import (
     LAMBDA_PRIOR_RATE,
     LCD_FAILURE_HOURS,
     POSTERIOR_LAMBDA_SHAPE,
+    PROPOSAL_SD,
     DemoConfig,
     LcdData,
-    PosteriorState,
     functional_h,
     gibbs_lambda,
     log_unnormalized_posterior,
     mh_beta,
     run_demo,
-    sample_posterior,
+    sum_t_pow,
     weibull_mle_beta,
 )
 
@@ -29,7 +29,7 @@ TOTAL_HOURS = 17907.0
 
 
 def test_data_table_checksums():
-    data = LcdData.load()
+    data = LcdData()
     assert data.n == 31
     assert data.total_hours == TOTAL_HOURS
     assert sum(LCD_FAILURE_HOURS) == TOTAL_HOURS
@@ -40,7 +40,7 @@ def test_data_table_checksums():
 def test_log_posterior_lambda_difference_identity():
     """Holding beta fixed, the lambda terms are Gamma(33.5, 2350 + sum t^b);
     the difference of two log densities isolates exactly those terms."""
-    data = LcdData.load()
+    data = LcdData()
     for beta in (0.8, 1.0, 1.3):
         s = float((data.times**beta).sum())
         lp1 = log_unnormalized_posterior(0.002, beta, data)
@@ -52,7 +52,7 @@ def test_log_posterior_lambda_difference_identity():
 
 
 def test_log_posterior_exponential_closed_form():
-    data = LcdData.load()
+    data = LcdData()
     lam = 0.0017
     expected = 32.5 * math.log(lam) - lam * (2350.0 + TOTAL_HOURS) - 1.0
     assert log_unnormalized_posterior(lam, 1.0, data) == pytest.approx(
@@ -61,7 +61,7 @@ def test_log_posterior_exponential_closed_form():
 
 
 def test_log_posterior_off_support():
-    data = LcdData.load()
+    data = LcdData()
     assert log_unnormalized_posterior(-0.1, 1.0, data) == -math.inf
     assert log_unnormalized_posterior(0.001, 0.0, data) == -math.inf
     assert log_unnormalized_posterior(math.nan, 1.0, data) == -math.inf
@@ -69,9 +69,10 @@ def test_log_posterior_off_support():
 
 def test_gibbs_lambda_exponential_moments():
     """At beta = 1 the full conditional is Gamma(33.5, 2350 + 17907)."""
-    data = LcdData.load()
+    data = LcdData()
     rng = RngStream(71)
-    draws = np.array([gibbs_lambda(1.0, data, rng) for _ in range(100_000)])
+    s = sum_t_pow(1.0, data)
+    draws = np.array([gibbs_lambda(s, rng) for _ in range(100_000)])
     rate = LAMBDA_PRIOR_RATE + TOTAL_HOURS
     assert draws.mean() == pytest.approx(33.5 / rate, rel=0.01)
     assert draws.var() == pytest.approx(33.5 / rate**2, rel=0.03)
@@ -79,60 +80,70 @@ def test_gibbs_lambda_exponential_moments():
 
 
 def test_gibbs_lambda_deterministic():
-    data = LcdData.load()
-    assert gibbs_lambda(1.1, data, RngStream(9)) == gibbs_lambda(
-        1.1, data, RngStream(9)
-    )
+    s = sum_t_pow(1.1, LcdData())
+    assert gibbs_lambda(s, RngStream(9)) == gibbs_lambda(s, RngStream(9))
+
+
+@pytest.mark.parametrize("s", [-1.0, math.nan, math.inf])
+def test_gibbs_lambda_rejects_bad_power_sum(s):
+    with pytest.raises(ParameterError, match="power sum"):
+        gibbs_lambda(s, RngStream(9))
 
 
 def test_mh_beta_zero_proposal_always_accepts():
-    data = LcdData.load()
-    state = PosteriorState(0.0017, 1.1)
-    beta_new, accepted = mh_beta(state, data, 0.0, RngStream(5))
+    data = LcdData()
+    s = sum_t_pow(1.1, data)
+    beta_new, s_new, accepted = mh_beta(0.0017, 1.1, s, data, 0.0, RngStream(5))
     assert accepted
     assert beta_new == 1.1
+    assert s_new == s
 
 
 def test_mh_beta_rejects_nonpositive_proposal():
     """Seed 0's first normal is negative, so a huge step width pushes the
     proposal below zero; it must be rejected with beta unchanged."""
-    data = LcdData.load()
+    data = LcdData()
     assert RngStream(0).normal() < 0.0
-    state = PosteriorState(0.0017, 1.1)
-    beta_new, accepted = mh_beta(state, data, 1e6, RngStream(0))
+    s = sum_t_pow(1.1, data)
+    beta_new, s_new, accepted = mh_beta(0.0017, 1.1, s, data, 1e6, RngStream(0))
     assert not accepted
     assert beta_new == 1.1
+    assert s_new == s
 
 
 def test_mh_beta_validation():
-    data = LcdData.load()
+    data = LcdData()
     with pytest.raises(ParameterError):
-        mh_beta(PosteriorState(0.0017, 1.1), data, -0.1, RngStream(1))
-    with pytest.raises(ParameterError):
-        PosteriorState(0.0, 1.0)
-    with pytest.raises(ParameterError):
-        PosteriorState(0.001, -2.0)
+        mh_beta(0.0017, 1.1, sum_t_pow(1.1, data), data, -0.1, RngStream(1))
 
 
 def test_sampler_accept_rate_is_moderate():
-    data = LcdData.load()
-    _, _, acc = sample_posterior(data, 20_000, RngStream(73))
-    assert 0.2 < acc < 0.6
+    """The kernel scan at the demo's proposal width, started at the MLE."""
+    data = LcdData()
+    rng = RngStream(73)
+    beta = weibull_mle_beta(data)
+    s = sum_t_pow(beta, data)
+    accepted = 0
+    for _ in range(20_000):
+        lam = gibbs_lambda(s, rng)
+        beta, s, ok = mh_beta(lam, beta, s, data, PROPOSAL_SD, rng)
+        accepted += ok
+    assert 0.2 < accepted / 20_000 < 0.6
 
 
 def test_functional_h_closed_forms():
-    mttf, r = functional_h(PosteriorState(1.0, 1.0))
+    mttf, r = functional_h(1.0, 1.0)
     assert mttf == pytest.approx(1.0, rel=1e-12)
     assert r == 0.0  # exp(-1500) underflows cleanly
-    mttf, r = functional_h(PosteriorState(1.0 / 1500.0, 1.0))
+    mttf, r = functional_h(1.0 / 1500.0, 1.0)
     assert mttf == pytest.approx(1500.0, rel=1e-12)
     assert r == pytest.approx(math.exp(-1.0), rel=1e-12)
-    mttf, _ = functional_h(PosteriorState(1.0, 2.0))
+    mttf, _ = functional_h(1.0, 2.0)
     assert mttf == pytest.approx(math.sqrt(math.pi) / 2.0, rel=1e-12)
 
 
 def test_functional_h_overflow_clamps_reliability():
-    mttf, r = functional_h(PosteriorState(1.0, 200.0))
+    mttf, r = functional_h(1.0, 200.0)
     assert r == 0.0
     assert math.isfinite(mttf)
 
@@ -140,24 +151,22 @@ def test_functional_h_overflow_clamps_reliability():
 def test_functional_h_partial_derivatives():
     """Central finite differences against the analytic MTTF gradient."""
     lam, beta = 0.0017, 1.15
-    mttf, _ = functional_h(PosteriorState(lam, beta))
+    mttf, _ = functional_h(lam, beta)
     d_lam = -mttf / (beta * lam)
     d_beta = mttf * (math.log(lam) - digamma(1.0 + 1.0 / beta)) / beta**2
     h = 1e-6
     fd_lam = (
-        functional_h(PosteriorState(lam * (1 + h), beta))[0]
-        - functional_h(PosteriorState(lam * (1 - h), beta))[0]
+        functional_h(lam * (1 + h), beta)[0] - functional_h(lam * (1 - h), beta)[0]
     ) / (2 * h * lam)
     fd_beta = (
-        functional_h(PosteriorState(lam, beta * (1 + h)))[0]
-        - functional_h(PosteriorState(lam, beta * (1 - h)))[0]
+        functional_h(lam, beta * (1 + h))[0] - functional_h(lam, beta * (1 - h))[0]
     ) / (2 * h * beta)
     assert fd_lam == pytest.approx(d_lam, rel=1e-5)
     assert fd_beta == pytest.approx(d_beta, rel=1e-5)
 
 
 def test_weibull_mle_on_the_study_data():
-    data = LcdData.load()
+    data = LcdData()
     bhat = weibull_mle_beta(data)
     assert bhat == pytest.approx(1.1207, abs=1e-3)
     w = data.times**bhat
@@ -184,29 +193,6 @@ def test_weibull_mle_degenerate_sample():
         weibull_mle_beta([1.0, -2.0, 3.0])
 
 
-def test_sample_posterior_shapes_and_determinism():
-    data = LcdData.load()
-    h1, p1, a1 = sample_posterior(data, 500, RngStream(31))
-    h2, p2, a2 = sample_posterior(data, 500, RngStream(31))
-    assert h1.shape == (500, 2)
-    assert p1.shape == (500, 2)
-    np.testing.assert_array_equal(h1, h2)
-    np.testing.assert_array_equal(p1, p2)
-    assert a1 == a2
-    assert (p1 > 0.0).all()
-    with pytest.raises(ParameterError):
-        sample_posterior(data, 0, RngStream(31))
-
-
-def test_sample_posterior_two_seeds_agree():
-    data = LcdData.load()
-    m = []
-    for seed in (101, 202):
-        h, _, _ = sample_posterior(data, 50_000, RngStream(seed))
-        m.append(h[:, 0].mean())
-    assert abs(m[0] - m[1]) < 6.0  # a few Monte Carlo standard errors
-
-
 def test_run_demo_two_stage_schedule():
     """With a loose epsilon the pilot check fails; the jump to LONG_RUN_N
     is capped at max_n, where the check succeeds, so exactly two verdicts
@@ -216,6 +202,8 @@ def test_run_demo_two_stage_schedule():
     assert [v.terminate for v in report.verdicts] == [False, True]
     assert report.terminated
     assert report.chain.rows == 4_000
+    assert report.params.shape == (4_000, 2)
+    assert (report.params > 0.0).all()
     assert report.final is report.verdicts[-1]
 
 

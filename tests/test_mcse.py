@@ -7,7 +7,6 @@ from mcoutput import (
     Ar1Spec,
     ChainMatrix,
     RngStream,
-    append,
     batch_means_sigma,
     correlogram,
     default_batch_size,
@@ -84,7 +83,7 @@ def test_batch_means_ignores_trailing_partial_batch(b, extra):
     """Fewer than b rows past the last complete batch must not move the
     estimate; they are dropped from the end."""
     base = generate_ar1(Ar1Spec(rho=0.3), 100, RngStream(4))
-    grown = append(base, np.full(extra, 1e6))
+    grown = ChainMatrix(np.concatenate([base.column(0), np.full(extra, 1e6)]))
     ref = batch_means_sigma(base, b)
     noisy = batch_means_sigma(grown, b)
     np.testing.assert_array_equal(ref.matrix, noisy.matrix)
