@@ -35,6 +35,7 @@ from .inference import (
     EssCutoff,
     StoppingConfig,
     StoppingVerdict,
+    Summary,
     chi2_quantile,
     default_hotelling_df,
     ess,
@@ -44,6 +45,7 @@ from .inference import (
     min_ess_cutoff,
     rhat_from_ess,
     stopping_controller,
+    summarize,
 )
 from .lcd_demo import (
     LCD_FAILURE_HOURS,
@@ -100,6 +102,8 @@ __all__ = [
     "default_hotelling_df",
     "evaluate_verdict",
     "stopping_controller",
+    "Summary",
+    "summarize",
     "QuantileEstimate",
     "empirical_quantile",
     "indicator_sigma2",

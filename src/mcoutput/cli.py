@@ -38,13 +38,12 @@ from .errors import (
 from .inference import (
     CHECK_GROWTH,
     StoppingConfig,
-    default_hotelling_df,
     evaluate_verdict,
-    hotelling_region,
     min_ess_cutoff,
+    summarize,
 )
-from .mcse import batch_means_sigma, correlogram, default_batch_size, sqrt_batch_size
-from .quantiles import KDE_BANDWIDTH_RULE, kde_at, kde_bandwidth, quantile_ci
+from .mcse import batch_means_sigma, correlogram, default_batch_size
+from .quantiles import KDE_BANDWIDTH_RULE, kde_at, kde_bandwidth, normal_interval
 
 __all__ = [
     "main",
@@ -114,17 +113,23 @@ def dumps_report(report):
 def _write_csv(path, header, *columns):
     """Write a header row, then one CRLF-terminated line per row: float
     columns to 17 significant digits, every other column (integer indices
-    and lags, string kinds) as ``str``."""
-    columns = [np.asarray(col) for col in columns]
-    line = ",".join("%.17g" if c.dtype.kind == "f" else "%s" for c in columns)
+    and lags, string kinds) as ``str``. A ``range`` index column is written
+    without ever being held as an array."""
+    columns = [c if isinstance(c, range) else np.asarray(c) for c in columns]
+    floats = [not isinstance(c, range) and c.dtype.kind == "f" for c in columns]
+    line = ",".join("%.17g" if f else "%s" for f in floats)
     line += "\r\n"
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(header)
         fh.writelines(line % row for row in zip(*columns))
 
 
+def _chain_table(chain):
+    return [chain.label(i) for i in range(chain.cols)], *chain.values.T
+
+
 def write_chain_csv(chain, path):
-    _write_csv(path, [chain.label(i) for i in range(chain.cols)], *chain.values.T)
+    _write_csv(path, *_chain_table(chain))
 
 
 def read_chain_csv(path):
@@ -186,35 +191,27 @@ def _region_dict(region):
     }
 
 
-def _quantile_dict(column_label, estimate):
-    return {
-        "column": column_label,
-        "q": estimate.q,
-        "point": estimate.point,
-        "indicator_sigma2": estimate.indicator_sigma2,
-        "density_at": estimate.density_at,
-        "ci_lo": estimate.ci[0],
-        "ci_hi": estimate.ci[1],
-        "alpha": estimate.alpha,
-    }
-
-
-def _quantile_failure_dict(column_label, q, alpha, reason):
-    return {
+def _quantile_dict(column_label, q, alpha, entry):
+    """A summary entry: its estimate, or nulls and the reason it failed."""
+    failed = isinstance(entry, OutputAnalysisError)
+    lo, hi = (None, None) if failed else entry.ci
+    out = {
         "column": column_label,
         "q": q,
-        "point": None,
-        "indicator_sigma2": None,
-        "density_at": None,
-        "ci_lo": None,
-        "ci_hi": None,
+        "point": None if failed else entry.point,
+        "indicator_sigma2": None if failed else entry.indicator_sigma2,
+        "density_at": None if failed else entry.density_at,
+        "ci_lo": lo,
+        "ci_hi": hi,
         "alpha": alpha,
-        "reason": reason,
     }
+    if failed:
+        out["reason"] = str(entry)
+    return out
 
 
 # ---------------------------------------------------------------------------
-# shared plot-data writers
+# plot-data tables: (header, *columns), ready for _write_csv
 
 def _safe(label):
     return "".join(c if c.isalnum() else "_" for c in str(label)).lower()
@@ -233,50 +230,45 @@ def _check_file_labels(chain):
         seen[key] = i
 
 
-def _write_trace(values, path):
-    _write_csv(path, ["index", "value"], np.arange(1, len(values) + 1), values)
+def _trace_table(values):
+    return ["index", "value"], range(1, len(values) + 1), values
 
 
-def _write_correlogram(series, path):
+def _correlogram_table(series):
     band = np.full(len(series.lags), 3.0 / math.sqrt(series.n_used))
-    _write_csv(path, ["lag", "value", "band"], series.lags, series.values, band)
+    return ["lag", "value", "band"], series.lags, series.values, band
 
 
-def _write_density(chain, i, b, alpha, bonf_k, grid_points, sigma, out_dir, stem):
-    """Density curve plus estimate markers with simultaneous bands.
-
-    The marker bands are Bonferroni-adjusted across every marker written
-    by the invocation (bonf_k of them), so they hold jointly at level
-    1 - alpha.
-    """
-    label = chain.label(i)
-    col = chain.column(i)
-    n = chain.rows
-    pad = 3.0 * kde_bandwidth(col)
-    grid = np.linspace(col.min() - pad, col.max() + pad, grid_points)
-    dens = kde_at(col, grid)
-    curve_path = out_dir / f"{stem}_density_{_safe(label)}.csv"
-    _write_csv(curve_path, ["grid", "kde"], grid, dens)
-
-    adj_alpha = alpha / bonf_k
-    from scipy.special import ndtri
-
-    z = float(ndtri(1.0 - adj_alpha / 2.0))
-    mean = float(col.mean())
-    half = z * math.sqrt(float(sigma.matrix[i, i]) / n)
-    rows = [("mean", mean, mean - half, mean + half)]
-    for level in (0.025, 0.975):
-        qe = quantile_ci(col, level, adj_alpha, b)
-        rows.append((f"q{level:g}", qe.point, qe.ci[0], qe.ci[1]))
-    markers_path = out_dir / f"{stem}_density_{_safe(label)}_markers.csv"
-    _write_csv(markers_path, ["kind", "value", "band_lo", "band_hi"], *zip(*rows))
-    return [curve_path, markers_path]
+def _density_tables(chain, summary, alpha, grid_points, stem):
+    """Density curve and markers (mean, summary quantiles) of every column,
+    by file name. The marker bands are Bonferroni-adjusted across all the
+    markers, so they hold jointly at level 1 - alpha."""
+    alpha /= chain.cols * (1 + len(summary.quantiles[0]))
+    tables = {}
+    for i in range(chain.cols):
+        name = f"{stem}_density_{_safe(chain.label(i))}"
+        col = chain.column(i)
+        pad = 3.0 * kde_bandwidth(col)
+        grid = np.linspace(col.min() - pad, col.max() + pad, grid_points)
+        tables[f"{name}.csv"] = (["grid", "kde"], grid, kde_at(col, grid))
+        # the column's own mean: summary.mean reduces across rows, which can
+        # round differently in the last bit
+        mean = float(col.mean())
+        rows = [("mean", mean, *normal_interval(mean, alpha, summary.mcse[i]))]
+        for qe in summary.quantiles[i]:
+            sd = math.sqrt(qe.indicator_sigma2)
+            scale = qe.density_at * math.sqrt(chain.rows)
+            band = normal_interval(qe.point, alpha, sd, scale)
+            rows.append((f"q{qe.q:g}", qe.point, *band))
+        header = ["kind", "value", "band_lo", "band_hi"]
+        tables[f"{name}_markers.csv"] = (header, *zip(*rows))
+    return tables
 
 
-def _write_region(region, path):
+def _region_table(region):
     points = np.vstack([region.boundary, region.center])
     kinds = ["boundary"] * len(region.boundary) + ["center"]
-    _write_csv(path, ["kind", "x", "y"], kinds, *points.T)
+    return ["kind", "x", "y"], kinds, *points.T
 
 
 def _batch_size(args, n):
@@ -313,28 +305,14 @@ def cmd_analyze(args):
     )
     b = _batch_size(args, n)
     verdict, lam, sig = evaluate_verdict(chain, config, batch_size=b)
+    summary = summarize(chain, sig, b, args.alpha, args.quantiles)
 
-    quantile_entries = []
-    for i in range(p):
-        label = chain.label(i)
-        for q in args.quantiles:
-            try:
-                qe = quantile_ci(chain.column(i), q, args.alpha, b)
-                quantile_entries.append(_quantile_dict(label, qe))
-            except OutputAnalysisError as exc:
-                quantile_entries.append(
-                    _quantile_failure_dict(label, q, args.alpha, str(exc))
-                )
-
-    region = None
-    region_reason = None
-    q_df = default_hotelling_df(sig, p)
-    if q_df > p:
-        region = hotelling_region(
-            chain.values.mean(axis=0), sig, n, args.alpha, q_df
-        )
-    else:
-        region_reason = f"too few batches for a region: q={q_df} <= p={p}"
+    quantile_entries = [
+        _quantile_dict(chain.label(i), q, args.alpha, entry)
+        for i in range(p)
+        for q, entry in zip(args.quantiles, summary.quantiles[i])
+    ]
+    region, reason = summary.region, summary.region_reason
 
     report = {
         "tool": {"name": "mcoutput", "version": __version__},
@@ -356,7 +334,7 @@ def cmd_analyze(args):
             "kde_bandwidth_rule": KDE_BANDWIDTH_RULE,
             "hotelling_df_rule": "batches - p",
         },
-        "mean": [float(v) for v in chain.values.mean(axis=0)],
+        "mean": [float(v) for v in summary.mean],
         "target_covariance": _covariance_dict(lam),
         "asymptotic_covariance": {
             **_covariance_dict(sig),
@@ -369,8 +347,8 @@ def cmd_analyze(args):
         "rhat": verdict.rhat,
         "terminated": verdict.terminate,
         "quantiles": quantile_entries,
-        "region": _region_dict(region) if region is not None else None,
-        "region_reason": region_reason,
+        "region": None if region is None else _region_dict(region),
+        "region_reason": None if reason is None else str(reason),
     }
 
     out_path = (
@@ -399,55 +377,41 @@ def cmd_demo(args):
         max_n=args.max_n,
     )
     report = lcd_demo.run_demo(config)
-    out_dir = _resolve_out_dir(args.out_dir)
     chain = report.chain
+    summary = report.summary
     n = chain.rows
 
-    files = {}
-    chain_path = out_dir / "demo_chain.csv"
-    write_chain_csv(chain, chain_path)
-    files["chain"] = chain_path.name
-    params_path = out_dir / "demo_params.csv"
-    _write_csv(params_path, ["lambda", "beta"], *report.params.T)
-    files["params"] = params_path.name
-
+    # report key -> (file name, table)
+    tables = {
+        "chain": ("demo_chain.csv", _chain_table(chain)),
+        "params": ("demo_params.csv", (["lambda", "beta"], *report.params.T)),
+    }
     for j, name in enumerate(("lambda", "beta")):
-        trace_path = out_dir / f"demo_trace_{name}.csv"
-        _write_trace(report.params[:, j], trace_path)
-        files[f"trace_{name}"] = trace_path.name
+        table = _trace_table(report.params[:, j])
+        tables[f"trace_{name}"] = (f"demo_trace_{name}.csv", table)
     for label, series in report.correlograms.items():
-        if ":" in label:
-            path = out_dir / f"demo_ccf_{_safe(label.replace(':', '_'))}.csv"
-        else:
-            path = out_dir / f"demo_acf_{_safe(label)}.csv"
-        _write_correlogram(series, path)
-        files[f"correlogram_{_safe(label)}"] = path.name
-
-    b = sqrt_batch_size(n)  # same batch rule the demo's own checks use
-    bonf_k = 3 * chain.cols  # mean + two quantile markers per column
-    for i in range(chain.cols):
-        written = _write_density(
-            chain, i, b, config.alpha, bonf_k, args.grid_points,
-            report.sigma_est, out_dir, "demo",
-        )
-        for path in written:
-            files[path.stem.removeprefix("demo_")] = path.name
-    region_path = out_dir / "demo_region.csv"
-    _write_region(report.region, region_path)
-    files["region"] = region_path.name
+        name = f"demo_{'ccf' if ':' in label else 'acf'}_{_safe(label)}.csv"
+        tables[f"correlogram_{_safe(label)}"] = (name, _correlogram_table(series))
+    density = _density_tables(chain, summary, config.alpha, args.grid_points, "demo")
+    for name, table in density.items():
+        tables[name.removeprefix("demo_").removesuffix(".csv")] = (name, table)
+    tables["region"] = ("demo_region.csv", _region_table(summary.region))
+    out_dir = _resolve_out_dir(args.out_dir)
+    for name, table in tables.values():
+        _write_csv(out_dir / name, *table)
+    files = {key: name for key, (name, _) in tables.items()}
 
     estimates = {}
     for i in range(chain.cols):
         label = chain.label(i)
-        lo, hi = report.credible_intervals[label]
+        entries = summary.quantiles[i]
         estimates[label] = {
-            "mean": float(report.mean[i]),
-            "mcse": float(report.mcse[i]),
-            "credible_lo": lo,
-            "credible_hi": hi,
+            "mean": float(summary.mean[i]),
+            "mcse": float(summary.mcse[i]),
+            "credible_lo": entries[0].point,
+            "credible_hi": entries[-1].point,
             "quantiles": [
-                _quantile_dict(label, qe)
-                for qe in report.quantile_estimates[label]
+                _quantile_dict(label, qe.q, qe.alpha, qe) for qe in entries
             ],
         }
 
@@ -485,7 +449,7 @@ def cmd_demo(args):
         "estimates": estimates,
         "target_covariance": _covariance_dict(report.lambda_est),
         "asymptotic_covariance": _covariance_dict(report.sigma_est),
-        "region": _region_dict(report.region),
+        "region": _region_dict(summary.region),
         "files": files,
     }
     report_path = out_dir / "demo_report.json"
@@ -495,12 +459,10 @@ def cmd_demo(args):
         f"n={n} ess={final.ess:.1f} cutoff={doc['cutoff_rounded']} "
         f"accept_rate={report.accept_rate:.3f} terminated={status}"
     )
-    for i in range(chain.cols):
-        label = chain.label(i)
-        lo, hi = report.credible_intervals[label]
+    for label, est in estimates.items():
         print(
-            f"{label}: mean={report.mean[i]:.4g} "
-            f"ci=({lo:.4g}, {hi:.4g})"
+            f"{label}: mean={est['mean']:.4g} "
+            f"ci=({est['credible_lo']:.4g}, {est['credible_hi']:.4g})"
         )
     print(f"report: {report_path}")
     return 0 if report.terminated else 2
@@ -513,62 +475,49 @@ def cmd_plotdata(args):
         )
     chain = read_chain_csv(args.input)
     n, p = chain.rows, chain.cols
-    out_dir = _resolve_out_dir(args.out_dir)
     stem = Path(args.input).stem
-    written = []
+    tables = {}  # file name -> table, all computed before the directory is made
     if args.kind in ("trace", "acf", "density"):
         _check_file_labels(chain)
 
     if args.kind == "trace":
         for i in range(p):
-            path = out_dir / f"{stem}_trace_{_safe(chain.label(i))}.csv"
-            _write_trace(chain.column(i), path)
-            written.append(path)
+            name = f"{stem}_trace_{_safe(chain.label(i))}.csv"
+            tables[name] = _trace_table(chain.column(i))
     elif args.kind == "acf":
         for i in range(p):
             series = correlogram(chain, args.lags, (i, i))
-            path = out_dir / f"{stem}_acf_{_safe(chain.label(i))}.csv"
-            _write_correlogram(series, path)
-            written.append(path)
+            name = f"{stem}_acf_{_safe(chain.label(i))}.csv"
+            tables[name] = _correlogram_table(series)
     elif args.kind == "ccf":
         i, j = args.pair
         series = correlogram(chain, args.lags, (i, j))
-        path = out_dir / (
-            f"{stem}_ccf_{_safe(chain.label(i))}_{_safe(chain.label(j))}.csv"
-        )
-        _write_correlogram(series, path)
-        written.append(path)
+        name = f"{stem}_ccf_{_safe(chain.label(i))}_{_safe(chain.label(j))}.csv"
+        tables[name] = _correlogram_table(series)
     elif args.kind == "density":
         _check_grid_points(args)
         if not 0.0 < args.alpha < 1.0:
             raise UsageError(f"--alpha must be inside (0, 1), got {args.alpha}")
         b = _batch_size(args, n)
         sigma = batch_means_sigma(chain, b)
-        bonf_k = 3 * p
-        for i in range(p):
-            written.extend(
-                _write_density(
-                    chain, i, b, args.alpha, bonf_k, args.grid_points,
-                    sigma, out_dir, stem,
-                )
-            )
+        summary = summarize(chain, sigma, b, args.alpha, (0.025, 0.975))
+        summary.raise_failures(region=False)
+        tables = _density_tables(chain, summary, args.alpha, args.grid_points, stem)
     else:  # region
         if p != 2:
             raise UsageError(
                 f"region plot data needs a two-column chain, got p={p}"
             )
         b = _batch_size(args, n)
-        sigma = batch_means_sigma(chain, b)
-        region = hotelling_region(
-            chain.values.mean(axis=0), sigma, n, args.alpha,
-            default_hotelling_df(sigma, p),
-        )
-        path = out_dir / f"{stem}_region.csv"
-        _write_region(region, path)
-        written.append(path)
+        summary = summarize(chain, batch_means_sigma(chain, b), b, args.alpha, ())
+        summary.raise_failures()
+        tables[f"{stem}_region.csv"] = _region_table(summary.region)
 
-    for path in written:
-        print(path)
+    out_dir = _resolve_out_dir(args.out_dir)
+    for name, table in tables.items():
+        _write_csv(out_dir / name, *table)
+    for name in tables:
+        print(out_dir / name)
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Effective sample size, stopping rules, and Hotelling confidence regions.
+"""Effective sample size, stopping rules, Hotelling regions and chain summaries.
 
 The workflow: estimate the target covariance Lambda and the asymptotic
 covariance Sigma, turn the pair into a multivariate effective sample size
@@ -24,6 +24,7 @@ from .errors import (
     DegreesOfFreedomError,
     DimensionError,
     NumericsError,
+    OutputAnalysisError,
     ParameterError,
     SingularEstimateError,
     _require_int,
@@ -34,6 +35,7 @@ from .mcse import (
     flat_top_sigma,
     sample_cov_lambda,
 )
+from .quantiles import quantile_ci
 
 __all__ = [
     "CHECK_GROWTH",
@@ -50,6 +52,8 @@ __all__ = [
     "default_hotelling_df",
     "evaluate_verdict",
     "stopping_controller",
+    "Summary",
+    "summarize",
 ]
 
 BOUNDARY_POINTS = 128
@@ -219,11 +223,11 @@ def hotelling_region(mean, sigma_est, n, alpha, q):
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
     if not q > p:
-        raise DegreesOfFreedomError(
-            f"need q > p for the Hotelling correction, got q={q}, p={p}"
-        )
+        raise DegreesOfFreedomError(f"too few batches for a region: q={q} <= p={p}")
     if sigma_est.chol is None:
-        raise SingularEstimateError("sigma estimate is not positive definite")
+        raise SingularEstimateError(
+            f"asymptotic covariance ({sigma_est.kind}) is not positive definite"
+        )
     t2 = q * p / (q - p + 1.0) * f_quantile(1.0 - alpha, p, q - p + 1.0)
     log_volume = (
         math.log(2.0)
@@ -392,3 +396,59 @@ def stopping_controller(
         else:
             proposed = int(next_check_fn(n))
         target = min(config.max_n, max(proposed, n + 1))
+
+
+@dataclass(frozen=True)
+class Summary:
+    """Output analysis of a finished chain, as every report gives it.
+
+    ``quantiles[i][j]`` is column i at the j-th requested level: a
+    :class:`QuantileEstimate`, or the :class:`OutputAnalysisError` its
+    estimation raised. ``region`` is None when :func:`hotelling_region`
+    failed for too few batches or a singular Sigma; ``region_reason`` is
+    then that error.
+    """
+
+    mean: np.ndarray
+    mcse: np.ndarray
+    quantiles: tuple
+    region: ConfidenceRegion | None
+    region_reason: OutputAnalysisError | None
+
+    def raise_failures(self, region=True):
+        """Raise the first failed quantile entry, then, if ``region``, the
+        reason there is no region."""
+        for entries in self.quantiles:
+            for entry in entries:
+                if isinstance(entry, OutputAnalysisError):
+                    raise entry
+        if region and self.region is None:
+            raise self.region_reason
+
+
+def summarize(chain, sigma_est, b, alpha, levels):
+    """Mean, MCSE sqrt(diag(Sigma) / n), quantile CIs and Hotelling region.
+
+    ``sigma_est`` is the chain's asymptotic covariance and ``b`` the batch
+    length of the quantile CIs; every interval has confidence 1 - alpha.
+    """
+    n, p = chain.rows, chain.cols
+    mean = chain.values.mean(axis=0)
+    q_df = default_hotelling_df(sigma_est, p)
+    region = reason = None
+    try:
+        # before the quantiles, so that a bad alpha raises once, here
+        region = hotelling_region(mean, sigma_est, n, alpha, q_df)
+    except (DegreesOfFreedomError, SingularEstimateError) as exc:
+        reason = exc
+    quantiles = []
+    for i in range(p):
+        entries = []
+        for q in levels:
+            try:
+                entries.append(quantile_ci(chain.column(i), q, alpha, b))
+            except OutputAnalysisError as exc:
+                entries.append(exc)
+        quantiles.append(tuple(entries))
+    mcse = np.sqrt(np.diag(sigma_est.matrix) / n)
+    return Summary(mean, mcse, tuple(quantiles), region, reason)

@@ -25,13 +25,11 @@ from .errors import DataError, NumericsError, ParameterError
 from .inference import (
     CHECK_GROWTH,
     StoppingConfig,
-    default_hotelling_df,
     evaluate_verdict,
-    hotelling_region,
     stopping_controller,
+    summarize,
 )
 from .mcse import correlogram, sqrt_batch_size
-from .quantiles import quantile_ci
 
 __all__ = [
     "LCD_FAILURE_HOURS",
@@ -318,7 +316,7 @@ class DemoConfig:
 
 @dataclass
 class DemoReport:
-    """Everything :func:`run_demo` produces, ready for serialization."""
+    """Everything :func:`run_demo` produces; ``summary`` has CREDIBLE_LEVELS."""
 
     config: DemoConfig
     beta_start: float
@@ -327,14 +325,10 @@ class DemoReport:
     params: np.ndarray
     verdicts: list
     accept_rate: float
-    mean: np.ndarray
-    mcse: np.ndarray
     lambda_est: object
     sigma_est: object
-    credible_intervals: dict
-    quantile_estimates: dict
+    summary: object
     correlograms: dict
-    region: object
 
     @property
     def final(self):
@@ -401,28 +395,15 @@ def run_demo(config=None):
         batch_size_fn=sqrt_batch_size,
         next_check_fn=next_check,
     )
-    n = chain.rows
-    b = sqrt_batch_size(n)
+    b = sqrt_batch_size(chain.rows)
     _, lambda_est, sigma_est = evaluate_verdict(chain, stop_cfg, batch_size=b)
-    mean = chain.values.mean(axis=0)
-    mcse = np.sqrt(np.diag(sigma_est.matrix) / n)
-    region = hotelling_region(
-        mean, sigma_est, n, config.alpha, default_hotelling_df(sigma_est, 2)
-    )
+    summary = summarize(chain, sigma_est, b, config.alpha, CREDIBLE_LEVELS)
+    summary.raise_failures()
 
-    credible_intervals = {}
-    quantile_estimates = {}
-    correlograms = {}
-    for i in range(chain.cols):
-        label = chain.label(i)
-        col = chain.column(i)
-        estimates = tuple(
-            quantile_ci(col, level, config.alpha, b)
-            for level in CREDIBLE_LEVELS
-        )
-        quantile_estimates[label] = estimates
-        credible_intervals[label] = (estimates[0].point, estimates[-1].point)
-        correlograms[label] = correlogram(chain, ACF_LAGS, (i, i))
+    correlograms = {
+        chain.label(i): correlogram(chain, ACF_LAGS, (i, i))
+        for i in range(chain.cols)
+    }
     correlograms[f"{chain.label(0)}:{chain.label(1)}"] = correlogram(
         chain, ACF_LAGS, (0, 1)
     )
@@ -435,12 +416,8 @@ def run_demo(config=None):
         params=sampler.params,
         verdicts=verdicts,
         accept_rate=sampler.accept_rate,
-        mean=mean,
-        mcse=mcse,
         lambda_est=lambda_est,
         sigma_est=sigma_est,
-        credible_intervals=credible_intervals,
-        quantile_estimates=quantile_estimates,
+        summary=summary,
         correlograms=correlograms,
-        region=region,
     )

@@ -137,13 +137,19 @@ def quantile_ci(v, q, alpha, b):
     point = empirical_quantile(arr, q)
     sig2 = indicator_sigma2(arr, point, b)
     dens = kde_at(arr, point)
-    z = float(ndtri(1.0 - alpha / 2.0))
-    half = z * math.sqrt(sig2) / (dens * math.sqrt(arr.size))
     return QuantileEstimate(
         q=float(q),
         point=point,
         indicator_sigma2=sig2,
         density_at=dens,
-        ci=(point - half, point + half),
+        ci=normal_interval(
+            point, alpha, math.sqrt(sig2), dens * math.sqrt(arr.size)
+        ),
         alpha=float(alpha),
     )
+
+
+def normal_interval(center, alpha, sd, scale=1.0):
+    """Two-sided CLT interval center -/+ z_{1-alpha/2} * sd / scale."""
+    half = float(ndtri(1.0 - alpha / 2.0)) * sd / scale
+    return (center - half, center + half)

@@ -130,9 +130,9 @@ def test_criterion_06_demo_reproduction():
     ess_seen = []
     for seed in range(20):
         rep = run_demo(DemoConfig(seed=seed))
-        mttf, rel = rep.mean
-        mttf_ci = rep.credible_intervals["MTTF"]
-        rel_ci = rep.credible_intervals["R1500"]
+        mttf, rel = rep.summary.mean
+        mttf_ci = [qe.point for qe in rep.summary.quantiles[0]]
+        rel_ci = [qe.point for qe in rep.summary.quantiles[1]]
         final_ess = rep.final.ess
         ess_seen.append(final_ess)
         seed_ok = (

@@ -22,7 +22,7 @@ def test_top_level_exports():
         "EssCutoff", "StoppingConfig", "StoppingVerdict", "ConfidenceRegion",
         "chi2_quantile", "f_quantile", "min_ess_cutoff", "ess", "rhat_from_ess",
         "hotelling_region", "default_hotelling_df", "evaluate_verdict",
-        "stopping_controller",
+        "stopping_controller", "Summary", "summarize",
         # quantiles
         "QuantileEstimate", "empirical_quantile", "indicator_sigma2", "kde_at",
         "kde_bandwidth", "quantile_ci",

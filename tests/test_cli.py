@@ -10,9 +10,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 import mcoutput
-from mcoutput import Ar1Spec, ChainMatrix, RngStream, generate_ar1, sqrt_batch_size
+from mcoutput import (
+    Ar1Spec,
+    ChainMatrix,
+    RngStream,
+    batch_means_sigma,
+    default_batch_size,
+    generate_ar1,
+    quantile_ci,
+    sqrt_batch_size,
+)
 from mcoutput.cli import (
     dumps_report,
     main,
@@ -233,17 +243,24 @@ def test_plotdata_region_boundary_file(small_two_col, tmp_path):
 
 
 def test_plotdata_usage_errors(small_two_col, tmp_path, capsys):
+    """A rejected invocation does not even create the output directory."""
+    out = tmp_path / "out"
     assert main(
-        ["plotdata", str(small_two_col), "--kind", "spiral",
-         "--out-dir", str(tmp_path)]
+        ["plotdata", str(small_two_col), "--kind", "spiral", "--out-dir", str(out)]
     ) == 1
     assert "unknown kind" in capsys.readouterr().err
     one_col = tmp_path / "one.csv"
     write_chain_csv(ChainMatrix(RngStream(15).normal(size=64)), one_col)
     assert main(
-        ["plotdata", str(one_col), "--kind", "region", "--out-dir", str(tmp_path)]
+        ["plotdata", str(one_col), "--kind", "region", "--out-dir", str(out)]
     ) == 1
     assert "two-column" in capsys.readouterr().err
+    assert main(
+        ["plotdata", str(small_two_col), "--kind", "ccf", "--pair", "0,5",
+         "--out-dir", str(out)]
+    ) == 1
+    assert "column 5 out of range" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("b", ["0", "-4"])
@@ -257,7 +274,7 @@ def test_nonpositive_batch_size_is_an_error(small_two_col, tmp_path, capsys, b):
     ):
         assert main(argv + ["--batch-size", b, "--out-dir", str(out)]) == 1
         assert f"batch length must be >= 1, got {b}" in capsys.readouterr().err
-    assert list(out.glob("*")) == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("points", ["1", "0"])
@@ -269,7 +286,7 @@ def test_grid_points_below_two_is_a_usage_error(small_two_col, tmp_path, capsys,
     ):
         assert main(argv + ["--grid-points", points, "--out-dir", str(out)]) == 1
         assert f"--grid-points must be >= 2, got {points}" in capsys.readouterr().err
-    assert list(out.glob("*")) == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("levels", ["0.5,95", "nan", "0", "1", "0.5,-0.1", "abc"])
@@ -294,15 +311,21 @@ def test_analyze_too_few_batches_gives_no_region(tmp_path):
     assert report["region_reason"] == "too few batches for a region: q=2 <= p=2"
 
 
-def test_analyze_tied_upper_tail_reports_a_quantile_failure(tmp_path):
-    """With the top 10% of a column tied at its maximum, the indicator
-    series at the 0.975 quantile is constant: that entry carries a reason
-    and null estimates, and every other entry is computed."""
+def _tied_tail_csv(tmp_path):
+    """2000 x 2 draws with the top 10% of column 1 tied at its maximum, so
+    the indicator series at its 0.975 quantile is constant."""
     x = RngStream(23).normal(size=(2000, 2))
     tail = x[:, 1] >= np.quantile(x[:, 1], 0.9)
     x[tail, 1] = x[:, 1].max()
     path = tmp_path / "tied.csv"
     write_chain_csv(ChainMatrix(x), path)
+    return path
+
+
+def test_analyze_tied_upper_tail_reports_a_quantile_failure(tmp_path):
+    """The failed entry carries a reason and null estimates, and every
+    other entry is computed."""
+    path = _tied_tail_csv(tmp_path)
     out = tmp_path / "report.json"
     assert main(["analyze", str(path), "--out", str(out)]) in (0, 2)
     entries = json.loads(out.read_text())["quantiles"]
@@ -312,6 +335,48 @@ def test_analyze_tied_upper_tail_reports_a_quantile_failure(tmp_path):
     for key in ("point", "indicator_sigma2", "density_at", "ci_lo", "ci_hi"):
         assert failed[0][key] is None
     assert all(e["point"] is not None for e in entries if "reason" not in e)
+
+
+def test_plotdata_density_quantile_failure_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = ["plotdata", str(_tied_tail_csv(tmp_path)), "--kind", "density"]
+    assert main(argv + ["--out-dir", str(out)]) == 1
+    assert "is constant" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _collinear_csv(tmp_path):
+    v = RngStream(3).normal(size=400)
+    path = tmp_path / "collinear.csv"
+    write_chain_csv(ChainMatrix(np.column_stack([v, -v])), path)
+    return path
+
+
+def test_plotdata_region_failures_are_errors(tmp_path, capsys):
+    out = tmp_path / "out"
+    few = tmp_path / "short.csv"
+    write_chain_csv(ChainMatrix(RngStream(21).normal(size=(40, 2))), few)
+    argv = ["plotdata", str(few), "--kind", "region", "--batch-size", "10"]
+    assert main(argv + ["--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: too few batches for a region: q=2 <= p=2\n"
+    argv = ["plotdata", str(_collinear_csv(tmp_path)), "--kind", "region"]
+    assert main(argv + ["--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "asymptotic covariance (batch-means) is not positive definite" in err
+    assert not out.exists()
+
+
+def test_plotdata_density_needs_no_region(tmp_path, capsys):
+    """Collinear columns have no Hotelling region, but their densities do."""
+    out = tmp_path / "out"
+    argv = ["plotdata", str(_collinear_csv(tmp_path)), "--kind", "density"]
+    assert main(argv + ["--out-dir", str(out)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 4
+    assert sorted(p.name for p in out.iterdir()) == [
+        "collinear_density_col0.csv", "collinear_density_col0_markers.csv",
+        "collinear_density_col1.csv", "collinear_density_col1_markers.csv",
+    ]
 
 
 @pytest.mark.parametrize("max_n", ["19", "30", "50"])
@@ -389,7 +454,7 @@ def test_plotdata_density_rejects_alpha_outside_unit_interval(
     out = tmp_path / "out"
     argv = ["plotdata", str(path), "--kind", "density", f"--alpha={alpha}"]
     assert main(argv + ["--out-dir", str(out)]) == 1
-    assert list(out.iterdir()) == []
+    assert not out.exists()
     err = capsys.readouterr().err
     assert "--alpha must be inside (0, 1)" in err
     assert f"got {float(alpha)}" in err
@@ -407,7 +472,7 @@ def test_plotdata_labels_sharing_a_file_name_are_rejected(
     for kind in ("trace", "acf", "density"):
         argv = ["plotdata", str(path), "--kind", kind, "--out-dir", str(out)]
         assert main(argv) == 1
-        assert list(out.iterdir()) == []
+        assert not out.exists()
         err = capsys.readouterr().err
         assert f"columns {first!r} and {second!r}" in err
     # one file per invocation: no clash
@@ -444,7 +509,7 @@ def _crlf_lines(path):
     return text.decode().split("\r\n")[:-1]
 
 
-def test_plotdata_files_exact_bytes(tiny_exact, tmp_path):
+def test_plotdata_files_exact_bytes(tiny_exact, small_two_col, tmp_path):
     out = tmp_path / "out"
     for kind in ("trace", "acf", "region"):
         argv = ["plotdata", str(tiny_exact), "--kind", kind, "--lags", "5"]
@@ -471,6 +536,29 @@ def test_plotdata_files_exact_bytes(tiny_exact, tmp_path):
     for row in region[1:]:
         for cell in row.split(",")[1:]:
             assert format(float(cell), ".17g") == cell
+
+    # tiny's top values tie, so its density fails; the pair chain's marker
+    # bands are the estimate -/+ z * its standard error at the Bonferroni
+    # level alpha / 6: the mean's from Sigma's diagonal, each quantile's
+    # exactly what quantile_ci gives at that level
+    argv = ["plotdata", str(small_two_col), "--kind", "density"]
+    assert main(argv + ["--out-dir", str(out)]) == 0
+    chain = read_chain_csv(small_two_col)
+    n, b, alpha = chain.rows, default_batch_size(chain.rows), 0.05 / 6
+    sigma = batch_means_sigma(chain, b)
+    z = float(ndtri(1.0 - alpha / 2.0))
+    for i in range(2):
+        col = chain.column(i)
+        mean = float(col.mean())
+        half = z * math.sqrt(float(sigma.matrix[i, i]) / n)
+        rows = [("mean", mean, mean - half, mean + half)]
+        for level in (0.025, 0.975):
+            qe = quantile_ci(col, level, alpha, b)
+            rows.append((f"q{level:g}", qe.point, *qe.ci))
+        want = ["kind,value,band_lo,band_hi"] + [
+            f"{kind},{v:.17g},{lo:.17g},{hi:.17g}" for kind, v, lo, hi in rows
+        ]
+        assert _crlf_lines(out / f"pair_density_col{i}_markers.csv") == want
 
 
 def _fresh_python(*args):

@@ -15,6 +15,7 @@ from mcoutput import (
     CovarianceEstimate,
     RngStream,
     StoppingConfig,
+    Summary,
     batch_means_sigma,
     chi2_quantile,
     default_hotelling_df,
@@ -25,12 +26,15 @@ from mcoutput import (
     generate_ar1,
     hotelling_region,
     min_ess_cutoff,
+    quantile_ci,
     rhat_from_ess,
     sample_cov_lambda,
     stopping_controller,
+    summarize,
 )
 from mcoutput.inference import CHECK_GROWTH
 from mcoutput.errors import (
+    DegenerateDataError,
     DegreesOfFreedomError,
     DimensionError,
     ParameterError,
@@ -324,6 +328,61 @@ def test_default_hotelling_df_rule():
     lam = sample_cov_lambda(chain)
     with pytest.raises(ParameterError):
         default_hotelling_df(lam, 2)
+
+
+def test_summarize_matches_its_parts_and_keeps_failed_entries_in_place():
+    """With the top 10% of column 1 tied, its 0.975 entry fails; every
+    other entry is exactly what quantile_ci gives."""
+    x = RngStream(23).normal(size=(2000, 2))
+    tail = x[:, 1] >= np.quantile(x[:, 1], 0.9)
+    x[tail, 1] = x[:, 1].max()
+    chain = ChainMatrix(x)
+    sig = batch_means_sigma(chain, 12)
+    levels = (0.025, 0.5, 0.975)
+    summary = summarize(chain, sig, 12, 0.05, levels)
+    assert isinstance(summary, Summary)
+    np.testing.assert_array_equal(summary.mean, x.mean(axis=0))
+    np.testing.assert_array_equal(summary.mcse, np.sqrt(np.diag(sig.matrix) / 2000))
+    assert [len(entries) for entries in summary.quantiles] == [3, 3]
+    for i in range(2):
+        for j, q in enumerate(levels):
+            if (i, j) != (1, 2):
+                want = quantile_ci(chain.column(i), q, 0.05, 12)
+                assert summary.quantiles[i][j] == want
+    failed = summary.quantiles[1][2]
+    assert isinstance(failed, DegenerateDataError)
+    assert "is constant" in str(failed)
+    with pytest.raises(DegenerateDataError):
+        summary.raise_failures()
+    assert summary.region_reason is None
+    want = hotelling_region(x.mean(axis=0), sig, 2000, 0.05, 2000 // 12 - 2)
+    np.testing.assert_array_equal(summary.region.boundary, want.boundary)
+    assert summary.region.volume == want.volume
+
+
+def test_summarize_without_a_region_says_why():
+    few = ChainMatrix(RngStream(21).normal(size=(40, 2)))
+    summary = summarize(few, batch_means_sigma(few, 10), 10, 0.05, (0.5,))
+    assert summary.region is None
+    assert isinstance(summary.region_reason, DegreesOfFreedomError)
+    assert str(summary.region_reason) == "too few batches for a region: q=2 <= p=2"
+    summary.raise_failures(region=False)
+    with pytest.raises(DegreesOfFreedomError):
+        summary.raise_failures()
+
+    v = RngStream(3).normal(size=400)
+    collinear = ChainMatrix(np.column_stack([v, -v]))
+    sig = batch_means_sigma(collinear, 20)
+    summary = summarize(collinear, sig, 20, 0.05, (0.5,))
+    assert summary.region is None
+    assert isinstance(summary.region_reason, SingularEstimateError)
+    assert str(summary.region_reason) == (
+        "asymptotic covariance (batch-means) is not positive definite"
+    )
+    assert summary.quantiles[0][0] == quantile_ci(v, 0.5, 0.05, 20)
+
+    with pytest.raises(ParameterError, match="alpha must be inside"):
+        summarize(collinear, sig, 20, 1.5, (0.5,))
 
 
 def test_stopping_config_defaults_and_validation():

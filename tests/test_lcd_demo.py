@@ -225,16 +225,15 @@ def test_run_demo_defaults():
     assert report.beta_start == pytest.approx(1.1207, abs=1e-3)
     assert 7_529 < report.final.ess < 20_000
     assert 0.2 < report.accept_rate < 0.45
-    mttf_mean, r_mean = report.mean
+    summary = report.summary
+    mttf_mean, r_mean = summary.mean
     assert 560.0 < mttf_mean < 630.0
     assert 0.05 < r_mean < 0.09
-    assert report.mcse.shape == (2,) and (report.mcse > 0.0).all()
-    lo, hi = report.credible_intervals["MTTF"]
-    assert lo < mttf_mean < hi
-    lo, hi = report.credible_intervals["R1500"]
-    assert lo < r_mean < hi
-    assert set(report.quantile_estimates) == {"MTTF", "R1500"}
+    assert summary.mcse.shape == (2,) and (summary.mcse > 0.0).all()
+    for mean, (lo, hi) in zip(summary.mean, summary.quantiles):
+        assert (lo.q, hi.q) == (0.025, 0.975)
+        assert lo.point < mean < hi.point
     assert set(report.correlograms) == {"MTTF", "R1500", "MTTF:R1500"}
     assert report.correlograms["MTTF"].values[0] == 1.0
-    assert report.region.df == 100_000 // 316 - 2
-    assert report.region.contains(report.mean)
+    assert summary.region.df == 100_000 // 316 - 2
+    assert summary.region.contains(summary.mean)
