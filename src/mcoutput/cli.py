@@ -230,13 +230,26 @@ def _check_file_labels(chain):
         seen[key] = i
 
 
-def _trace_table(values):
-    return ["index", "value"], range(1, len(values) + 1), values
+def _trace_tables(stem, header, *columns):
+    index = range(1, len(columns[0]) + 1)
+    return {
+        f"{stem}_trace_{_safe(label)}.csv": (["index", "value"], index, column)
+        for label, column in zip(header, columns)
+    }
 
 
-def _correlogram_table(series):
-    band = np.full(len(series.lags), 3.0 / math.sqrt(series.n_used))
-    return ["lag", "value", "band"], series.lags, series.values, band
+def _correlogram_tables(chain, lags, pairs, kind, stem):
+    """Correlogram and 3/sqrt(n) band of each column pair, by file name:
+    ``acf`` names a file by the pair's first column, ``ccf`` by both."""
+    tables = {}
+    for i, j in pairs:
+        series = correlogram(chain, lags, (i, j))
+        columns = (i,) if kind == "acf" else (i, j)
+        name = "_".join(_safe(chain.label(k)) for k in columns)
+        band = np.full(len(series.lags), 3.0 / math.sqrt(series.n_used))
+        table = (["lag", "value", "band"], series.lags, series.values, band)
+        tables[f"{stem}_{kind}_{name}.csv"] = table
+    return tables
 
 
 def _density_tables(chain, summary, alpha, grid_points, stem):
@@ -251,9 +264,7 @@ def _density_tables(chain, summary, alpha, grid_points, stem):
         pad = 3.0 * kde_bandwidth(col)
         grid = np.linspace(col.min() - pad, col.max() + pad, grid_points)
         tables[f"{name}.csv"] = (["grid", "kde"], grid, kde_at(col, grid))
-        # the column's own mean: summary.mean reduces across rows, which can
-        # round differently in the last bit
-        mean = float(col.mean())
+        mean = float(summary.mean[i])
         rows = [("mean", mean, *normal_interval(mean, alpha, summary.mcse[i]))]
         for qe in summary.quantiles[i]:
             sd = math.sqrt(qe.indicator_sigma2)
@@ -265,10 +276,10 @@ def _density_tables(chain, summary, alpha, grid_points, stem):
     return tables
 
 
-def _region_table(region):
+def _region_tables(region, stem):
     points = np.vstack([region.boundary, region.center])
     kinds = ["boundary"] * len(region.boundary) + ["center"]
-    return ["kind", "x", "y"], kinds, *points.T
+    return {f"{stem}_region.csv": (["kind", "x", "y"], kinds, *points.T)}
 
 
 def _batch_size(args, n):
@@ -381,25 +392,21 @@ def cmd_demo(args):
     summary = report.summary
     n = chain.rows
 
-    # report key -> (file name, table)
+    params = (["lambda", "beta"], *report.params.T)
+    lags = lcd_demo.ACF_LAGS
     tables = {
-        "chain": ("demo_chain.csv", _chain_table(chain)),
-        "params": ("demo_params.csv", (["lambda", "beta"], *report.params.T)),
+        "demo_chain.csv": _chain_table(chain),
+        "demo_params.csv": params,
+        **_trace_tables("demo", *params),
+        **_correlogram_tables(chain, lags, [(0, 0), (1, 1)], "acf", "demo"),
+        **_correlogram_tables(chain, lags, [(0, 1)], "ccf", "demo"),
+        **_density_tables(chain, summary, config.alpha, args.grid_points, "demo"),
+        **_region_tables(summary.region, "demo"),
     }
-    for j, name in enumerate(("lambda", "beta")):
-        table = _trace_table(report.params[:, j])
-        tables[f"trace_{name}"] = (f"demo_trace_{name}.csv", table)
-    for label, series in report.correlograms.items():
-        name = f"demo_{'ccf' if ':' in label else 'acf'}_{_safe(label)}.csv"
-        tables[f"correlogram_{_safe(label)}"] = (name, _correlogram_table(series))
-    density = _density_tables(chain, summary, config.alpha, args.grid_points, "demo")
-    for name, table in density.items():
-        tables[name.removeprefix("demo_").removesuffix(".csv")] = (name, table)
-    tables["region"] = ("demo_region.csv", _region_table(summary.region))
     out_dir = _resolve_out_dir(args.out_dir)
-    for name, table in tables.values():
+    for name, table in tables.items():
         _write_csv(out_dir / name, *table)
-    files = {key: name for key, (name, _) in tables.items()}
+    files = {Path(name).stem.removeprefix("demo_"): name for name in tables}
 
     estimates = {}
     for i in range(chain.cols):
@@ -476,24 +483,17 @@ def cmd_plotdata(args):
     chain = read_chain_csv(args.input)
     n, p = chain.rows, chain.cols
     stem = Path(args.input).stem
-    tables = {}  # file name -> table, all computed before the directory is made
+    # every table is computed before the output directory is made
     if args.kind in ("trace", "acf", "density"):
         _check_file_labels(chain)
 
     if args.kind == "trace":
-        for i in range(p):
-            name = f"{stem}_trace_{_safe(chain.label(i))}.csv"
-            tables[name] = _trace_table(chain.column(i))
+        tables = _trace_tables(stem, *_chain_table(chain))
     elif args.kind == "acf":
-        for i in range(p):
-            series = correlogram(chain, args.lags, (i, i))
-            name = f"{stem}_acf_{_safe(chain.label(i))}.csv"
-            tables[name] = _correlogram_table(series)
+        pairs = [(i, i) for i in range(p)]
+        tables = _correlogram_tables(chain, args.lags, pairs, "acf", stem)
     elif args.kind == "ccf":
-        i, j = args.pair
-        series = correlogram(chain, args.lags, (i, j))
-        name = f"{stem}_ccf_{_safe(chain.label(i))}_{_safe(chain.label(j))}.csv"
-        tables[name] = _correlogram_table(series)
+        tables = _correlogram_tables(chain, args.lags, [args.pair], "ccf", stem)
     elif args.kind == "density":
         _check_grid_points(args)
         if not 0.0 < args.alpha < 1.0:
@@ -511,7 +511,7 @@ def cmd_plotdata(args):
         b = _batch_size(args, n)
         summary = summarize(chain, batch_means_sigma(chain, b), b, args.alpha, ())
         summary.raise_failures()
-        tables[f"{stem}_region.csv"] = _region_table(summary.region)
+        tables = _region_tables(summary.region, stem)
 
     out_dir = _resolve_out_dir(args.out_dir)
     for name, table in tables.items():

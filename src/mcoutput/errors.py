@@ -42,7 +42,7 @@ class SingularEstimateError(OutputAnalysisError):
 
 
 class NumericsError(OutputAnalysisError):
-    """An iterative numeric routine failed to converge."""
+    """A numeric routine failed to converge, or its arithmetic overflowed."""
 
 
 class DegreesOfFreedomError(OutputAnalysisError):

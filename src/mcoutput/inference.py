@@ -402,7 +402,7 @@ def stopping_controller(
 class Summary:
     """Output analysis of a finished chain, as every report gives it.
 
-    ``quantiles[i][j]`` is column i at the j-th requested level: a
+    ``quantiles[i][j]`` is column ``labels[i]`` at ``levels[j]``: a
     :class:`QuantileEstimate`, or the :class:`OutputAnalysisError` its
     estimation raised. ``region`` is None when :func:`hotelling_region`
     failed for too few batches or a singular Sigma; ``region_reason`` is
@@ -414,14 +414,16 @@ class Summary:
     quantiles: tuple
     region: ConfidenceRegion | None
     region_reason: OutputAnalysisError | None
+    labels: tuple
+    levels: tuple
 
     def raise_failures(self, region=True):
-        """Raise the first failed quantile entry, then, if ``region``, the
-        reason there is no region."""
-        for entries in self.quantiles:
-            for entry in entries:
+        """Raise the first failed quantile entry, naming its column and level,
+        then, if ``region``, the reason there is no region."""
+        for label, entries in zip(self.labels, self.quantiles):
+            for q, entry in zip(self.levels, entries):
                 if isinstance(entry, OutputAnalysisError):
-                    raise entry
+                    raise type(entry)(f"column {label!r}, q={q}: {entry}") from entry
         if region and self.region is None:
             raise self.region_reason
 
@@ -451,4 +453,5 @@ def summarize(chain, sigma_est, b, alpha, levels):
                 entries.append(exc)
         quantiles.append(tuple(entries))
     mcse = np.sqrt(np.diag(sigma_est.matrix) / n)
-    return Summary(mean, mcse, tuple(quantiles), region, reason)
+    labels = tuple(chain.label(i) for i in range(p))
+    return Summary(mean, mcse, tuple(quantiles), region, reason, labels, tuple(levels))

@@ -29,7 +29,7 @@ from .inference import (
     stopping_controller,
     summarize,
 )
-from .mcse import correlogram, sqrt_batch_size
+from .mcse import sqrt_batch_size
 
 __all__ = [
     "LCD_FAILURE_HOURS",
@@ -328,7 +328,6 @@ class DemoReport:
     lambda_est: object
     sigma_est: object
     summary: object
-    correlograms: dict
 
     @property
     def final(self):
@@ -346,9 +345,8 @@ def run_demo(config=None):
     the sequential stopping rule for p = 2 (first check at the rounded
     ESS cutoff, 7529 with default alpha and epsilon), then summarizes the
     terminated chain: posterior means with Monte Carlo standard errors,
-    equal-tailed credible intervals with Monte Carlo CIs on each
-    endpoint, auto/cross-correlograms, and the Hotelling confidence
-    region for the posterior-mean pair.
+    equal-tailed credible intervals with Monte Carlo CIs on each endpoint,
+    and the Hotelling confidence region for the posterior-mean pair.
 
     The run is two-staged. The first check happens at the cutoff length
     itself (the pilot, meant for catching gross mixing problems early);
@@ -400,14 +398,6 @@ def run_demo(config=None):
     summary = summarize(chain, sigma_est, b, config.alpha, CREDIBLE_LEVELS)
     summary.raise_failures()
 
-    correlograms = {
-        chain.label(i): correlogram(chain, ACF_LAGS, (i, i))
-        for i in range(chain.cols)
-    }
-    correlograms[f"{chain.label(0)}:{chain.label(1)}"] = correlogram(
-        chain, ACF_LAGS, (0, 1)
-    )
-
     return DemoReport(
         config=config,
         beta_start=beta_start,
@@ -419,5 +409,4 @@ def run_demo(config=None):
         lambda_est=lambda_est,
         sigma_est=sigma_est,
         summary=summary,
-        correlograms=correlograms,
     )

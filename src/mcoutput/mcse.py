@@ -14,6 +14,7 @@ import numpy as np
 from .errors import (
     DegenerateDataError,
     InsufficientDataError,
+    NumericsError,
     ParameterError,
     _require_int,
 )
@@ -41,7 +42,8 @@ class CovarianceEstimate:
     Attributes
     ----------
     matrix : ndarray
-        Symmetrized p-by-p estimate; construction marks it read-only.
+        Symmetrized p-by-p estimate; construction marks it read-only, and
+        raises :class:`NumericsError` if it overflowed to a non-finite value.
     kind : str
         One of ``"batch-means"``, ``"flat-top"``, ``"sample-cov"``.
     batch_size : int
@@ -69,6 +71,8 @@ class CovarianceEstimate:
     is_psd: bool = field(default=True, init=False)
 
     def __post_init__(self):
+        if not np.isfinite(self.matrix).all():
+            raise NumericsError(f"{self.kind} covariance overflows; rescale the chain")
         self.matrix.setflags(write=False)
         try:
             chol = np.linalg.cholesky(self.matrix)
@@ -108,10 +112,12 @@ def _batch_means_matrix(chain, b):
         )
     used = a * b
     data = chain.values[:used]
-    batch_means = data.reshape(a, b, chain.cols).mean(axis=1)
-    centered = batch_means - data.mean(axis=0)
-    mat = (b / (a - 1.0)) * (centered.T @ centered)
-    return 0.5 * (mat + mat.T), used
+    # no overflow warning: CovarianceEstimate rejects a non-finite matrix
+    with np.errstate(over="ignore", invalid="ignore"):
+        batch_means = data.reshape(a, b, chain.cols).mean(axis=1)
+        centered = batch_means - data.mean(axis=0)
+        mat = (b / (a - 1.0)) * (centered.T @ centered)
+        return 0.5 * (mat + mat.T), used
 
 
 def batch_means_sigma(chain, b):
@@ -151,7 +157,8 @@ def flat_top_sigma(chain, b):
         raise ParameterError(f"flat-top batch length must be even and >= 2, got {b}")
     coarse, used = _batch_means_matrix(chain, b)
     fine, _ = _batch_means_matrix(chain, b // 2)
-    return CovarianceEstimate(2.0 * coarse - fine, "flat-top", int(b), int(used))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return CovarianceEstimate(2.0 * coarse - fine, "flat-top", int(b), int(used))
 
 
 def sample_cov_lambda(chain):
@@ -159,9 +166,10 @@ def sample_cov_lambda(chain):
     n = chain.rows
     if n < 2:
         raise InsufficientDataError(f"need at least two rows, got {n}")
-    centered = chain.values - chain.values.mean(axis=0)
-    mat = (centered.T @ centered) / n
-    return CovarianceEstimate(0.5 * (mat + mat.T), "sample-cov", 0, n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        centered = chain.values - chain.values.mean(axis=0)
+        mat = (centered.T @ centered) / n
+        return CovarianceEstimate(0.5 * (mat + mat.T), "sample-cov", 0, n)
 
 
 def default_batch_size(n):

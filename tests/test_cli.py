@@ -113,6 +113,18 @@ def test_analyze_empty_and_missing_files(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.filterwarnings("error")
+def test_analyze_overflowing_chain_says_to_rescale(tmp_path, capsys):
+    """The products of this finite chain overflow: numpy used to warn, and
+    the error then blamed positive definiteness."""
+    path = tmp_path / "huge.csv"
+    write_chain_csv(ChainMatrix(RngStream(31).normal(size=(3000, 2)) * 1e160), path)
+    assert main(["analyze", str(path), "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "error: sample-cov covariance overflows; rescale the chain\n"
+    )
+
+
 def test_analyze_more_columns_than_rows(tmp_path, capsys):
     path = tmp_path / "wide.csv"
     path.write_text("a,b\n1.0,2.0\n")
@@ -150,6 +162,47 @@ def test_demo_small_run_is_deterministic(tmp_path):
     assert [v["n"] for v in report["verdicts"]] == [209, 2000]
     for name in report["files"].values():
         assert (d1 / name).exists()
+
+
+@pytest.fixture(scope="module")
+def small_demo(tmp_path_factory):
+    """One ``demo --epsilon 0.3 --max-n 2000`` run: its directory and report."""
+    out = tmp_path_factory.mktemp("demo")
+    argv = ["demo", "--epsilon", "0.3", "--max-n", "2000", "--out-dir", str(out)]
+    assert main(argv) == 0
+    return out, json.loads((out / "demo_report.json").read_text())
+
+
+def test_demo_plot_files_are_plotdata_output(small_demo, tmp_path):
+    """plotdata on the exported chain and params, with the report's batch
+    length for density and region, writes all ten demo plot files byte for
+    byte."""
+    out, report = small_demo
+    chain, params = str(out / "demo_chain.csv"), str(out / "demo_params.csv")
+    b = str(report["asymptotic_covariance"]["batch_size"])
+    plots = tmp_path / "plots"
+    for argv in (
+        [chain, "--kind", "acf", "--lags", "50"],
+        [chain, "--kind", "ccf", "--lags", "50"],
+        [chain, "--kind", "density", "--batch-size", b],
+        [chain, "--kind", "region", "--batch-size", b],
+        [params, "--kind", "trace"],
+    ):
+        assert main(["plotdata", *argv, "--out-dir", str(plots)]) == 0
+    files = report["files"]
+    names = [name for key, name in files.items() if key not in ("chain", "params")]
+    assert len(names) == len(list(plots.iterdir())) == 10
+    for name in names:
+        stem = "demo_params" if name.startswith("demo_trace_") else "demo_chain"
+        twin = plots / name.replace("demo", stem, 1)
+        assert twin.read_bytes() == (out / name).read_bytes(), name
+
+
+def test_demo_density_mean_marker_is_the_reported_mean(small_demo):
+    out, report = small_demo
+    for label, estimate in report["estimates"].items():
+        rows = _read_rows(out / report["files"][f"density_{label.lower()}_markers"])
+        assert rows[1][:2] == ["mean", format(estimate["mean"], ".17g")]
 
 
 def test_demo_cutoff_echo_tracks_epsilon(tmp_path):
@@ -216,6 +269,11 @@ def test_plotdata_writes_every_kind(small_two_col, tmp_path, capsys):
         assert len(listed) == len(names)
         for name in names:
             assert (tmp_path / name).exists()
+    # a ccf of one column with itself is still named as a ccf
+    argv = ["plotdata", str(small_two_col), "--kind", "ccf", "--pair", "0,0"]
+    assert main(argv + ["--out-dir", str(tmp_path)]) == 0
+    listed = capsys.readouterr().out.splitlines()
+    assert listed == [str(tmp_path / "pair_ccf_col0_col0.csv")]
 
 
 def test_plotdata_acf_band_is_three_over_root_n(small_two_col, tmp_path):
@@ -539,8 +597,8 @@ def test_plotdata_files_exact_bytes(tiny_exact, small_two_col, tmp_path):
 
     # tiny's top values tie, so its density fails; the pair chain's marker
     # bands are the estimate -/+ z * its standard error at the Bonferroni
-    # level alpha / 6: the mean's from Sigma's diagonal, each quantile's
-    # exactly what quantile_ci gives at that level
+    # level alpha / 6: the mean's, around the reports' mean, from Sigma's
+    # diagonal, each quantile's exactly what quantile_ci gives at that level
     argv = ["plotdata", str(small_two_col), "--kind", "density"]
     assert main(argv + ["--out-dir", str(out)]) == 0
     chain = read_chain_csv(small_two_col)
@@ -549,7 +607,7 @@ def test_plotdata_files_exact_bytes(tiny_exact, small_two_col, tmp_path):
     z = float(ndtri(1.0 - alpha / 2.0))
     for i in range(2):
         col = chain.column(i)
-        mean = float(col.mean())
+        mean = chain.values.mean(axis=0)[i]
         half = z * math.sqrt(float(sigma.matrix[i, i]) / n)
         rows = [("mean", mean, mean - half, mean + half)]
         for level in (0.025, 0.975):
@@ -559,6 +617,16 @@ def test_plotdata_files_exact_bytes(tiny_exact, small_two_col, tmp_path):
             f"{kind},{v:.17g},{lo:.17g},{hi:.17g}" for kind, v, lo, hi in rows
         ]
         assert _crlf_lines(out / f"pair_density_col{i}_markers.csv") == want
+
+
+def test_plotdata_density_failure_names_column_and_level(
+    tiny_exact, tmp_path, capsys
+):
+    argv = ["plotdata", str(tiny_exact), "--kind", "density"]
+    assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "error: column 'x', q=0.975: indicator series for threshold 1.25 is constant\n"
+    )
 
 
 def _fresh_python(*args):

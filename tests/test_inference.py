@@ -352,7 +352,7 @@ def test_summarize_matches_its_parts_and_keeps_failed_entries_in_place():
     failed = summary.quantiles[1][2]
     assert isinstance(failed, DegenerateDataError)
     assert "is constant" in str(failed)
-    with pytest.raises(DegenerateDataError):
+    with pytest.raises(DegenerateDataError, match="^column 'col1', q=0.975: indicator"):
         summary.raise_failures()
     assert summary.region_reason is None
     want = hotelling_region(x.mean(axis=0), sig, 2000, 0.05, 2000 // 12 - 2)

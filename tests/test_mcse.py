@@ -18,6 +18,7 @@ from mcoutput import (
 from mcoutput.errors import (
     DegenerateDataError,
     InsufficientDataError,
+    NumericsError,
     ParameterError,
 )
 
@@ -76,6 +77,19 @@ def test_batch_means_needs_two_batches():
 def test_sample_cov_needs_two_rows():
     with pytest.raises(InsufficientDataError):
         sample_cov_lambda(ChainMatrix([1.0]))
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_estimates_are_numerics_errors():
+    """A finite chain whose products overflow: no numpy warning, and no
+    non-finite matrix reaches the Cholesky factor."""
+    chain = ChainMatrix(RngStream(31).normal(size=(3000, 2)) * 1e160)
+    with pytest.raises(NumericsError, match="^sample-cov covariance overflows"):
+        sample_cov_lambda(chain)
+    with pytest.raises(NumericsError, match="^batch-means covariance overflows"):
+        batch_means_sigma(chain, 14)
+    with pytest.raises(NumericsError, match="^flat-top covariance overflows"):
+        flat_top_sigma(chain, 14)
 
 
 @pytest.mark.parametrize("b,extra", [(5, 4), (10, 7), (25, 24)])
