@@ -51,7 +51,6 @@ from .lcd_demo import (
     LCD_FAILURE_HOURS,
     DemoConfig,
     DemoReport,
-    LcdData,
     run_demo,
     weibull_mle_beta,
 )
@@ -111,7 +110,6 @@ __all__ = [
     "kde_bandwidth",
     "quantile_ci",
     "LCD_FAILURE_HOURS",
-    "LcdData",
     "DemoConfig",
     "DemoReport",
     "weibull_mle_beta",

@@ -135,28 +135,34 @@ def write_chain_csv(chain, path):
 def read_chain_csv(path):
     """Read a chain from comma-delimited text with a header row.
 
-    Blank lines are skipped, so the header is the first non-blank row; a
-    leading UTF-8 byte-order mark is dropped. Error lines are physical.
+    The file must be UTF-8 text. Blank lines are skipped, so the header is
+    the first non-blank row; a leading UTF-8 byte-order mark is dropped.
+    Error lines are physical.
     """
     rows = []
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        numbered = enumerate(csv.reader(fh), start=1)
-        header_line, header = next(((n, row) for n, row in numbered if row), (1, None))
-        if header is None:
-            raise ParseError("file is empty", line=1)
-        labels = [cell.strip() for cell in header]
-        width = len(labels)
-        for lineno, row in numbered:
-            if not row:
-                continue
-            if len(row) != width:
-                raise ParseError(
-                    f"expected {width} columns, got {len(row)}", line=lineno
-                )
-            try:
-                rows.append([float(cell) for cell in row])
-            except ValueError as exc:
-                raise ParseError(str(exc), line=lineno) from None
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            numbered = enumerate(csv.reader(fh), start=1)
+            header_line, header = next(
+                ((n, row) for n, row in numbered if row), (1, None)
+            )
+            if header is None:
+                raise ParseError("file is empty", line=1)
+            labels = [cell.strip() for cell in header]
+            width = len(labels)
+            for lineno, row in numbered:
+                if not row:
+                    continue
+                if len(row) != width:
+                    raise ParseError(
+                        f"expected {width} columns, got {len(row)}", line=lineno
+                    )
+                try:
+                    rows.append([float(cell) for cell in row])
+                except ValueError as exc:
+                    raise ParseError(str(exc), line=lineno) from None
+    except UnicodeDecodeError:
+        raise ParseError(f"{path} is not UTF-8 text") from None
     if not rows:
         raise ParseError("no data rows after the header", line=header_line + 1)
     values = np.asarray(rows, dtype=float)
@@ -442,8 +448,8 @@ def cmd_demo(args):
             "bands": "Bonferroni-adjusted, simultaneous across markers",
         },
         "data": {
-            "n_failures": report.data.n,
-            "total_hours": report.data.total_hours,
+            "n_failures": len(lcd_demo.LCD_FAILURE_HOURS),
+            "total_hours": sum(lcd_demo.LCD_FAILURE_HOURS),
         },
         "n": n,
         "terminated": report.terminated,

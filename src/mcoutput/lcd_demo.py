@@ -42,7 +42,6 @@ __all__ = [
     "LONG_RUN_N",
     "ACF_LAGS",
     "CREDIBLE_LEVELS",
-    "LcdData",
     "DemoConfig",
     "DemoReport",
     "log_unnormalized_posterior",
@@ -79,35 +78,21 @@ ACF_LAGS = 50
 CREDIBLE_LEVELS = (0.025, 0.975)
 
 
-class LcdData:
-    """The embedded 31 lamp failure times plus cached transforms."""
-
-    __slots__ = ("times", "log_times", "sum_log_times", "total_hours")
-
-    def __init__(self):
-        t = np.array(LCD_FAILURE_HOURS, dtype=float)
-        t.setflags(write=False)
-        self.times = t
-        log_t = np.log(t)
-        log_t.setflags(write=False)
-        self.log_times = log_t
-        self.sum_log_times = float(log_t.sum())
-        self.total_hours = float(t.sum())
-
-    @property
-    def n(self):
-        return self.times.size
+_LOG_TIMES = np.log(LCD_FAILURE_HOURS)
+_LOG_TIMES.setflags(write=False)
+_SUM_LOG_TIMES = float(_LOG_TIMES.sum())
+_N_FAILURES = len(LCD_FAILURE_HOURS)
 
 
 # The sampler kernel: one scan of the chain is gibbs_lambda, then mh_beta,
 # then functional_h, with the power sum s = sum_t_pow(beta) carried along.
-def sum_t_pow(beta, data):
+def sum_t_pow(beta):
     """sum_i t_i^beta, computed as exp(beta * log t_i)."""
     with np.errstate(over="ignore"):
-        return float(np.exp(beta * data.log_times).sum())
+        return float(np.exp(beta * _LOG_TIMES).sum())
 
 
-def log_unnormalized_posterior(lam, beta, data):
+def log_unnormalized_posterior(lam, beta):
     """Log of the unnormalized posterior density at (lambda, beta).
 
     log f = 32.5 ln(lambda) + 31 ln(beta) + (beta - 1) sum ln(t_i)
@@ -120,11 +105,11 @@ def log_unnormalized_posterior(lam, beta, data):
         return -math.inf
     if lam <= 0.0 or beta <= 0.0:
         return -math.inf
-    s = sum_t_pow(beta, data)
+    s = sum_t_pow(beta)
     return (
         (POSTERIOR_LAMBDA_SHAPE - 1.0) * math.log(lam)
-        + data.n * math.log(beta)
-        + (beta - 1.0) * data.sum_log_times
+        + _N_FAILURES * math.log(beta)
+        + (beta - 1.0) * _SUM_LOG_TIMES
         - lam * s
         - BETA_PRIOR_RATE * beta
         - LAMBDA_PRIOR_RATE * lam
@@ -167,7 +152,7 @@ def gibbs_lambda(s, rng):
     return _standard_gamma(POSTERIOR_LAMBDA_SHAPE, rng) / (LAMBDA_PRIOR_RATE + s)
 
 
-def mh_beta(lam, beta, s, data, proposal_sd, rng):
+def mh_beta(lam, beta, s, proposal_sd, rng):
     """One random-walk Metropolis update of beta given lambda.
 
     Proposes N(beta, proposal_sd^2) and returns (beta, sum t_i^beta,
@@ -183,10 +168,10 @@ def mh_beta(lam, beta, s, data, proposal_sd, rng):
     if prop <= 0.0:
         # off the support: reject outright, no accept draw needed
         return beta, s, False
-    s_prop = sum_t_pow(prop, data)
+    s_prop = sum_t_pow(prop)
     delta = (
-        data.n * math.log(prop / beta)
-        + (prop - beta) * (data.sum_log_times - BETA_PRIOR_RATE)
+        _N_FAILURES * math.log(prop / beta)
+        + (prop - beta) * (_SUM_LOG_TIMES - BETA_PRIOR_RATE)
         - lam * (s_prop - s)
     )
     if math.log(rng.uniform()) < delta:
@@ -210,23 +195,19 @@ def functional_h(lam, beta):
     return mttf, math.exp(-lam * t_pow)
 
 
-def weibull_mle_beta(data):
+def weibull_mle_beta(times):
     """Maximum likelihood beta for a Weibull sample (profile likelihood root).
 
     Solves sum(t^b ln t)/sum(t^b) - 1/b - mean(ln t) = 0, which is
     strictly increasing in b, with a bracketed safeguarded root finder.
-    Accepts an LcdData instance or any positive sample.
+    ``times`` is any flat sample of at least two positive failure times.
     """
-    if isinstance(data, LcdData):
-        times = data.times
-        log_t = data.log_times
-    else:
-        times = np.asarray(data, dtype=float)
-        if times.ndim != 1 or times.size < 2:
-            raise DataError("need a flat sample of at least two failure times")
-        if not (np.isfinite(times).all() and (times > 0.0).all()):
-            raise DataError("failure times must be positive and finite")
-        log_t = np.log(times)
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or times.size < 2:
+        raise DataError("need a flat sample of at least two failure times")
+    if not (np.isfinite(times).all() and (times > 0.0).all()):
+        raise DataError("failure times must be positive and finite")
+    log_t = np.log(times)
     mean_log = float(log_t.mean())
 
     def score(b):
@@ -256,27 +237,23 @@ def weibull_mle_beta(data):
 class _WeibullGibbsSampler:
     """Stateful scan usable as a stopping-controller sampler."""
 
-    def __init__(self, data, beta_start):
+    def __init__(self, beta_start):
         if not (math.isfinite(beta_start) and beta_start > 0.0):
             raise ParameterError(f"beta_start must be positive, got {beta_start}")
-        self._data = data
         self._beta = beta_start
-        self._s_cur = sum_t_pow(beta_start, data)
+        self._s_cur = sum_t_pow(beta_start)
         self._param_blocks = []
         self.steps = 0
         self.accepted = 0
 
     def __call__(self, k, rng):
-        data = self._data
         beta = self._beta
         s_cur = self._s_cur
         h = np.empty((k, 2))
         pr = np.empty((k, 2))
         for i in range(k):
             lam = gibbs_lambda(s_cur, rng)
-            beta, s_cur, accepted = mh_beta(
-                lam, beta, s_cur, data, PROPOSAL_SD, rng
-            )
+            beta, s_cur, accepted = mh_beta(lam, beta, s_cur, PROPOSAL_SD, rng)
             if accepted:
                 self.accepted += 1
             h[i, 0], h[i, 1] = functional_h(lam, beta)
@@ -290,12 +267,10 @@ class _WeibullGibbsSampler:
 
     @property
     def accept_rate(self):
-        return self.accepted / self.steps if self.steps else math.nan
+        return self.accepted / self.steps
 
     @property
     def params(self):
-        if not self._param_blocks:
-            return np.empty((0, 2))
         return np.vstack(self._param_blocks)
 
 
@@ -318,9 +293,7 @@ class DemoConfig:
 class DemoReport:
     """Everything :func:`run_demo` produces; ``summary`` has CREDIBLE_LEVELS."""
 
-    config: DemoConfig
     beta_start: float
-    data: LcdData
     chain: object
     params: np.ndarray
     verdicts: list
@@ -368,10 +341,9 @@ def run_demo(config=None):
     """
     if config is None:
         config = DemoConfig()
-    data = LcdData()
-    beta_start = weibull_mle_beta(data)
+    beta_start = weibull_mle_beta(LCD_FAILURE_HOURS)
     rng = RngStream(config.seed, STREAM_ID)
-    sampler = _WeibullGibbsSampler(data, beta_start)
+    sampler = _WeibullGibbsSampler(beta_start)
     stop_cfg = StoppingConfig(
         p=2, alpha=config.alpha, epsilon=config.epsilon, max_n=config.max_n
     )
@@ -399,9 +371,7 @@ def run_demo(config=None):
     summary.raise_failures()
 
     return DemoReport(
-        config=config,
         beta_start=beta_start,
-        data=data,
         chain=chain,
         params=sampler.params,
         verdicts=verdicts,

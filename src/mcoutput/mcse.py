@@ -222,21 +222,25 @@ def correlogram(chain, max_lag, pair=(0, 0)):
     i, j = pair
     x = chain.column(i)
     y = chain.column(j)
-    xc = x - x.mean()
-    yc = y - y.mean()
-    var_x = float(xc @ xc) / n
-    var_y = float(yc @ yc) / n
+    with np.errstate(over="ignore", invalid="ignore"):
+        xc = x - x.mean()
+        yc = y - y.mean()
+        var_x = float(xc @ xc) / n
+        var_y = float(yc @ yc) / n
     if var_x == 0.0 or var_y == 0.0:
         raise DegenerateDataError(
             f"column pair {pair} includes a constant column"
         )
+    # acf divides by var_x, ccf by sqrt(var_x var_y); a finite scale bounds
+    # every lagged sum by Cauchy-Schwarz, so the loop cannot overflow
+    scale = var_x if i == j else np.sqrt(var_x * var_y)
+    if not math.isfinite(scale):
+        raise NumericsError(
+            f"correlogram of column pair {pair} overflows; rescale the chain"
+        )
     values = np.empty(max_lag + 1)
     for k in range(max_lag + 1):
-        c_k = float(xc[: n - k] @ yc[k:]) / n
-        if i == j:
-            values[k] = c_k / var_x
-        else:
-            values[k] = c_k / np.sqrt(var_x * var_y)
+        values[k] = float(xc[: n - k] @ yc[k:]) / n / scale
     return CorrelogramSeries(
         lags=np.arange(max_lag + 1),
         values=values,

@@ -18,6 +18,7 @@ from .errors import (
     DataError,
     DegenerateDataError,
     DimensionError,
+    NumericsError,
     ParameterError,
 )
 from .mcse import batch_means_sigma
@@ -96,7 +97,12 @@ def kde_bandwidth(arr):
     """Bandwidth of :func:`kde_at` for a 1-D array: ``KDE_BANDWIDTH_RULE``,
     with the standard deviation alone when the interquartile range is zero."""
     n = arr.size
-    sd = float(arr.std())
+    with np.errstate(over="ignore"):
+        sd = float(arr.std())
+    if not math.isfinite(sd):
+        raise NumericsError(
+            "KDE bandwidth: standard deviation overflows; rescale the chain"
+        )
     q75, q25 = np.percentile(arr, [75.0, 25.0])
     iqr = float(q75 - q25)
     scale = min(sd, iqr / 1.34) if iqr > 0.0 else sd
@@ -118,9 +124,11 @@ def kde_at(v, x):
     scalar = np.ndim(x) == 0
     pts = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.empty(pts.size)
-    for idx, p in enumerate(pts):
-        z = (p - arr) / h
-        out[idx] = float(np.exp(-0.5 * z * z).mean()) / (h * _SQRT_2PI)
+    # far points overflow z * z to inf, and their kernel weight is exactly 0
+    with np.errstate(over="ignore"):
+        for idx, p in enumerate(pts):
+            z = (p - arr) / h
+            out[idx] = float(np.exp(-0.5 * z * z).mean()) / (h * _SQRT_2PI)
     return float(out[0]) if scalar else out
 
 

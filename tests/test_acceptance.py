@@ -29,9 +29,9 @@ from mcoutput import (
 )
 from mcoutput.lcd_demo import (
     LAMBDA_PRIOR_RATE,
+    LCD_FAILURE_HOURS,
     POSTERIOR_LAMBDA_SHAPE,
     DemoConfig,
-    LcdData,
     gibbs_lambda,
     log_unnormalized_posterior,
     mh_beta,
@@ -157,7 +157,7 @@ def test_criterion_06_demo_reproduction():
 
 
 def test_criterion_07_weibull_mle():
-    bhat = weibull_mle_beta(LcdData())
+    bhat = weibull_mle_beta(LCD_FAILURE_HOURS)
     ok = abs(bhat - 1.12) <= 0.01
     _report(7, ok, f"profile MLE beta {bhat:.4f}")
 
@@ -208,12 +208,11 @@ def test_criterion_09_quantile_clt():
 
 
 def test_criterion_10_kernel_fidelity():
-    data = LcdData()
-    rate = LAMBDA_PRIOR_RATE + data.total_hours
+    rate = LAMBDA_PRIOR_RATE + sum(LCD_FAILURE_HOURS)
 
     # exact-draw kernel: empirical CDF against the conjugate Gamma
     rng = RngStream(91)
-    s_one = sum_t_pow(1.0, data)
+    s_one = sum_t_pow(1.0)
     draws = np.sort([gibbs_lambda(s_one, rng) for _ in range(100_000)])
     cdf = gammainc(POSTERIOR_LAMBDA_SHAPE, rate * draws)
     n = draws.size
@@ -226,17 +225,15 @@ def test_criterion_10_kernel_fidelity():
     lam = POSTERIOR_LAMBDA_SHAPE / rate
     rng = RngStream(92)
     beta = 1.1
-    s_cur = sum_t_pow(beta, data)
+    s_cur = sum_t_pow(beta)
     betas = np.empty(1_000_000)
     for i in range(betas.size):
-        beta, s_cur, _ = mh_beta(lam, beta, s_cur, data, 0.1, rng)
+        beta, s_cur, _ = mh_beta(lam, beta, s_cur, 0.1, rng)
         betas[i] = beta
     edges = np.linspace(betas.min(), betas.max(), 41)
     counts, _ = np.histogram(betas, bins=edges)
     grid = np.linspace(edges[0], edges[-1], 8_001)
-    log_dens = np.array(
-        [log_unnormalized_posterior(lam, float(g), data) for g in grid]
-    )
+    log_dens = np.array([log_unnormalized_posterior(lam, float(g)) for g in grid])
     dens = np.exp(log_dens - log_dens.max())
     total = np.trapezoid(dens, grid)
     bin_prob = np.empty(40)

@@ -125,6 +125,31 @@ def test_analyze_overflowing_chain_says_to_rescale(tmp_path, capsys):
     )
 
 
+def test_plotdata_overflowing_acf_writes_nothing(tmp_path, capsys):
+    """Its variances overflow: numpy used to warn, and all-nan files were
+    written with exit code 0."""
+    path = tmp_path / "huge.csv"
+    write_chain_csv(ChainMatrix(RngStream(31).normal(size=(3000, 2)) * 1e160), path)
+    out = tmp_path / "out"
+    assert main(["plotdata", str(path), "--kind", "acf", "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: correlogram of column pair (0, 0) overflows; rescale the chain\n"
+    )
+    assert not out.exists()
+
+
+def test_non_utf8_file_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "latin.csv"
+    path.write_bytes(b"a,b\n1,2\n3,\xff4\n")
+    with pytest.raises(ParseError, match="is not UTF-8 text"):
+        read_chain_csv(path)
+    out = tmp_path / "out"
+    assert main(["analyze", str(path), "--out-dir", str(out)]) == 1
+    assert main(["plotdata", str(path), "--kind", "trace", "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {path} is not UTF-8 text\n" * 2
+    assert not out.exists()
+
+
 def test_analyze_more_columns_than_rows(tmp_path, capsys):
     path = tmp_path / "wide.csv"
     path.write_text("a,b\n1.0,2.0\n")

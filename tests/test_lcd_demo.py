@@ -15,7 +15,6 @@ from mcoutput.lcd_demo import (
     POSTERIOR_LAMBDA_SHAPE,
     PROPOSAL_SD,
     DemoConfig,
-    LcdData,
     functional_h,
     gibbs_lambda,
     log_unnormalized_posterior,
@@ -26,25 +25,23 @@ from mcoutput.lcd_demo import (
 )
 
 TOTAL_HOURS = 17907.0
+TIMES = np.array(LCD_FAILURE_HOURS)
 
 
 def test_data_table_checksums():
-    data = LcdData()
-    assert data.n == 31
-    assert data.total_hours == TOTAL_HOURS
+    assert len(LCD_FAILURE_HOURS) == 31
     assert sum(LCD_FAILURE_HOURS) == TOTAL_HOURS
-    assert data.times.min() == 34.0
-    assert data.times.max() == 1895.0
+    assert TIMES.min() == 34.0
+    assert TIMES.max() == 1895.0
 
 
 def test_log_posterior_lambda_difference_identity():
     """Holding beta fixed, the lambda terms are Gamma(33.5, 2350 + sum t^b);
     the difference of two log densities isolates exactly those terms."""
-    data = LcdData()
     for beta in (0.8, 1.0, 1.3):
-        s = float((data.times**beta).sum())
-        lp1 = log_unnormalized_posterior(0.002, beta, data)
-        lp2 = log_unnormalized_posterior(0.0005, beta, data)
+        s = float((TIMES**beta).sum())
+        lp1 = log_unnormalized_posterior(0.002, beta)
+        lp2 = log_unnormalized_posterior(0.0005, beta)
         expected = (POSTERIOR_LAMBDA_SHAPE - 1.0) * math.log(
             0.002 / 0.0005
         ) - (0.002 - 0.0005) * (LAMBDA_PRIOR_RATE + s)
@@ -52,26 +49,23 @@ def test_log_posterior_lambda_difference_identity():
 
 
 def test_log_posterior_exponential_closed_form():
-    data = LcdData()
     lam = 0.0017
     expected = 32.5 * math.log(lam) - lam * (2350.0 + TOTAL_HOURS) - 1.0
-    assert log_unnormalized_posterior(lam, 1.0, data) == pytest.approx(
+    assert log_unnormalized_posterior(lam, 1.0) == pytest.approx(
         expected, rel=1e-12
     )
 
 
 def test_log_posterior_off_support():
-    data = LcdData()
-    assert log_unnormalized_posterior(-0.1, 1.0, data) == -math.inf
-    assert log_unnormalized_posterior(0.001, 0.0, data) == -math.inf
-    assert log_unnormalized_posterior(math.nan, 1.0, data) == -math.inf
+    assert log_unnormalized_posterior(-0.1, 1.0) == -math.inf
+    assert log_unnormalized_posterior(0.001, 0.0) == -math.inf
+    assert log_unnormalized_posterior(math.nan, 1.0) == -math.inf
 
 
 def test_gibbs_lambda_exponential_moments():
     """At beta = 1 the full conditional is Gamma(33.5, 2350 + 17907)."""
-    data = LcdData()
     rng = RngStream(71)
-    s = sum_t_pow(1.0, data)
+    s = sum_t_pow(1.0)
     draws = np.array([gibbs_lambda(s, rng) for _ in range(100_000)])
     rate = LAMBDA_PRIOR_RATE + TOTAL_HOURS
     assert draws.mean() == pytest.approx(33.5 / rate, rel=0.01)
@@ -80,7 +74,7 @@ def test_gibbs_lambda_exponential_moments():
 
 
 def test_gibbs_lambda_deterministic():
-    s = sum_t_pow(1.1, LcdData())
+    s = sum_t_pow(1.1)
     assert gibbs_lambda(s, RngStream(9)) == gibbs_lambda(s, RngStream(9))
 
 
@@ -91,9 +85,8 @@ def test_gibbs_lambda_rejects_bad_power_sum(s):
 
 
 def test_mh_beta_zero_proposal_always_accepts():
-    data = LcdData()
-    s = sum_t_pow(1.1, data)
-    beta_new, s_new, accepted = mh_beta(0.0017, 1.1, s, data, 0.0, RngStream(5))
+    s = sum_t_pow(1.1)
+    beta_new, s_new, accepted = mh_beta(0.0017, 1.1, s, 0.0, RngStream(5))
     assert accepted
     assert beta_new == 1.1
     assert s_new == s
@@ -102,31 +95,28 @@ def test_mh_beta_zero_proposal_always_accepts():
 def test_mh_beta_rejects_nonpositive_proposal():
     """Seed 0's first normal is negative, so a huge step width pushes the
     proposal below zero; it must be rejected with beta unchanged."""
-    data = LcdData()
     assert RngStream(0).normal() < 0.0
-    s = sum_t_pow(1.1, data)
-    beta_new, s_new, accepted = mh_beta(0.0017, 1.1, s, data, 1e6, RngStream(0))
+    s = sum_t_pow(1.1)
+    beta_new, s_new, accepted = mh_beta(0.0017, 1.1, s, 1e6, RngStream(0))
     assert not accepted
     assert beta_new == 1.1
     assert s_new == s
 
 
 def test_mh_beta_validation():
-    data = LcdData()
     with pytest.raises(ParameterError):
-        mh_beta(0.0017, 1.1, sum_t_pow(1.1, data), data, -0.1, RngStream(1))
+        mh_beta(0.0017, 1.1, sum_t_pow(1.1), -0.1, RngStream(1))
 
 
 def test_sampler_accept_rate_is_moderate():
     """The kernel scan at the demo's proposal width, started at the MLE."""
-    data = LcdData()
     rng = RngStream(73)
-    beta = weibull_mle_beta(data)
-    s = sum_t_pow(beta, data)
+    beta = weibull_mle_beta(LCD_FAILURE_HOURS)
+    s = sum_t_pow(beta)
     accepted = 0
     for _ in range(20_000):
         lam = gibbs_lambda(s, rng)
-        beta, s, ok = mh_beta(lam, beta, s, data, PROPOSAL_SD, rng)
+        beta, s, ok = mh_beta(lam, beta, s, PROPOSAL_SD, rng)
         accepted += ok
     assert 0.2 < accepted / 20_000 < 0.6
 
@@ -166,14 +156,13 @@ def test_functional_h_partial_derivatives():
 
 
 def test_weibull_mle_on_the_study_data():
-    data = LcdData()
-    bhat = weibull_mle_beta(data)
+    bhat = weibull_mle_beta(LCD_FAILURE_HOURS)
     assert bhat == pytest.approx(1.1207, abs=1e-3)
-    w = data.times**bhat
+    w = TIMES**bhat
     score = (
-        float((w * np.log(data.times)).sum()) / float(w.sum())
+        float((w * np.log(TIMES)).sum()) / float(w.sum())
         - 1.0 / bhat
-        - float(np.log(data.times).mean())
+        - float(np.log(TIMES).mean())
     )
     assert abs(score) < 1e-8
 

@@ -211,3 +211,20 @@ def test_correlogram_validation():
     flat = ChainMatrix(np.ones(10))
     with pytest.raises(DegenerateDataError):
         correlogram(flat, 3)
+
+
+def test_correlogram_overflow_is_a_numerics_error():
+    """At 1e160 the variances overflow and every value used to be nan; at
+    1e80 only the ccf's variance product overflows, which silently gave 0
+    at every lag for a pair whose lag-0 correlation is 0.995. The acf of
+    the 1e80 chain is still finite and stays computable."""
+    huge = ChainMatrix(RngStream(31).normal(size=(3000, 2)) * 1e160)
+    for pair in ((0, 0), (1, 1), (0, 1)):
+        with pytest.raises(NumericsError, match="overflows; rescale the chain"):
+            correlogram(huge, 5, pair)
+    rng = RngStream(8)
+    z = rng.normal(size=3000) * 1e80
+    chain = ChainMatrix(np.column_stack([z, z + 1e79 * rng.normal(size=3000)]))
+    with pytest.raises(NumericsError, match=r"pair \(0, 1\) overflows"):
+        correlogram(chain, 2, (0, 1))
+    assert correlogram(chain, 2, (0, 0)).values[0] == 1.0

@@ -12,12 +12,14 @@ from mcoutput import (
     empirical_quantile,
     indicator_sigma2,
     kde_at,
+    kde_bandwidth,
     quantile_ci,
 )
 from mcoutput.errors import (
     DataError,
     DegenerateDataError,
     DimensionError,
+    NumericsError,
     ParameterError,
 )
 
@@ -127,6 +129,29 @@ def test_kde_bandwidth_rule_with_collapsed_iqr():
     z = (0.0 - arr) / h
     expected = np.exp(-0.5 * z * z).mean() / (h * math.sqrt(2.0 * math.pi))
     assert kde_at(arr, 0.0) == pytest.approx(expected, rel=1e-12)
+
+
+def test_kde_far_outliers_weigh_zero_without_a_warning():
+    """z * z overflows for the 1e150 spikes; those kernel terms are 0, so
+    the estimate equals the one with the spikes' weight left out."""
+    arr = RngStream(59).normal(size=3000) * 1e-10
+    arr[::500] = 1e150
+    h = kde_bandwidth(arr)
+    bulk = np.delete(arr, np.s_[::500])
+    z = (0.0 - bulk) / h
+    expected = np.exp(-0.5 * z * z).sum() / arr.size / (h * math.sqrt(2.0 * math.pi))
+    assert kde_at(arr, 0.0) == pytest.approx(expected, rel=1e-12)
+
+
+def test_quantile_ci_overflowing_sd_is_a_numerics_error():
+    """With 60% zeros the IQR is 0 and the bandwidth rule falls back to the
+    sd, which overflows at 1e155: the density used to come out 0 and the
+    interval raised ZeroDivisionError."""
+    rng = RngStream(9)
+    signs = np.sign(rng.normal(size=1000))
+    arr = np.where(rng.uniform(size=1000) < 0.6, 0.0, signs * 1e155)
+    with pytest.raises(NumericsError, match="standard deviation overflows"):
+        quantile_ci(arr, 0.5, 0.05, 10)
 
 
 def test_kde_validation():
