@@ -15,6 +15,7 @@ variable, falling back to the current directory.
 """
 
 import argparse
+import array
 import csv
 import dataclasses
 import json
@@ -28,7 +29,6 @@ import numpy as np
 from . import __version__, lcd_demo
 from .chain import ChainMatrix, discard_initial
 from .errors import (
-    DataError,
     DegenerateDataError,
     InsufficientDataError,
     OutputAnalysisError,
@@ -137,9 +137,10 @@ def read_chain_csv(path):
 
     The file must be UTF-8 text. Blank lines are skipped, so the header is
     the first non-blank row; a leading UTF-8 byte-order mark is dropped.
-    Error lines are physical.
+    The file is read once, and an error names the physical line of the
+    first bad row in file order.
     """
-    rows = []
+    values = array.array("d")
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             numbered = enumerate(csv.reader(fh), start=1)
@@ -158,23 +159,17 @@ def read_chain_csv(path):
                         f"expected {width} columns, got {len(row)}", line=lineno
                     )
                 try:
-                    rows.append([float(cell) for cell in row])
+                    cells = [float(cell) for cell in row]
                 except ValueError as exc:
                     raise ParseError(str(exc), line=lineno) from None
+                if not all(map(math.isfinite, cells)):
+                    raise ParseError("chain values must all be finite", line=lineno)
+                values.extend(cells)
     except UnicodeDecodeError:
         raise ParseError(f"{path} is not UTF-8 text") from None
-    if not rows:
+    if not values:
         raise ParseError("no data rows after the header", line=header_line + 1)
-    values = np.asarray(rows, dtype=float)
-    del rows
-    try:
-        return ChainMatrix(values, labels)
-    except DataError as exc:
-        # only a non-finite cell gets here; find its line by reading again
-        bad_row = int(np.flatnonzero(~np.isfinite(values).all(axis=1))[0])
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            lines = [n for n, row in enumerate(csv.reader(fh), start=1) if row]
-        raise ParseError(str(exc), line=lines[bad_row + 1]) from None
+    return ChainMatrix(np.frombuffer(values).reshape(-1, width), labels)
 
 
 def _covariance_dict(est):

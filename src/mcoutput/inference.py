@@ -290,7 +290,13 @@ class StoppingConfig:
         cutoff = min_ess_cutoff(self.alpha, self.epsilon, self.p)
         object.__setattr__(self, "cutoff", cutoff)
         if self.n_star is None:
-            object.__setattr__(self, "n_star", self.cutoff.rounded)
+            if cutoff.rounded < 8:
+                raise ParameterError(
+                    f"alpha={self.alpha}, epsilon={self.epsilon}, p={self.p} give "
+                    f"a minimum ESS of {cutoff.rounded}, below the 8 rows the "
+                    "first check needs; lower alpha or epsilon"
+                )
+            object.__setattr__(self, "n_star", cutoff.rounded)
         if self.n_star < 8:
             raise ParameterError(f"n_star must be >= 8, got {self.n_star}")
         if self.max_n < 1:

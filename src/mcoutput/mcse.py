@@ -33,6 +33,8 @@ __all__ = [
 # pivot^2 / diagonal entry at or below which a Cholesky factor marks the
 # estimate numerically singular; duplicated columns give about 1e-16
 _MIN_RELATIVE_PIVOT = 1e-12
+# smallest normal double: a variance below it has lost precision to underflow
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -102,7 +104,17 @@ class CorrelogramSeries:
     n_used: int
 
 
-def _batch_means_matrix(chain, b):
+def _check_underflow(kind, mat, centered, data):
+    """Raise NumericsError if a diagonal entry of ``mat``, the covariance of
+    ``centered``, fell below ``_TINY`` although the centered terms and the
+    data column are not constant: their squares underflowed."""
+    for j in np.flatnonzero(np.diag(mat) < _TINY):
+        col = data[:, j]
+        if centered[:, j].any() and col.min() < col.max():
+            raise NumericsError(f"{kind} covariance underflows; rescale the chain")
+
+
+def _batch_means_matrix(chain, b, kind):
     """Symmetrized batch-means matrix and the number of rows it used."""
     n = chain.rows
     a = n // b
@@ -117,7 +129,8 @@ def _batch_means_matrix(chain, b):
         batch_means = data.reshape(a, b, chain.cols).mean(axis=1)
         centered = batch_means - data.mean(axis=0)
         mat = (b / (a - 1.0)) * (centered.T @ centered)
-        return 0.5 * (mat + mat.T), used
+    _check_underflow(kind, mat, centered, data)
+    return 0.5 * (mat + mat.T), used
 
 
 def batch_means_sigma(chain, b):
@@ -140,7 +153,7 @@ def batch_means_sigma(chain, b):
     CovarianceEstimate
     """
     _require_int(b, "batch length", 1)
-    mat, used = _batch_means_matrix(chain, b)
+    mat, used = _batch_means_matrix(chain, b, "batch-means")
     return CovarianceEstimate(mat, "batch-means", int(b), int(used))
 
 
@@ -155,8 +168,8 @@ def flat_top_sigma(chain, b):
     _require_int(b, "batch length")
     if b < 2 or b % 2 != 0:
         raise ParameterError(f"flat-top batch length must be even and >= 2, got {b}")
-    coarse, used = _batch_means_matrix(chain, b)
-    fine, _ = _batch_means_matrix(chain, b // 2)
+    coarse, used = _batch_means_matrix(chain, b, "flat-top")
+    fine, _ = _batch_means_matrix(chain, b // 2, "flat-top")
     with np.errstate(over="ignore", invalid="ignore"):
         return CovarianceEstimate(2.0 * coarse - fine, "flat-top", int(b), int(used))
 
@@ -169,7 +182,8 @@ def sample_cov_lambda(chain):
     with np.errstate(over="ignore", invalid="ignore"):
         centered = chain.values - chain.values.mean(axis=0)
         mat = (centered.T @ centered) / n
-        return CovarianceEstimate(0.5 * (mat + mat.T), "sample-cov", 0, n)
+    _check_underflow("sample-cov", mat, centered, chain.values)
+    return CovarianceEstimate(0.5 * (mat + mat.T), "sample-cov", 0, n)
 
 
 def default_batch_size(n):
@@ -227,13 +241,17 @@ def correlogram(chain, max_lag, pair=(0, 0)):
         yc = y - y.mean()
         var_x = float(xc @ xc) / n
         var_y = float(yc @ yc) / n
-    if var_x == 0.0 or var_y == 0.0:
+    if x.min() == x.max() or y.min() == y.max():
         raise DegenerateDataError(
             f"column pair {pair} includes a constant column"
         )
     # acf divides by var_x, ccf by sqrt(var_x var_y); a finite scale bounds
     # every lagged sum by Cauchy-Schwarz, so the loop cannot overflow
     scale = var_x if i == j else np.sqrt(var_x * var_y)
+    if min(var_x, var_y, scale) < _TINY:
+        raise NumericsError(
+            f"correlogram of column pair {pair} underflows; rescale the chain"
+        )
     if not math.isfinite(scale):
         raise NumericsError(
             f"correlogram of column pair {pair} overflows; rescale the chain"

@@ -21,7 +21,7 @@ from .errors import (
     NumericsError,
     ParameterError,
 )
-from .mcse import batch_means_sigma
+from .mcse import _TINY, batch_means_sigma
 
 __all__ = [
     "QuantileEstimate",
@@ -103,6 +103,8 @@ def kde_bandwidth(arr):
         raise NumericsError(
             "KDE bandwidth: standard deviation overflows; rescale the chain"
         )
+    if sd * sd < _TINY and arr.min() < arr.max():
+        raise NumericsError("KDE bandwidth: variance underflows; rescale the chain")
     q75, q25 = np.percentile(arr, [75.0, 25.0])
     iqr = float(q75 - q25)
     scale = min(sd, iqr / 1.34) if iqr > 0.0 else sd

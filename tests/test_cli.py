@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from mcoutput import (
     Ar1Spec,
     ChainMatrix,
     RngStream,
+    StoppingConfig,
     batch_means_sigma,
     default_batch_size,
     generate_ar1,
@@ -29,7 +31,7 @@ from mcoutput.cli import (
     read_chain_csv,
     write_chain_csv,
 )
-from mcoutput.errors import ParseError
+from mcoutput.errors import ParameterError, ParseError
 
 
 @pytest.fixture(scope="module")
@@ -136,6 +138,33 @@ def test_plotdata_overflowing_acf_writes_nothing(tmp_path, capsys):
         "error: correlogram of column pair (0, 0) overflows; rescale the chain\n"
     )
     assert not out.exists()
+
+
+def test_analyze_underflowing_chain_says_to_rescale(tmp_path, capsys):
+    """At 1e-170 the squares underflow to zero, and the error used to blame
+    positive definiteness."""
+    path = tmp_path / "tiny.csv"
+    write_chain_csv(ChainMatrix(RngStream(3).normal(size=(3000, 2)) * 1e-170), path)
+    assert main(["analyze", str(path), "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "error: sample-cov covariance underflows; rescale the chain\n"
+    )
+
+
+def test_analyze_cutoff_below_eight_names_alpha_and_epsilon(
+    small_two_col, tmp_path, capsys
+):
+    """analyze has no n_star setting, yet this used to print "n_star must be
+    >= 8, got 1"; an explicit n_star keeps that message."""
+    args = ["analyze", str(small_two_col), "--alpha", "0.9", "--epsilon", "0.9"]
+    assert main([*args, "--out-dir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: alpha=0.9, epsilon=0.9, p=2 give a minimum ESS of 1, below the "
+        "8 rows the first check needs; lower alpha or epsilon\n"
+    )
+    with pytest.raises(ParameterError, match="^n_star must be >= 8, got 7$"):
+        StoppingConfig(p=2, alpha=0.9, epsilon=0.9, n_star=7)
+    assert StoppingConfig(p=2, alpha=0.9, epsilon=0.9, n_star=8).cutoff.rounded == 1
 
 
 def test_non_utf8_file_is_a_parse_error(tmp_path, capsys):
@@ -499,6 +528,57 @@ def test_non_finite_cell_reports_its_line(tmp_path, capsys, cell):
     assert str(info.value) == "line 6: chain values must all be finite"
     assert main(["analyze", str(path), "--out-dir", str(tmp_path / "out")]) == 1
     assert "line 6:" in capsys.readouterr().err
+
+
+def test_first_bad_line_in_file_order_is_reported(tmp_path):
+    """A non-finite cell used to be found only after the whole file parsed,
+    so a later unparsable cell was reported in its place."""
+    path = tmp_path / "bad.csv"
+    path.write_text("x,y\n1,2\nnan,3\n4,5\nabc,6\n")
+    with pytest.raises(ParseError) as info:
+        read_chain_csv(path)
+    assert str(info.value) == "line 3: chain values must all be finite"
+
+
+@pytest.mark.parametrize("body", ["1,2\n3,4\n", "1,2\n3,inf\n5,6\n"])
+def test_chain_file_is_opened_once(tmp_path, monkeypatch, body):
+    path = tmp_path / "chain.csv"
+    path.write_text("x,y\n" + body)
+    calls = []
+
+    def counting_open(file, *args, real_open=open, **kwargs):
+        calls.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting_open)
+    try:
+        read_chain_csv(path)
+    except ParseError:
+        pass
+    monkeypatch.undo()
+    assert calls == [path]
+
+
+def test_reading_a_chain_holds_little_more_than_its_values(tmp_path):
+    """Each row used to be kept as a list of Python floats and then copied
+    into an array: a peak near 7x the data bytes."""
+    path = tmp_path / "chain.csv"
+    write_chain_csv(ChainMatrix(RngStream(5).normal(size=(20_000, 10))), path)
+    tracemalloc.start()
+    try:
+        chain = read_chain_csv(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * chain.values.nbytes
+
+
+def test_row_whose_sum_overflows_reads_back_exactly(tmp_path):
+    path = tmp_path / "big.csv"
+    path.write_text("x,y\n1e308,1e308\n-1.7976931348623157e308,1e308\n")
+    values = read_chain_csv(path).values
+    want = [[1e308, 1e308], [-np.finfo(float).max, 1e308]]
+    np.testing.assert_array_equal(values, want)
 
 
 def test_blank_lines_before_the_header_are_skipped(tmp_path):

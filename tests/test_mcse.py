@@ -7,11 +7,14 @@ from mcoutput import (
     Ar1Spec,
     ChainMatrix,
     RngStream,
+    StoppingConfig,
     batch_means_sigma,
     correlogram,
     default_batch_size,
+    evaluate_verdict,
     flat_top_sigma,
     generate_ar1,
+    quantile_ci,
     sample_cov_lambda,
     sqrt_batch_size,
 )
@@ -20,6 +23,7 @@ from mcoutput.errors import (
     InsufficientDataError,
     NumericsError,
     ParameterError,
+    SingularEstimateError,
 )
 
 HAND_CHAIN = ChainMatrix([1.0, 2.0, 3.0, 4.0])
@@ -228,3 +232,73 @@ def test_correlogram_overflow_is_a_numerics_error():
     with pytest.raises(NumericsError, match=r"pair \(0, 1\) overflows"):
         correlogram(chain, 2, (0, 1))
     assert correlogram(chain, 2, (0, 0)).values[0] == 1.0
+
+
+UNIT_CHAIN = RngStream(3).normal(size=(3000, 2))
+
+
+def _scale_sensitive_calls(chain):
+    """Every estimate the underflow rule covers, by name."""
+    return {
+        "sample-cov": lambda: sample_cov_lambda(chain),
+        "batch-means": lambda: batch_means_sigma(chain, 14),
+        "flat-top": lambda: flat_top_sigma(chain, 14),
+        "acf 0": lambda: correlogram(chain, 5, (0, 0)),
+        "acf 1": lambda: correlogram(chain, 5, (1, 1)),
+        "ccf": lambda: correlogram(chain, 5, (0, 1)),
+        "quantile": lambda: quantile_ci(chain.column(0), 0.5, 0.05, 14),
+        "verdict": lambda: evaluate_verdict(chain, StoppingConfig(p=2)),
+    }
+
+
+@pytest.mark.parametrize("scale", [1e-170, 1e-160])
+def test_underflowing_estimates_are_numerics_errors(scale):
+    """At 1e-170 the squares underflow to zero: the covariances were all-zero
+    matrices, the correlogram called both columns constant and quantile_ci
+    ended in a ZeroDivisionError. At 1e-160 they are subnormal, and every
+    estimate came back imprecise without an error."""
+    chain = ChainMatrix(UNIT_CHAIN * scale)
+    for name, call in _scale_sensitive_calls(chain).items():
+        with pytest.raises(NumericsError, match="underflows; rescale the chain$"):
+            call()
+            pytest.fail(f"{name} did not raise")
+
+
+def test_only_the_ccf_underflows_at_1e_90():
+    """The variances are normal doubles, but their product is not: the ccf
+    was -inf at every lag."""
+    calls = _scale_sensitive_calls(ChainMatrix(UNIT_CHAIN * 1e-90))
+    with pytest.raises(NumericsError, match=r"pair \(0, 1\) underflows"):
+        calls.pop("ccf")()
+    for call in calls.values():
+        call()
+
+
+def test_ess_is_scale_free_down_to_1e_150():
+    config = StoppingConfig(p=2)
+    unit, _, _ = evaluate_verdict(ChainMatrix(UNIT_CHAIN), config)
+    small, _, _ = evaluate_verdict(ChainMatrix(UNIT_CHAIN * 1e-150), config)
+    assert small.ess == pytest.approx(unit.ess, rel=1e-12)
+
+
+def _with_constant_column(value):
+    return ChainMatrix(np.column_stack([np.full(3000, value), UNIT_CHAIN[:, 1]]))
+
+
+@pytest.mark.parametrize("value", [3e-170, 0.1])
+def test_correlogram_of_a_constant_column_is_degenerate(value):
+    """At any scale. The mean of 3000 copies of 0.1 is not exactly 0.1, and
+    the acf used to read 0.9997 at lag 1 instead of naming the column."""
+    chain = _with_constant_column(value)
+    for pair in ((0, 0), (0, 1)):
+        with pytest.raises(DegenerateDataError, match="constant column"):
+            correlogram(chain, 5, pair)
+
+
+def test_exact_zero_variances_are_not_underflow():
+    """A tiny constant column keeps its singular-estimate error, and batch
+    means that are exactly equal give an exactly zero, singular estimate."""
+    with pytest.raises(SingularEstimateError, match="target covariance"):
+        evaluate_verdict(_with_constant_column(3e-170), StoppingConfig(p=2))
+    periodic = batch_means_sigma(ChainMatrix(np.tile([0.0, 1.0], 50)), 2)
+    assert periodic.matrix[0, 0] == 0.0 and periodic.chol is None
