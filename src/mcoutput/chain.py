@@ -28,6 +28,8 @@ __all__ = [
 _TWO64 = 2**64
 # smallest uniform handed out; keeps the inverse normal CDF finite
 _OPEN_LOW = 2.0**-53
+# uniforms drawn at once to serve scalar draws
+_BLOCK = 4096
 
 
 class RngStream:
@@ -41,6 +43,12 @@ class RngStream:
     order), which keeps every draw a pure function of the uniform
     sequence. That convention is relied on by the Weibull demo for
     seed-reproducible output.
+
+    Scalar draws are served from a block of ``_BLOCK`` uniforms drawn at
+    once, with the inverse normal CDF of each kept beside it; Philox
+    ``random(k)`` gives the same doubles as k scalar ``random()`` calls.
+    Array draws first return the generator to the position of the last
+    uniform handed out, so the sequence is the same as unbuffered draws.
     """
 
     def __init__(self, seed, stream_id=0):
@@ -50,9 +58,29 @@ class RngStream:
             [self.seed % _TWO64, self.stream_id % _TWO64], dtype=np.uint64
         )
         self._gen = np.random.Generator(np.random.Philox(key=key))
+        # the block: generator state before it, its uniforms, their normals,
+        # and the index of the next unused entry (_BLOCK when none is left)
+        self._saved = None
+        self._u = self._z = ()
+        self._pos = _BLOCK
 
     def __repr__(self):
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
+
+    def _refill(self):
+        """Draw the next block; scalar draws read it from index 0."""
+        self._saved = self._gen.bit_generator.state
+        u = np.maximum(self._gen.random(_BLOCK), _OPEN_LOW)
+        self._u = u.tolist()
+        self._z = ndtri(u).tolist()
+        self._pos = 0
+
+    def _sync(self):
+        """Leave the generator just past the last uniform handed out."""
+        if self._pos < _BLOCK:
+            self._gen.bit_generator.state = self._saved
+            self._gen.random(self._pos)
+            self._pos = _BLOCK
 
     def uniform(self, size=None):
         """Uniform draws on the open interval (0, 1).
@@ -60,14 +88,22 @@ class RngStream:
         Returns a float when ``size`` is None, else an ndarray.
         """
         if size is None:
-            return max(self._gen.random(), _OPEN_LOW)
+            # inlined here and in normal(): a sampler scan makes four draws
+            if self._pos == _BLOCK:
+                self._refill()
+            self._pos += 1
+            return self._u[self._pos - 1]
+        self._sync()
         u = self._gen.random(size)
         return np.maximum(u, _OPEN_LOW)
 
     def normal(self, size=None):
         """Standard normal draws via inverse-CDF on :meth:`uniform`."""
         if size is None:
-            return float(ndtri(self.uniform()))
+            if self._pos == _BLOCK:
+                self._refill()
+            self._pos += 1
+            return self._z[self._pos - 1]
         return ndtri(self.uniform(size))
 
 

@@ -29,7 +29,6 @@ import numpy as np
 from . import __version__, lcd_demo
 from .chain import ChainMatrix, discard_initial
 from .errors import (
-    DegenerateDataError,
     InsufficientDataError,
     OutputAnalysisError,
     ParseError,
@@ -308,10 +307,6 @@ def cmd_analyze(args):
     n, p = chain.rows, chain.cols
     if p > n:
         raise InsufficientDataError(f"more columns ({p}) than rows ({n})")
-    for i in range(p):
-        col = chain.column(i)
-        if col.min() == col.max():
-            raise DegenerateDataError(f"column '{chain.label(i)}' is constant")
     config = StoppingConfig(
         p=p, alpha=args.alpha, epsilon=args.epsilon, use_flat_top=args.flat_top
     )

@@ -16,6 +16,7 @@ the mean time to failure and the probability a lamp survives 1500 hours.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,14 +83,25 @@ _LOG_TIMES = np.log(LCD_FAILURE_HOURS)
 _LOG_TIMES.setflags(write=False)
 _SUM_LOG_TIMES = float(_LOG_TIMES.sum())
 _N_FAILURES = len(LCD_FAILURE_HOURS)
+# at or below this beta no t_i^beta, nor their sum, can overflow
+_NO_OVERFLOW_BETA = (
+    math.log(sys.float_info.max) - math.log(_N_FAILURES)
+) / float(_LOG_TIMES.max())
 
 
 # The sampler kernel: one scan of the chain is gibbs_lambda, then mh_beta,
 # then functional_h, with the power sum s = sum_t_pow(beta) carried along.
 def sum_t_pow(beta):
-    """sum_i t_i^beta, computed as exp(beta * log t_i)."""
-    with np.errstate(over="ignore"):
-        return float(np.exp(beta * _LOG_TIMES).sum())
+    """sum_i t_i^beta, computed as exp(beta * log t_i); inf on overflow."""
+    if beta > _NO_OVERFLOW_BETA:
+        with np.errstate(over="ignore"):
+            return _power_sum(beta)
+    return _power_sum(beta)
+
+
+def _power_sum(beta):
+    # the reduction ndarray.sum runs, without its Python wrapper
+    return float(np.add.reduce(np.exp(beta * _LOG_TIMES)))
 
 
 def log_unnormalized_posterior(lam, beta):
@@ -229,9 +241,63 @@ def weibull_mle_beta(times):
                 "no finite Weibull MLE: the profile score never changes sign "
                 "(degenerate sample, e.g. all failure times equal)"
             )
-    from scipy.optimize import brentq
+    return _brent(score, lo, hi, xtol=1e-10)
 
-    return float(brentq(score, lo, hi, xtol=1e-10))
+
+def _brent(f, a, b, xtol, rtol=4 * sys.float_info.epsilon, maxiter=100):
+    """Root of ``f`` in [a, b] by Brent's method (Brent 1973, ch. 4).
+
+    The same steps as scipy's ``brentq`` (its ``brentq.c``), so the root
+    agrees with ``scipy.optimize.brentq(f, a, b, xtol=xtol)`` bit for bit
+    without importing scipy.optimize. ``f(a)`` and ``f(b)`` must differ
+    in sign.
+    """
+    xpre, xcur = a, b
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise NumericsError("root finder: f(a) and f(b) have the same sign")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (
+            math.copysign(1.0, fpre) != math.copysign(1.0, fcur)
+        ):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (
+                    dblk * dpre * (fblk - fpre)
+                )
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+    raise NumericsError(f"root finder did not converge in {maxiter} iterations")
 
 
 class _WeibullGibbsSampler:
@@ -259,6 +325,8 @@ class _WeibullGibbsSampler:
             h[i, 0], h[i, 1] = functional_h(lam, beta)
             pr[i, 0] = lam
             pr[i, 1] = beta
+        # whoever reads the generator next sees exactly the draws used
+        rng._sync()
         self._beta = beta
         self._s_cur = s_cur
         self.steps += k

@@ -175,13 +175,26 @@ def flat_top_sigma(chain, b):
 
 
 def sample_cov_lambda(chain):
-    """Target covariance of the functional: divisor n, not n - 1."""
+    """Target covariance of the functional: divisor n, not n - 1.
+
+    Raises DegenerateDataError naming the first constant column. Only
+    columns whose variance could be the rounding noise of their mean,
+    at most (n * eps * |mean|)^2 or below the smallest normal double, are
+    scanned for min == max.
+    """
     n = chain.rows
     if n < 2:
         raise InsufficientDataError(f"need at least two rows, got {n}")
     with np.errstate(over="ignore", invalid="ignore"):
-        centered = chain.values - chain.values.mean(axis=0)
+        mean = chain.values.mean(axis=0)
+        centered = chain.values - mean
         mat = (centered.T @ centered) / n
+        noise = (n * np.finfo(float).eps * np.abs(mean)) ** 2
+    diag = np.diag(mat)
+    for j in np.flatnonzero((diag <= noise) | (diag < _TINY)):
+        col = chain.column(j)
+        if col.min() == col.max():
+            raise DegenerateDataError(f"column '{chain.label(j)}' is constant")
     _check_underflow("sample-cov", mat, centered, chain.values)
     return CovarianceEstimate(0.5 * (mat + mat.T), "sample-cov", 0, n)
 

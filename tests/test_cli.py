@@ -3,11 +3,7 @@
 import csv
 import json
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -734,35 +730,25 @@ def test_plotdata_density_failure_names_column_and_level(
     )
 
 
-def _fresh_python(*args):
-    """Run a new interpreter that imports this checkout's mcoutput."""
-    src = str(Path(mcoutput.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, *args], env={**os.environ, "PYTHONPATH": path},
-        capture_output=True, text=True,
-    )
-
-
-def test_importing_the_cli_does_not_load_scipy_signal():
+def test_importing_the_cli_does_not_load_scipy_signal(fresh_python):
     """Only generate_ar1 filters; no command line path needs scipy.signal."""
     code = "import sys, mcoutput.cli; print('scipy.signal' in sys.modules)"
-    done = _fresh_python("-c", code)
+    done = fresh_python("-c", code)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
 
 
-def test_module_entry_point_exit_codes(tmp_path):
+def test_module_entry_point_exit_codes(fresh_python, tmp_path):
     """``python -m mcoutput.cli`` passes main's return value to the shell."""
-    done = _fresh_python("-m", "mcoutput.cli", "--version")
+    done = fresh_python("-m", "mcoutput.cli", "--version")
     assert done.returncode == 0
     assert done.stdout.strip() == mcoutput.__version__
     path = tmp_path / "short.csv"
     write_chain_csv(ChainMatrix(RngStream(5).normal(size=500)), path)
-    done = _fresh_python("-m", "mcoutput.cli", "analyze", str(path),
+    done = fresh_python("-m", "mcoutput.cli", "analyze", str(path),
                          "--out-dir", str(tmp_path))
     assert done.returncode == 2, done.stderr
-    done = _fresh_python("-m", "mcoutput.cli", "demo", "--max-n", "19",
+    done = fresh_python("-m", "mcoutput.cli", "demo", "--max-n", "19",
                          "--out-dir", str(tmp_path / "demo"))
     assert done.returncode == 1
     assert "max_n" in done.stderr

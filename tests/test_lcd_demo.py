@@ -2,12 +2,13 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.special import digamma
 
-from mcoutput import RngStream
+from mcoutput import RngStream, lcd_demo
 from mcoutput.errors import DataError, NumericsError, ParameterError
 from mcoutput.lcd_demo import (
     LAMBDA_PRIOR_RATE,
@@ -15,6 +16,9 @@ from mcoutput.lcd_demo import (
     POSTERIOR_LAMBDA_SHAPE,
     PROPOSAL_SD,
     DemoConfig,
+    _LOG_TIMES,
+    _NO_OVERFLOW_BETA,
+    _WeibullGibbsSampler,
     functional_h,
     gibbs_lambda,
     log_unnormalized_posterior,
@@ -224,3 +228,71 @@ def test_run_demo_defaults():
         assert lo.point < mean < hi.point
     assert summary.region.df == 100_000 // 316 - 2
     assert summary.region.contains(summary.mean)
+
+
+def test_sampler_matches_a_scan_on_the_unbuffered_stream(
+    unbuffered_stream, philox_position
+):
+    """Two calls on the block-buffered stream give the draws, rows and
+    generator position of one call on one-draw-at-a-time uniforms."""
+    beta_start = weibull_mle_beta(LCD_FAILURE_HOURS)
+    fast, rng = _WeibullGibbsSampler(beta_start), RngStream(0)
+    h = np.vstack([fast(7_529, rng), fast(52_471, rng)])
+    slow, ref = _WeibullGibbsSampler(beta_start), unbuffered_stream(0)
+    assert h.tobytes() == slow(60_000, ref).tobytes()
+    assert fast.params.tobytes() == slow.params.tobytes()
+    assert fast.accepted == slow.accepted
+    assert philox_position(rng) == philox_position(ref)
+
+
+def test_power_sum_is_the_plain_numpy_sum():
+    betas = np.random.default_rng(5).uniform(0.0, 10.0, 10_000)
+    assert all(
+        sum_t_pow(b) == float(np.exp(b * _LOG_TIMES).sum()) for b in betas
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert math.isfinite(sum_t_pow(math.nextafter(_NO_OVERFLOW_BETA, 0.0)))
+        assert sum_t_pow(100.0) == math.inf
+        assert sum_t_pow(1e3) == math.inf
+
+
+def test_mh_beta_overflowing_proposal_is_rejected_without_warning():
+    """A proposal past beta ~ 94 overflows t^beta; it is a rejection."""
+    s = sum_t_pow(90.0)
+    seeds = [k for k in range(20) if 90.0 + 50.0 * RngStream(k).normal() > 100.0]
+    assert seeds
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for seed in seeds:
+            assert mh_beta(1e-9, 90.0, s, 50.0, RngStream(seed)) == (90.0, s, False)
+
+
+def test_weibull_mle_root_equals_scipy_brentq(monkeypatch):
+    """The ported Brent iteration returns scipy's root bit for bit, on the
+    study data and on seeded Weibull samples."""
+    from scipy.optimize import brentq
+
+    samples = [LCD_FAILURE_HOURS]
+    gen = np.random.default_rng(2024)
+    for _ in range(300):
+        shape, scale = gen.uniform(0.2, 8.0), gen.uniform(1.0, 1e3)
+        samples.append(scale * gen.weibull(shape, int(gen.integers(2, 201))))
+    ported = [weibull_mle_beta(t) for t in samples]
+    monkeypatch.setattr(
+        lcd_demo, "_brent", lambda f, a, b, xtol: brentq(f, a, b, xtol=xtol)
+    )
+    assert ported == [weibull_mle_beta(t) for t in samples]
+    assert ported[0] == float.fromhex("0x1.1ee67a1761be4p+0")
+
+
+def test_run_demo_does_not_import_scipy_optimize(fresh_python):
+    code = (
+        "import sys\n"
+        "from mcoutput.lcd_demo import DemoConfig, run_demo\n"
+        "run_demo(DemoConfig(max_n=8000))\n"
+        "print('scipy.optimize' in sys.modules)"
+    )
+    done = fresh_python("-c", code)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

@@ -17,13 +17,13 @@ from mcoutput import (
     quantile_ci,
     sample_cov_lambda,
     sqrt_batch_size,
+    stopping_controller,
 )
 from mcoutput.errors import (
     DegenerateDataError,
     InsufficientDataError,
     NumericsError,
     ParameterError,
-    SingularEstimateError,
 )
 
 HAND_CHAIN = ChainMatrix([1.0, 2.0, 3.0, 4.0])
@@ -296,9 +296,39 @@ def test_correlogram_of_a_constant_column_is_degenerate(value):
 
 
 def test_exact_zero_variances_are_not_underflow():
-    """A tiny constant column keeps its singular-estimate error, and batch
-    means that are exactly equal give an exactly zero, singular estimate."""
-    with pytest.raises(SingularEstimateError, match="target covariance"):
+    """A tiny constant column is named as constant (it used to be a
+    singular-estimate error), and batch means that are exactly equal give
+    an exactly zero, singular estimate."""
+    with pytest.raises(DegenerateDataError, match="^column 'col0' is constant$"):
         evaluate_verdict(_with_constant_column(3e-170), StoppingConfig(p=2))
     periodic = batch_means_sigma(ChainMatrix(np.tile([0.0, 1.0], 50)), 2)
     assert periodic.matrix[0, 0] == 0.0 and periodic.chol is None
+
+
+@pytest.mark.parametrize("value", [0.1, 0.0])
+def test_a_constant_column_is_named_by_every_verdict(value):
+    """0.1 gave an ESS of about 600 built from rounding noise, 0.0 a
+    singular-estimate error naming no column."""
+    chain = ChainMatrix(_with_constant_column(value).values, ("x", "y"))
+    message = "^column 'x' is constant$"
+    with pytest.raises(DegenerateDataError, match=message):
+        sample_cov_lambda(chain)
+    with pytest.raises(DegenerateDataError, match=message):
+        evaluate_verdict(chain, StoppingConfig(p=2))
+
+    def sampler(k, rng):
+        return np.column_stack([np.full(k, value), rng.normal(size=k)])
+
+    with pytest.raises(DegenerateDataError, match="^column 'c' is constant$"):
+        stopping_controller(
+            sampler, StoppingConfig(p=2), RngStream(4), labels=("c", "d")
+        )
+
+
+def test_a_column_with_a_tiny_relative_spread_is_not_constant():
+    """Its variance is below the rounding-noise bound, so the min == max
+    scan runs, and finds the column varies."""
+    x = UNIT_CHAIN.copy()
+    x[:, 0] = 1e8 + 1e-6 * x[:, 0]
+    lam = sample_cov_lambda(ChainMatrix(x))
+    assert 0.0 < lam.matrix[0, 0] < (3000 * np.finfo(float).eps * 1e8) ** 2
