@@ -9,7 +9,8 @@ plotdata  write plot-ready delimited files (no plotting here)
 Exit codes: 0 when the stopping rule is satisfied, 2 when the run is
 healthy but the effective sample size is still below the cutoff (pipelines
 can loop on "run longer"), 1 for any error. Reports are JSON with floats
-written to 17 significant digits so every value round-trips exactly.
+in the shortest form that round-trips exactly; CSVs keep 17 significant
+digits (``%.17g``).
 The default output directory is the MCOUTPUT_OUT_DIR environment
 variable, falling back to the current directory.
 """
@@ -30,6 +31,7 @@ from . import __version__, lcd_demo
 from .chain import ChainMatrix, discard_initial
 from .errors import (
     InsufficientDataError,
+    NumericsError,
     OutputAnalysisError,
     ParseError,
     UsageError,
@@ -60,53 +62,13 @@ PLOT_KINDS = ("trace", "acf", "ccf", "density", "region")
 # ---------------------------------------------------------------------------
 # serialization
 
-def _write_json(obj, out, level, indent):
-    pad = " " * (indent * level)
-    pad_in = " " * (indent * (level + 1))
-    if obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        # 17 significant digits: enough to reproduce any double exactly
-        out.append(format(x, ".17g") if math.isfinite(x) else "null")
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
-        for i, (key, value) in enumerate(obj.items()):
-            out.append(pad_in + json.dumps(str(key)) + ": ")
-            _write_json(value, out, level + 1, indent)
-            out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(pad + "}")
-    elif isinstance(obj, (list, tuple, np.ndarray)):
-        seq = obj.tolist() if isinstance(obj, np.ndarray) else list(obj)
-        if not seq:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for i, value in enumerate(seq):
-            out.append(pad_in)
-            _write_json(value, out, level + 1, indent)
-            out.append(",\n" if i < len(seq) - 1 else "\n")
-        out.append(pad + "]")
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
 def dumps_report(report):
-    """Serialize a report dict: stable key order, 17-digit floats."""
-    out = []
-    _write_json(report, out, 0, 2)
-    return "".join(out) + "\n"
+    """Serialize a report dict: insertion key order, floats in the shortest
+    form that round-trips exactly. A non-finite float raises NumericsError."""
+    try:
+        return json.dumps(report, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise NumericsError(f"report: {exc}") from None
 
 
 def _write_csv(path, header, *columns):
@@ -177,17 +139,17 @@ def _covariance_dict(est):
         "batch_size": est.batch_size,
         "n_used": est.n_used,
         "is_psd": est.is_psd,
-        "matrix": [[float(v) for v in row] for row in est.matrix],
+        "matrix": est.matrix.tolist(),
     }
 
 
 def _region_dict(region):
     return {
-        "center": [float(v) for v in region.center],
-        "shape": [[float(v) for v in row] for row in region.shape],
+        "center": region.center.tolist(),
+        "shape": region.shape.tolist(),
         "hotelling_q2": region.hotelling_q2,
         "df": region.df,
-        "volume": region.volume,
+        "log_volume": region.log_volume,
     }
 
 
@@ -341,7 +303,7 @@ def cmd_analyze(args):
             "kde_bandwidth_rule": KDE_BANDWIDTH_RULE,
             "hotelling_df_rule": "batches - p",
         },
-        "mean": [float(v) for v in summary.mean],
+        "mean": summary.mean.tolist(),
         "target_covariance": _covariance_dict(lam),
         "asymptotic_covariance": {
             **_covariance_dict(sig),

@@ -156,7 +156,9 @@ class ConfidenceRegion:
     """Hotelling-style ellipsoidal confidence region for the mean.
 
     The region is {x : (x - center)^T shape^(-1) (x - center) < hotelling_q2}
-    with shape = Sigma_hat / n. ``boundary`` is a 128-point polyline of the
+    with shape = Sigma_hat / n. ``log_volume`` is the natural log of its
+    volume, kept in log space so it neither overflows nor underflows for
+    a chain on any scale. ``boundary`` is a 128-point polyline of the
     ellipse for p = 2 and None otherwise.
     """
 
@@ -164,7 +166,7 @@ class ConfidenceRegion:
     shape: np.ndarray
     hotelling_q2: float
     df: float
-    volume: float
+    log_volume: float
     boundary: np.ndarray | None
 
     @property
@@ -207,8 +209,9 @@ def hotelling_region(mean, sigma_est, n, alpha, q):
     Notes
     -----
     The squared radius is T^2 = q * p / (q - p + 1) * F_{1-alpha; p, q-p+1}
-    and the volume is the ellipsoid volume
-    2 pi^(p/2) / (p Gamma(p/2)) * (T^2 / n)^(p/2) * det(Sigma)^(1/2).
+    and the region is returned with the log of the ellipsoid volume,
+    log 2 + (p/2) log pi - log p - log Gamma(p/2) + (p/2) log(T^2 / n)
+    + (1/2) log det(Sigma).
     """
     center = np.atleast_1d(np.asarray(mean, dtype=float)).copy()
     if center.ndim != 1:
@@ -251,7 +254,7 @@ def hotelling_region(mean, sigma_est, n, alpha, q):
         shape=shape,
         hotelling_q2=float(t2),
         df=float(q),
-        volume=float(math.exp(log_volume)),
+        log_volume=log_volume,
         boundary=boundary,
     )
 

@@ -18,6 +18,7 @@ from mcoutput import (
     batch_means_sigma,
     default_batch_size,
     generate_ar1,
+    hotelling_region,
     quantile_ci,
     sqrt_batch_size,
 )
@@ -27,7 +28,7 @@ from mcoutput.cli import (
     read_chain_csv,
     write_chain_csv,
 )
-from mcoutput.errors import ParameterError, ParseError
+from mcoutput.errors import NumericsError, ParameterError, ParseError
 
 
 @pytest.fixture(scope="module")
@@ -73,7 +74,8 @@ def test_analyze_report_is_deterministic_and_roundtrips(ar1_csv, tmp_path):
     main(["analyze", str(ar1_csv), "--out", str(out2)])
     text = out1.read_text()
     assert text == out2.read_text()
-    # parse, re-serialize: 17-digit floats make this byte-stable
+    # parse, re-serialize: floats in the shortest form that round-trips
+    # exactly make this byte-stable
     assert dumps_report(json.loads(text)) == text
 
 
@@ -145,6 +147,34 @@ def test_analyze_underflowing_chain_says_to_rescale(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: sample-cov covariance underflows; rescale the chain\n"
     )
+
+
+@pytest.mark.parametrize(
+    "cols, scale", [(10, 2.0**300), (10, 1e100), (10, 1e-100), (50, 1e30)]
+)
+def test_analyze_region_log_volume_on_any_scale(tmp_path, cols, scale):
+    """The region's volume, e^2269 at 1e100 and e^-2336 at 1e-100, is no
+    double: it used to overflow with a traceback, or be written as 0."""
+    x = RngStream(41).normal(size=(20_000, cols))
+    path = tmp_path / "scaled.csv"
+    write_chain_csv(ChainMatrix(x * scale), path)
+    assert main(["analyze", str(path), "--out-dir", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "scaled_report.json").read_text())
+    region = report["region"]
+    sig = batch_means_sigma(ChainMatrix(x), report["config"]["batch_size"])
+    unit = hotelling_region(x.mean(axis=0), sig, 20_000, 0.05, region["df"])
+    assert math.isfinite(region["log_volume"])
+    assert region["log_volume"] - unit.log_volume == pytest.approx(
+        cols * math.log(scale), abs=1e-6
+    )
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_report_value_is_a_numerics_error(value):
+    with pytest.raises(NumericsError, match="not JSON compliant"):
+        dumps_report({"x": value})
+    with pytest.raises(NumericsError, match="not JSON compliant"):
+        dumps_report({"region": {"center": [0.0, value]}})
 
 
 def test_analyze_cutoff_below_eight_names_alpha_and_epsilon(

@@ -259,7 +259,7 @@ def test_hotelling_univariate_halfwidth_identity():
     identity = half**2 * 1_000 / sig.matrix[0, 0]
     assert identity == pytest.approx(f_quantile(0.95, 1, q), rel=1e-10)
     # interval length doubles as the p = 1 volume
-    assert region.volume == pytest.approx(hi - lo, rel=1e-12)
+    assert math.exp(region.log_volume) == pytest.approx(hi - lo, rel=1e-12)
 
 
 def test_hotelling_boundary_sits_on_the_ellipse():
@@ -281,7 +281,24 @@ def test_hotelling_volume_matches_polygon_area():
     area = 0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y))
     k = region.boundary.shape[0]
     deficit = k * math.sin(2.0 * math.pi / k) / (2.0 * math.pi)
-    assert area == pytest.approx(region.volume * deficit, rel=1e-10)
+    assert area == pytest.approx(math.exp(region.log_volume) * deficit, rel=1e-10)
+
+
+@pytest.mark.parametrize("power", [300, -300])
+def test_hotelling_log_volume_shifts_by_p_log_scale(power):
+    """Scaling by 2^power is exact: log det(Sigma) moves by 2 p power ln 2
+    and log_volume by half that. The volume itself, 2^(+-3000) times the
+    unit one, is no double."""
+    x = RngStream(37).normal(size=(20_000, 10))
+
+    def log_volume(values):
+        sig = batch_means_sigma(ChainMatrix(values), 24)
+        q = default_hotelling_df(sig, 10)
+        return hotelling_region(values.mean(axis=0), sig, 20_000, 0.05, q).log_volume
+
+    unit, scaled = log_volume(x), log_volume(x * 2.0**power)
+    assert math.isfinite(unit) and math.isfinite(scaled)
+    assert scaled - unit == pytest.approx(10 * power * math.log(2.0), abs=1e-9)
 
 
 def test_hotelling_contains():
@@ -357,7 +374,7 @@ def test_summarize_matches_its_parts_and_keeps_failed_entries_in_place():
     assert summary.region_reason is None
     want = hotelling_region(x.mean(axis=0), sig, 2000, 0.05, 2000 // 12 - 2)
     np.testing.assert_array_equal(summary.region.boundary, want.boundary)
-    assert summary.region.volume == want.volume
+    assert summary.region.log_volume == want.log_volume
 
 
 def test_summarize_without_a_region_says_why():
