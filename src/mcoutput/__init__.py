@@ -10,13 +10,7 @@ worked Bayesian Weibull reliability example and a small CLI
 
 __version__ = "0.1.0"
 
-from .chain import (
-    Ar1Spec,
-    ChainMatrix,
-    RngStream,
-    discard_initial,
-    generate_ar1,
-)
+from .chain import ChainMatrix, RngStream, discard_initial
 from .errors import (
     DataError,
     DegenerateDataError,
@@ -75,11 +69,9 @@ from .quantiles import (
 
 __all__ = [
     "__version__",
-    "Ar1Spec",
     "ChainMatrix",
     "RngStream",
     "discard_initial",
-    "generate_ar1",
     "CovarianceEstimate",
     "CorrelogramSeries",
     "batch_means_sigma",

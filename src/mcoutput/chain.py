@@ -1,10 +1,8 @@
-"""Chain storage, reproducible random streams, and synthetic AR(1) chains.
+"""Chain storage and reproducible random streams.
 
 A chain is an n-by-p matrix: one row per retained draw, one column per
 component of the functional whose expectation is being estimated.
 """
-
-from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import ndtri
@@ -13,16 +11,13 @@ from .errors import (
     DataError,
     DimensionError,
     InsufficientDataError,
-    ParameterError,
     _require_int,
 )
 
 __all__ = [
     "ChainMatrix",
     "RngStream",
-    "Ar1Spec",
     "discard_initial",
-    "generate_ar1",
 ]
 
 _TWO64 = 2**64
@@ -52,6 +47,8 @@ class RngStream:
     """
 
     def __init__(self, seed, stream_id=0):
+        _require_int(seed, "seed")
+        _require_int(stream_id, "stream_id")
         self.seed = int(seed)
         self.stream_id = int(stream_id)
         key = np.array(
@@ -185,67 +182,3 @@ def discard_initial(chain, k):
             f"discarding {k} rows leaves nothing of a {chain.rows}-row chain"
         )
     return ChainMatrix(chain.values[k:], chain.labels)
-
-
-@dataclass(frozen=True)
-class Ar1Spec:
-    """First-order autoregression used for synthetic test chains.
-
-    X_t = rho * X_{t-1} + e_t with e_t ~ N(0, innovation_sd^2 * C) where C
-    is the optional innovation correlation across the ``dim`` components
-    (identity when omitted). The first draw comes from the stationary law,
-    so the generated chain is stationary from row one.
-    """
-
-    rho: float
-    innovation_sd: float = 1.0
-    dim: int = 1
-    cross_correlation: np.ndarray | None = field(default=None)
-
-    def __post_init__(self):
-        if not abs(self.rho) < 1.0:
-            raise ParameterError(f"|rho| must be < 1, got {self.rho}")
-        if not self.innovation_sd > 0.0:
-            raise ParameterError("innovation_sd must be positive")
-        if self.dim < 1:
-            raise ParameterError("dim must be >= 1")
-        if self.cross_correlation is not None:
-            c = np.asarray(self.cross_correlation, dtype=float)
-            if c.shape != (self.dim, self.dim):
-                raise DimensionError(
-                    f"cross_correlation must be {self.dim}x{self.dim}"
-                )
-            if not np.allclose(c, c.T, atol=1e-12):
-                raise ParameterError("cross_correlation must be symmetric")
-            object.__setattr__(self, "cross_correlation", c)
-
-    @property
-    def stationary_variance(self):
-        """Per-component variance of the stationary law."""
-        return self.innovation_sd**2 / (1.0 - self.rho**2)
-
-
-def generate_ar1(spec, n, rng):
-    """Simulate ``n`` rows of the AR(1) chain described by ``spec``.
-
-    Consumes exactly n * dim normals from ``rng`` in row-major order.
-    """
-    from scipy.signal import lfilter
-
-    if n < 1:
-        raise ParameterError(f"n must be >= 1, got {n}")
-    z = rng.normal(size=(int(n), spec.dim))
-    if spec.cross_correlation is not None:
-        try:
-            chol = np.linalg.cholesky(spec.cross_correlation)
-        except np.linalg.LinAlgError:
-            raise ParameterError(
-                "cross_correlation must be positive definite"
-            ) from None
-        eps = (z @ chol.T) * spec.innovation_sd
-    else:
-        eps = z * spec.innovation_sd
-    # stationary start: var(X_1) = innovation variance / (1 - rho^2)
-    eps[0] *= 1.0 / np.sqrt(1.0 - spec.rho**2)
-    x = lfilter([1.0], [1.0, -spec.rho], eps, axis=0)
-    return ChainMatrix(x)

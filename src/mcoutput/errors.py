@@ -12,7 +12,7 @@ class DimensionError(OutputAnalysisError):
 
 
 class DataError(OutputAnalysisError):
-    """Input values are unusable (non-finite, non-numeric, wrong checksum)."""
+    """Input values are unusable (non-finite or non-numeric)."""
 
 
 class ParseError(DataError):

@@ -21,6 +21,7 @@ from scipy.special import fdtri, gammaincinv
 
 from .chain import ChainMatrix
 from .errors import (
+    DataError,
     DegreesOfFreedomError,
     DimensionError,
     NumericsError,
@@ -216,6 +217,8 @@ def hotelling_region(mean, sigma_est, n, alpha, q):
     center = np.atleast_1d(np.asarray(mean, dtype=float)).copy()
     if center.ndim != 1:
         raise DimensionError("mean must be a vector")
+    if not np.isfinite(center).all():
+        raise DataError(f"mean must be finite, got {center.tolist()}")
     p = center.size
     if sigma_est.dim != p:
         raise DimensionError(
@@ -300,10 +303,8 @@ class StoppingConfig:
                     "first check needs; lower alpha or epsilon"
                 )
             object.__setattr__(self, "n_star", cutoff.rounded)
-        if self.n_star < 8:
-            raise ParameterError(f"n_star must be >= 8, got {self.n_star}")
-        if self.max_n < 1:
-            raise ParameterError(f"max_n must be >= 1, got {self.max_n}")
+        _require_int(self.n_star, "n_star", 8)
+        _require_int(self.max_n, "max_n", 1)
 
 
 @dataclass(frozen=True)

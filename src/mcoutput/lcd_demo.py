@@ -45,7 +45,6 @@ __all__ = [
     "CREDIBLE_LEVELS",
     "DemoConfig",
     "DemoReport",
-    "log_unnormalized_posterior",
     "sum_t_pow",
     "gibbs_lambda",
     "mh_beta",
@@ -102,30 +101,6 @@ def sum_t_pow(beta):
 def _power_sum(beta):
     # the reduction ndarray.sum runs, without its Python wrapper
     return float(np.add.reduce(np.exp(beta * _LOG_TIMES)))
-
-
-def log_unnormalized_posterior(lam, beta):
-    """Log of the unnormalized posterior density at (lambda, beta).
-
-    log f = 32.5 ln(lambda) + 31 ln(beta) + (beta - 1) sum ln(t_i)
-            - lambda sum t_i^beta - beta - 2350 lambda
-
-    Returns -inf off the support (either coordinate <= 0), which is a
-    Metropolis rejection rather than an error.
-    """
-    if not (math.isfinite(lam) and math.isfinite(beta)):
-        return -math.inf
-    if lam <= 0.0 or beta <= 0.0:
-        return -math.inf
-    s = sum_t_pow(beta)
-    return (
-        (POSTERIOR_LAMBDA_SHAPE - 1.0) * math.log(lam)
-        + _N_FAILURES * math.log(beta)
-        + (beta - 1.0) * _SUM_LOG_TIMES
-        - lam * s
-        - BETA_PRIOR_RATE * beta
-        - LAMBDA_PRIOR_RATE * lam
-    )
 
 
 def _standard_gamma(shape, rng):
@@ -346,9 +321,10 @@ class _WeibullGibbsSampler:
 class DemoConfig:
     """The settings of :func:`run_demo` that the command line exposes.
 
-    :class:`StoppingConfig` validates alpha, epsilon and max_n before the
-    first draw, and :func:`run_demo` also requires max_n > ``ACF_LAGS``;
-    the other run settings are the module constants above.
+    :class:`StoppingConfig` validates alpha, epsilon and max_n, and
+    :class:`RngStream` the seed, before any work; :func:`run_demo` also
+    requires max_n > ``ACF_LAGS``. The other run settings are the module
+    constants above.
     """
 
     seed: int = 0
@@ -409,9 +385,6 @@ def run_demo(config=None):
     """
     if config is None:
         config = DemoConfig()
-    beta_start = weibull_mle_beta(LCD_FAILURE_HOURS)
-    rng = RngStream(config.seed, STREAM_ID)
-    sampler = _WeibullGibbsSampler(beta_start)
     stop_cfg = StoppingConfig(
         p=2, alpha=config.alpha, epsilon=config.epsilon, max_n=config.max_n
     )
@@ -420,6 +393,9 @@ def run_demo(config=None):
             f"max_n must be >= {ACF_LAGS + 1} for correlograms to lag "
             f"{ACF_LAGS}, got {config.max_n}"
         )
+    rng = RngStream(config.seed, STREAM_ID)
+    beta_start = weibull_mle_beta(LCD_FAILURE_HOURS)
+    sampler = _WeibullGibbsSampler(beta_start)
     def next_check(n):
         if n < LONG_RUN_N:
             return LONG_RUN_N

@@ -1,0 +1,117 @@
+"""Reference implementations the test modules check the library against.
+
+Not collected by pytest (the file name has no ``test_`` prefix); test
+modules import it as ``oracles``, since pytest's default import mode puts
+this directory on ``sys.path``.
+
+- :class:`Ar1Spec` and :func:`generate_ar1` simulate synthetic AR(1)
+  chains whose asymptotic covariance is known in closed form.
+- :func:`log_unnormalized_posterior` is the lamp study's log posterior
+  density, written out term by term, which the sampler kernel in
+  ``mcoutput.lcd_demo`` is checked against.
+"""
+
+import math
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from mcoutput import ChainMatrix, DimensionError, ParameterError
+from mcoutput.lcd_demo import (
+    BETA_PRIOR_RATE,
+    LAMBDA_PRIOR_RATE,
+    LCD_FAILURE_HOURS,
+    POSTERIOR_LAMBDA_SHAPE,
+    sum_t_pow,
+)
+
+_N_FAILURES = len(LCD_FAILURE_HOURS)
+_SUM_LOG_TIMES = float(np.log(LCD_FAILURE_HOURS).sum())
+
+
+@dataclass(frozen=True)
+class Ar1Spec:
+    """First-order autoregression used for synthetic test chains.
+
+    X_t = rho * X_{t-1} + e_t with e_t ~ N(0, innovation_sd^2 * C) where C
+    is the optional innovation correlation across the ``dim`` components
+    (identity when omitted). The first draw comes from the stationary law,
+    so the generated chain is stationary from row one.
+    """
+
+    rho: float
+    innovation_sd: float = 1.0
+    dim: int = 1
+    cross_correlation: np.ndarray | None = field(default=None)
+
+    def __post_init__(self):
+        if not abs(self.rho) < 1.0:
+            raise ParameterError(f"|rho| must be < 1, got {self.rho}")
+        if not self.innovation_sd > 0.0:
+            raise ParameterError("innovation_sd must be positive")
+        if self.dim < 1:
+            raise ParameterError("dim must be >= 1")
+        if self.cross_correlation is not None:
+            c = np.asarray(self.cross_correlation, dtype=float)
+            if c.shape != (self.dim, self.dim):
+                raise DimensionError(
+                    f"cross_correlation must be {self.dim}x{self.dim}"
+                )
+            if not np.allclose(c, c.T, atol=1e-12):
+                raise ParameterError("cross_correlation must be symmetric")
+            object.__setattr__(self, "cross_correlation", c)
+
+    @property
+    def stationary_variance(self):
+        """Per-component variance of the stationary law."""
+        return self.innovation_sd**2 / (1.0 - self.rho**2)
+
+
+def generate_ar1(spec, n, rng):
+    """Simulate ``n`` rows of the AR(1) chain described by ``spec``.
+
+    Consumes exactly n * dim normals from ``rng`` in row-major order.
+    """
+    from scipy.signal import lfilter
+
+    if n < 1:
+        raise ParameterError(f"n must be >= 1, got {n}")
+    z = rng.normal(size=(int(n), spec.dim))
+    if spec.cross_correlation is not None:
+        try:
+            chol = np.linalg.cholesky(spec.cross_correlation)
+        except np.linalg.LinAlgError:
+            raise ParameterError(
+                "cross_correlation must be positive definite"
+            ) from None
+        eps = (z @ chol.T) * spec.innovation_sd
+    else:
+        eps = z * spec.innovation_sd
+    # stationary start: var(X_1) = innovation variance / (1 - rho^2)
+    eps[0] *= 1.0 / np.sqrt(1.0 - spec.rho**2)
+    x = lfilter([1.0], [1.0, -spec.rho], eps, axis=0)
+    return ChainMatrix(x)
+
+
+def log_unnormalized_posterior(lam, beta):
+    """Log of the unnormalized posterior density at (lambda, beta).
+
+    log f = 32.5 ln(lambda) + 31 ln(beta) + (beta - 1) sum ln(t_i)
+            - lambda sum t_i^beta - beta - 2350 lambda
+
+    Returns -inf off the support (either coordinate <= 0), which is a
+    Metropolis rejection rather than an error.
+    """
+    if not (math.isfinite(lam) and math.isfinite(beta)):
+        return -math.inf
+    if lam <= 0.0 or beta <= 0.0:
+        return -math.inf
+    s = sum_t_pow(beta)
+    return (
+        (POSTERIOR_LAMBDA_SHAPE - 1.0) * math.log(lam)
+        + _N_FAILURES * math.log(beta)
+        + (beta - 1.0) * _SUM_LOG_TIMES
+        - lam * s
+        - BETA_PRIOR_RATE * beta
+        - LAMBDA_PRIOR_RATE * lam
+    )

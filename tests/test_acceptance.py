@@ -12,7 +12,6 @@ import pytest
 from scipy.special import gammainc
 
 from mcoutput import (
-    Ar1Spec,
     ChainMatrix,
     RngStream,
     batch_means_sigma,
@@ -20,7 +19,6 @@ from mcoutput import (
     default_batch_size,
     ess,
     flat_top_sigma,
-    generate_ar1,
     hotelling_region,
     min_ess_cutoff,
     quantile_ci,
@@ -33,12 +31,12 @@ from mcoutput.lcd_demo import (
     POSTERIOR_LAMBDA_SHAPE,
     DemoConfig,
     gibbs_lambda,
-    log_unnormalized_posterior,
     mh_beta,
     run_demo,
     sum_t_pow,
     weibull_mle_beta,
 )
+from oracles import Ar1Spec, generate_ar1, log_unnormalized_posterior
 
 
 def _report(num, ok, detail):

@@ -13,7 +13,7 @@ def test_top_level_exports():
     assert set(mcoutput.__all__) == {
         "__version__",
         # chain
-        "Ar1Spec", "ChainMatrix", "RngStream", "discard_initial", "generate_ar1",
+        "ChainMatrix", "RngStream", "discard_initial",
         # mcse
         "CovarianceEstimate", "CorrelogramSeries", "batch_means_sigma",
         "flat_top_sigma", "sample_cov_lambda", "default_batch_size",

@@ -11,13 +11,11 @@ from scipy.special import ndtri
 
 import mcoutput
 from mcoutput import (
-    Ar1Spec,
     ChainMatrix,
     RngStream,
     StoppingConfig,
     batch_means_sigma,
     default_batch_size,
-    generate_ar1,
     hotelling_region,
     quantile_ci,
     sqrt_batch_size,
@@ -29,6 +27,7 @@ from mcoutput.cli import (
     write_chain_csv,
 )
 from mcoutput.errors import NumericsError, ParameterError, ParseError
+from oracles import Ar1Spec, generate_ar1
 
 
 @pytest.fixture(scope="module")
@@ -761,7 +760,7 @@ def test_plotdata_density_failure_names_column_and_level(
 
 
 def test_importing_the_cli_does_not_load_scipy_signal(fresh_python):
-    """Only generate_ar1 filters; no command line path needs scipy.signal."""
+    """No command line path needs scipy.signal; the package never imports it."""
     code = "import sys, mcoutput.cli; print('scipy.signal' in sys.modules)"
     done = fresh_python("-c", code)
     assert done.returncode == 0, done.stderr

@@ -10,7 +10,6 @@ from scipy.special import betainc, gammainc
 from scipy.stats import t as student_t
 
 from mcoutput import (
-    Ar1Spec,
     ChainMatrix,
     CovarianceEstimate,
     RngStream,
@@ -23,7 +22,6 @@ from mcoutput import (
     evaluate_verdict,
     f_quantile,
     flat_top_sigma,
-    generate_ar1,
     hotelling_region,
     min_ess_cutoff,
     quantile_ci,
@@ -34,12 +32,14 @@ from mcoutput import (
 )
 from mcoutput.inference import CHECK_GROWTH
 from mcoutput.errors import (
+    DataError,
     DegenerateDataError,
     DegreesOfFreedomError,
     DimensionError,
     ParameterError,
     SingularEstimateError,
 )
+from oracles import Ar1Spec, generate_ar1
 
 M1 = 6146.334113110594  # 4 * chi2_{.95,1} / .05^2
 M2 = 7529.096402175241  # the p = 2 default cutoff
@@ -338,6 +338,20 @@ def test_hotelling_validation():
         hotelling_region([0.0, 0.0], indefinite, 100, 0.05, 8)
 
 
+@pytest.mark.parametrize(
+    "mean",
+    [[math.nan, 0.0], [0.0, math.inf], [-math.inf, 1.0]],
+    ids=["nan", "inf", "-inf"],
+)
+def test_hotelling_rejects_non_finite_mean(mean):
+    sig = CovarianceEstimate(
+        matrix=np.eye(2), kind="batch-means", batch_size=10,
+        n_used=2_000,
+    )
+    with pytest.raises(DataError, match=r"^mean must be finite, got \["):
+        hotelling_region(mean, sig, 2_000, 0.05, 198)
+
+
 def test_default_hotelling_df_rule():
     chain = generate_ar1(Ar1Spec(rho=0.2, dim=2), 1_000, RngStream(13))
     sig = batch_means_sigma(chain, 30)
@@ -417,6 +431,25 @@ def test_stopping_config_defaults_and_validation():
         StoppingConfig(p=1, check_growth=2.0)
     with pytest.raises(ParameterError):
         StoppingConfig(p=1, max_n=0)
+
+
+@pytest.mark.parametrize(
+    "setting, message",
+    [
+        ({"n_star": 7}, "n_star must be >= 8, got 7"),
+        ({"max_n": 0}, "max_n must be >= 1, got 0"),
+        ({"max_n": 10.5}, "max_n must be an integer"),
+        ({"max_n": True}, "max_n must be an integer"),
+        ({"max_n": "1000"}, "max_n must be an integer"),
+        ({"n_star": 8.5}, "n_star must be an integer"),
+    ],
+    ids=["n_star=7", "max_n=0", "max_n=10.5", "max_n=True", "max_n='1000'",
+         "n_star=8.5"],
+)
+def test_stopping_config_count_checks(setting, message):
+    with pytest.raises(ParameterError) as info:
+        StoppingConfig(p=2, **setting)
+    assert str(info.value) == message
 
 
 def test_stopping_config_is_frozen():

@@ -21,12 +21,12 @@ from mcoutput.lcd_demo import (
     _WeibullGibbsSampler,
     functional_h,
     gibbs_lambda,
-    log_unnormalized_posterior,
     mh_beta,
     run_demo,
     sum_t_pow,
     weibull_mle_beta,
 )
+from oracles import log_unnormalized_posterior
 
 TOTAL_HOURS = 17907.0
 TIMES = np.array(LCD_FAILURE_HOURS)
@@ -209,6 +209,27 @@ def test_run_demo_config_validation():
     # correlograms to lag ACF_LAGS need more draws than lags
     with pytest.raises(ParameterError, match="max_n must be >= 51"):
         run_demo(DemoConfig(max_n=50))
+
+
+@pytest.mark.parametrize(
+    "setting, name",
+    [
+        ({"max_n": 60.5}, "max_n"),
+        ({"max_n": True}, "max_n"),
+        ({"max_n": "1000"}, "max_n"),
+        ({"seed": 1.5, "max_n": 2_000}, "seed"),
+    ],
+    ids=["max_n=60.5", "max_n=True", "max_n='1000'", "seed=1.5"],
+)
+def test_run_demo_rejects_non_integer_settings_before_any_work(
+    monkeypatch, setting, name
+):
+    def no_mle(times):
+        raise AssertionError("the MLE ran before the settings were checked")
+
+    monkeypatch.setattr(lcd_demo, "weibull_mle_beta", no_mle)
+    with pytest.raises(ParameterError, match=f"^{name} must be an integer$"):
+        run_demo(DemoConfig(**setting))
 
 
 def test_run_demo_defaults():

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from mcoutput import (
-    Ar1Spec,
     ChainMatrix,
     RngStream,
     StoppingConfig,
@@ -13,7 +12,6 @@ from mcoutput import (
     default_batch_size,
     evaluate_verdict,
     flat_top_sigma,
-    generate_ar1,
     quantile_ci,
     sample_cov_lambda,
     sqrt_batch_size,
@@ -25,6 +23,7 @@ from mcoutput.errors import (
     NumericsError,
     ParameterError,
 )
+from oracles import Ar1Spec, generate_ar1
 
 HAND_CHAIN = ChainMatrix([1.0, 2.0, 3.0, 4.0])
 

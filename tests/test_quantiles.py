@@ -93,7 +93,7 @@ def test_indicator_sigma2_iid_median():
 def test_indicator_sigma2_grows_under_positive_correlation():
     """Positive lag covariances inflate the indicator variance over the
     iid value q(1-q) = 0.25."""
-    from mcoutput import Ar1Spec, generate_ar1
+    from oracles import Ar1Spec, generate_ar1
 
     chain = generate_ar1(Ar1Spec(rho=0.5), 100_000, RngStream(65))
     assert indicator_sigma2(chain.values[:, 0], 0.0, 316) > 0.25
