@@ -11,6 +11,7 @@ from .errors import (
     DataError,
     DimensionError,
     InsufficientDataError,
+    ParameterError,
     _require_int,
 )
 
@@ -20,6 +21,7 @@ __all__ = [
     "discard_initial",
 ]
 
+_TWO63 = 2**63
 _TWO64 = 2**64
 # smallest uniform handed out; keeps the inverse normal CDF finite
 _OPEN_LOW = 2.0**-53
@@ -39,6 +41,9 @@ class RngStream:
     sequence. That convention is relied on by the Weibull demo for
     seed-reproducible output.
 
+    Both keys are integers in [-2**63, 2**63), the range that maps
+    one-to-one onto the generator's two 64-bit key words.
+
     Scalar draws are served from a block of ``_BLOCK`` uniforms drawn at
     once, with the inverse normal CDF of each kept beside it; Philox
     ``random(k)`` gives the same doubles as k scalar ``random()`` calls.
@@ -47,8 +52,12 @@ class RngStream:
     """
 
     def __init__(self, seed, stream_id=0):
-        _require_int(seed, "seed")
-        _require_int(stream_id, "stream_id")
+        for value, what in ((seed, "seed"), (stream_id, "stream_id")):
+            _require_int(value, what)
+            if not -_TWO63 <= value < _TWO63:
+                raise ParameterError(
+                    f"{what} must be in [-2**63, 2**63), got {value}"
+                )
         self.seed = int(seed)
         self.stream_id = int(stream_id)
         key = np.array(
@@ -125,7 +134,21 @@ class ChainMatrix:
     __slots__ = ("_data", "labels")
 
     def __init__(self, data, labels=None):
-        arr = np.array(data, dtype=float)
+        self._freeze(np.array(data, dtype=float), labels)
+
+    @classmethod
+    def _adopt(cls, arr, labels=None):
+        """Wrap a fresh float64 array the package owns, without copying it.
+
+        The checks are those of ``ChainMatrix(arr)``; ``arr`` itself is
+        then marked read-only, so no caller may keep a writable reference.
+        """
+        chain = cls.__new__(cls)
+        chain._freeze(arr, labels)
+        return chain
+
+    def _freeze(self, arr, labels):
+        """Check a float array and its labels, then store it read-only."""
         if arr.ndim == 1:
             arr = arr[:, None]
         if arr.ndim != 2:

@@ -19,6 +19,7 @@ import argparse
 import array
 import csv
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -98,39 +99,86 @@ def read_chain_csv(path):
 
     The file must be UTF-8 text. Blank lines are skipped, so the header is
     the first non-blank row; a leading UTF-8 byte-order mark is dropped.
-    The file is read once, and an error names the physical line of the
-    first bad row in file order.
+    The file is opened once. Its rows are read by ``np.loadtxt`` where that
+    gives a finite value for every cell of every row; otherwise, and
+    always for input that cannot seek (a pipe), the csv-module parser reads
+    it from the start. That parser decides every error, which names the
+    physical line of the first bad row in file order.
     """
-    values = array.array("d")
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        if fh.seekable():
+            chain = _loadtxt_chain(fh)
+            if chain is not None:
+                return chain
+            fh.seek(0)
+        return _csv_chain(fh, path)
+
+
+def _loadtxt_chain(fh):
+    """The chain in ``fh`` as ``np.loadtxt`` reads it, or None where the
+    csv parser must decide: any error, a file with no data row, a field
+    longer than the csv module's limit, a column count that differs from
+    the header's, or a value that is not finite."""
+    limit = csv.field_size_limit()
+
+    def within_limit(line):
+        if len(line) > limit:
+            if max(map(len, line.rstrip("\r\n").split(","))) > limit:
+                raise ValueError("field larger than field limit")
+        return line
+
     try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            numbered = enumerate(csv.reader(fh), start=1)
-            header_line, header = next(
-                ((n, row) for n, row in numbered if row), (1, None)
-            )
-            if header is None:
-                raise ParseError("file is empty", line=1)
-            labels = [cell.strip() for cell in header]
-            width = len(labels)
-            for lineno, row in numbered:
-                if not row:
-                    continue
-                if len(row) != width:
-                    raise ParseError(
-                        f"expected {width} columns, got {len(row)}", line=lineno
-                    )
-                try:
-                    cells = [float(cell) for cell in row]
-                except ValueError as exc:
-                    raise ParseError(str(exc), line=lineno) from None
-                if not all(map(math.isfinite, cells)):
-                    raise ParseError("chain values must all be finite", line=lineno)
-                values.extend(cells)
+        header = next(filter(None, csv.reader(fh)), None)
+        # loadtxt warns, rather than raises, when no data line follows
+        first = next((line for line in fh if line.strip("\r\n")), None)
+        if header is None or first is None:
+            return None
+        arr = np.loadtxt(
+            map(within_limit, itertools.chain((first,), fh)),
+            delimiter=",",
+            comments=None,
+            ndmin=2,
+            dtype=float,
+        )
+        return ChainMatrix._adopt(arr, [cell.strip() for cell in header])
+    except (ValueError, csv.Error, OutputAnalysisError):
+        return None
+
+
+def _csv_chain(fh, name):
+    """Parse an open chain file with the csv module, row by row."""
+    values = array.array("d")
+    reader = csv.reader(fh)
+    try:
+        numbered = enumerate(reader, start=1)
+        header_line, header = next(
+            ((n, row) for n, row in numbered if row), (1, None)
+        )
+        if header is None:
+            raise ParseError("file is empty", line=1)
+        labels = [cell.strip() for cell in header]
+        width = len(labels)
+        for lineno, row in numbered:
+            if not row:
+                continue
+            if len(row) != width:
+                raise ParseError(
+                    f"expected {width} columns, got {len(row)}", line=lineno
+                )
+            try:
+                cells = [float(cell) for cell in row]
+            except ValueError as exc:
+                raise ParseError(str(exc), line=lineno) from None
+            if not all(map(math.isfinite, cells)):
+                raise ParseError("chain values must all be finite", line=lineno)
+            values.extend(cells)
     except UnicodeDecodeError:
-        raise ParseError(f"{path} is not UTF-8 text") from None
+        raise ParseError(f"{name} is not UTF-8 text") from None
+    except csv.Error as exc:
+        raise ParseError(str(exc), line=reader.line_num) from None
     if not values:
         raise ParseError("no data rows after the header", line=header_line + 1)
-    return ChainMatrix(np.frombuffer(values).reshape(-1, width), labels)
+    return ChainMatrix._adopt(np.frombuffer(values).reshape(-1, width), labels)
 
 
 def _covariance_dict(est):

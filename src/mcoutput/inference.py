@@ -226,8 +226,7 @@ def hotelling_region(mean, sigma_est, n, alpha, q):
         )
     if not 0.0 < alpha < 1.0:
         raise ParameterError(f"alpha must be inside (0, 1), got {alpha}")
-    if n < 1:
-        raise ParameterError(f"n must be >= 1, got {n}")
+    _require_int(n, "n", 1)
     if not q > p:
         raise DegreesOfFreedomError(f"too few batches for a region: q={q} <= p={p}")
     if sigma_est.chol is None:
@@ -395,7 +394,7 @@ def stopping_controller(
             )
         blocks.append(block)
         n = target
-        chain = ChainMatrix(np.vstack(blocks), labels)
+        chain = ChainMatrix._adopt(np.vstack(blocks), labels)
         b = None if batch_size_fn is None else batch_size_fn(n)
         verdict, _, _ = evaluate_verdict(chain, config, batch_size=b)
         verdicts.append(verdict)

@@ -89,7 +89,7 @@ def indicator_sigma2(v, y, b):
         raise DegenerateDataError(
             f"indicator series for threshold {y} is constant"
         )
-    est = batch_means_sigma(ChainMatrix(ind), b)
+    est = batch_means_sigma(ChainMatrix._adopt(ind), b)
     return float(est.matrix[0, 0])
 
 

@@ -54,13 +54,14 @@ def philox_position():
     return _philox_position
 
 
-def _fresh_python(*args):
-    """Run a new interpreter that imports this checkout's mcoutput."""
+def _fresh_python(*args, stdin_text=None):
+    """Run a new interpreter that imports this checkout's mcoutput, with
+    ``stdin_text`` written to its standard input through a pipe."""
     src = str(Path(mcoutput.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, *args], env={**os.environ, "PYTHONPATH": path},
-        capture_output=True, text=True,
+        capture_output=True, text=True, input=stdin_text,
     )
 
 

@@ -44,6 +44,32 @@ def test_rng_stream_accepts_negative_and_numpy_integer_keys():
     np.testing.assert_array_equal(a.uniform(5), b.uniform(5))
 
 
+@pytest.mark.parametrize(
+    "seed, stream_id, name, value",
+    [
+        (2**63, 0, "seed", 2**63),
+        (2**64, 0, "seed", 2**64),
+        (-(2**63) - 1, 0, "seed", -(2**63) - 1),
+        (np.uint64(2**64 - 1), 0, "seed", 2**64 - 1),
+        (0, 2**64, "stream_id", 2**64),
+    ],
+)
+def test_rng_stream_rejects_keys_outside_int64(seed, stream_id, name, value):
+    """Keys were reduced modulo 2**64, so 2**64 replayed seed 0."""
+    with pytest.raises(ParameterError) as info:
+        RngStream(seed, stream_id)
+    assert str(info.value) == f"{name} must be in [-2**63, 2**63), got {value}"
+
+
+def test_rng_stream_int64_extremes_are_distinct_streams():
+    ends = [RngStream(2**63 - 1), RngStream(-(2**63)), RngStream(-1), RngStream(0)]
+    draws = {tuple(s.uniform(4)) for s in ends}
+    assert len(draws) == 4
+    np.testing.assert_array_equal(
+        RngStream(0, 2**63 - 1).uniform(3), RngStream(0, np.int64(2**63 - 1)).uniform(3)
+    )
+
+
 def test_rng_distinct_streams_differ():
     a = RngStream(42, 0)
     b = RngStream(42, 1)
@@ -81,6 +107,28 @@ def test_chain_values_are_read_only():
     c = ChainMatrix([[1.0, 2.0], [3.0, 4.0]])
     with pytest.raises(ValueError):
         c.values[0, 0] = 99.0
+
+
+def test_chain_copies_the_callers_array():
+    a = np.arange(6.0).reshape(3, 2)
+    chain = ChainMatrix(a)
+    assert not np.shares_memory(chain.values, a)
+    assert a.flags.writeable
+    a[0, 0] = 99.0
+    assert chain.values[0, 0] == 0.0
+
+
+def test_adopted_array_is_shared_and_frozen():
+    a = np.arange(6.0)
+    chain = ChainMatrix._adopt(a, ["x"])
+    assert np.shares_memory(chain.values, a)
+    assert chain.values.shape == (6, 1)
+    assert chain.labels == ("x",)
+    assert not chain.values.flags.writeable
+    with pytest.raises(DataError):
+        ChainMatrix._adopt(np.array([1.0, np.nan]))
+    with pytest.raises(DimensionError):
+        ChainMatrix._adopt(np.zeros((2, 2)), ["only_one"])
 
 
 def test_chain_rejects_non_finite():

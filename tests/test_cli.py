@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -528,6 +529,16 @@ def test_demo_too_short_budget_is_an_error(tmp_path, capsys, max_n):
     assert not out.exists()
 
 
+def test_demo_seed_outside_int64_is_refused(tmp_path, capsys):
+    """The key was reduced modulo 2**64: this seed ran seed 0."""
+    out = tmp_path / "out"
+    assert main(["demo", "--seed", str(2**64), "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: seed must be in [-2**63, 2**63), got 18446744073709551616\n"
+    )
+    assert not out.exists()
+
+
 def test_demo_smallest_budget_writes_a_report(tmp_path):
     out = tmp_path / "out"
     assert main(["demo", "--max-n", "51", "--out-dir", str(out)]) == 2
@@ -631,6 +642,89 @@ def test_non_finite_cell_after_leading_blanks_names_its_line(tmp_path):
     with pytest.raises(ParseError) as info:
         read_chain_csv(path)
     assert info.value.line == 6
+
+
+@pytest.mark.parametrize("text", ["x,y\n", "x,y\r\n\n\r\n"])
+def test_header_only_file_is_a_parse_error_and_warns_nothing(tmp_path, text):
+    path = tmp_path / "header.csv"
+    path.write_text(text, newline="")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ParseError) as info:
+            read_chain_csv(path)
+    assert str(info.value) == "line 2: no data rows after the header"
+    assert caught == []
+
+
+def test_well_formed_file_is_read_without_the_csv_parser(tmp_path, monkeypatch):
+    """The fast path reads a finite, rectangular file on its own."""
+    path = tmp_path / "chain.csv"
+    chain = ChainMatrix(RngStream(8).normal(size=(40, 3)), [" a", "b ", "c,d"])
+    write_chain_csv(chain, path)
+
+    def refuse(fh, name):
+        raise AssertionError("the csv parser was called")
+
+    monkeypatch.setattr("mcoutput.cli._csv_chain", refuse)
+    back = read_chain_csv(path)
+    assert back.values.tobytes() == chain.values.tobytes()
+    assert back.labels == ("a", "b", "c,d")
+    assert not back.values.flags.writeable
+
+
+def test_piped_chain_reads_like_the_file(tmp_path, fresh_python):
+    """A pipe cannot seek back, so it goes to the csv parser alone."""
+    path = tmp_path / "chain.csv"
+    write_chain_csv(ChainMatrix(RngStream(9).normal(size=(3000, 2))), path)
+    want = read_chain_csv(path)
+    code = (
+        "from mcoutput.cli import read_chain_csv\n"
+        "c = read_chain_csv('/dev/stdin')\n"
+        "print(c.labels, c.values.tobytes().hex())"
+    )
+    out = fresh_python("-c", code, stdin_text=path.read_text())
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == f"{want.labels} {want.values.tobytes().hex()}\n"
+    piped, direct = tmp_path / "piped.json", tmp_path / "direct.json"
+    argv = ["-m", "mcoutput.cli", "analyze", "/dev/stdin", "--out", str(piped)]
+    out = fresh_python(*argv, stdin_text=path.read_text())
+    assert out.returncode == main(["analyze", str(path), "--out", str(direct)])
+    reports = [json.loads(p.read_text()) for p in (piped, direct)]
+    for report in reports:
+        del report["input"]["path"]
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("x\n1\n" + "0" * 131_073 + "\n", 3),  # finite, so loadtxt reads it
+        ("x,y\n1,2\n3," + "a" * 131_073 + "\n", 3),
+        ("\nx,y" + "z" * 131_073 + "\n1,2\n", 2),
+    ],
+    ids=["finite-cell", "text-cell", "label"],
+)
+def test_field_over_the_csv_limit_is_a_parse_error(tmp_path, capsys, text, line):
+    """csv.Error escaped as a traceback; a long field that loadtxt could
+    read is still refused, as the csv parser refuses it."""
+    path = tmp_path / "long.csv"
+    path.write_text(text)
+    message = f"line {line}: field larger than field limit (131072)"
+    with pytest.raises(ParseError) as info:
+        read_chain_csv(path)
+    assert str(info.value) == message
+    assert main(["analyze", str(path), "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_nul_byte_names_its_line(tmp_path):
+    """Python 3.10's csv module raises csv.Error on NUL; later versions
+    pass the cell to float()."""
+    path = tmp_path / "nul.csv"
+    path.write_bytes(b"x,y\n1,2\n3,4\x00\n")
+    with pytest.raises(ParseError) as info:
+        read_chain_csv(path)
+    assert info.value.line == 3
 
 
 @pytest.mark.parametrize("alpha", ["1.5", "0", "-1", "nan"])

@@ -326,6 +326,13 @@ def test_hotelling_validation():
         hotelling_region([0.0, 0.0], sig, 100, 1.5, 8)
     with pytest.raises(DimensionError):
         hotelling_region([0.0], sig, 100, 0.05, 8)
+    for n in (100.5, 100.0, True, "100"):
+        with pytest.raises(ParameterError, match="^n must be an integer$"):
+            hotelling_region([0.0, 0.0], sig, n, 0.05, 8)
+    with pytest.raises(ParameterError) as info:
+        hotelling_region([0.0, 0.0], sig, 0, 0.05, 8)
+    assert str(info.value) == "n must be >= 1, got 0"
+    hotelling_region([0.0, 0.0], sig, np.int64(100), 0.05, 8)
     region = hotelling_region([0.0, 0.0], sig, 100, 0.05, 8)
     with pytest.raises(DimensionError):
         region.interval()
@@ -571,6 +578,22 @@ def test_controller_next_check_hook():
         _ar1_sampler(0.9), cfg, RngStream(27), next_check_fn=lambda n: 3 * n
     )
     assert [v.n for v in verdicts] == [8, 24, 72, 216, 648, 700]
+
+
+def test_controller_chain_shares_no_sampler_block():
+    blocks = []
+
+    def sampler(k, rng):
+        blocks.append(rng.normal(size=(int(k), 2)))
+        return blocks[-1]
+
+    cfg = StoppingConfig(p=2, n_star=8, max_n=2_000)
+    chain, _ = stopping_controller(sampler, cfg, RngStream(29))
+    assert len(blocks) > 1
+    assert not any(np.shares_memory(chain.values, b) for b in blocks)
+    assert all(b.flags.writeable for b in blocks)
+    assert chain.values.tobytes() == np.vstack(blocks).tobytes()
+    assert not chain.values.flags.writeable
 
 
 def test_controller_rejects_misshapen_sampler_output():
