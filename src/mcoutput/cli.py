@@ -150,17 +150,16 @@ def _csv_chain(fh, name):
     values = array.array("d")
     reader = csv.reader(fh)
     try:
-        numbered = enumerate(reader, start=1)
-        header_line, header = next(
-            ((n, row) for n, row in numbered if row), (1, None)
-        )
+        header = next(filter(None, reader), None)
         if header is None:
             raise ParseError("file is empty", line=1)
+        header_line = reader.line_num
         labels = [cell.strip() for cell in header]
         width = len(labels)
-        for lineno, row in numbered:
+        for row in reader:
             if not row:
                 continue
+            lineno = reader.line_num  # the physical line the record ends on
             if len(row) != width:
                 raise ParseError(
                     f"expected {width} columns, got {len(row)}", line=lineno
@@ -436,7 +435,7 @@ def cmd_demo(args):
             "seed": config.seed,
             "stream_id": lcd_demo.STREAM_ID,
             "proposal_sd": lcd_demo.PROPOSAL_SD,
-            "beta_start": report.beta_start,
+            "beta_start": lcd_demo.BETA_START,
             "alpha": config.alpha,
             "epsilon": config.epsilon,
             "long_run_n": lcd_demo.LONG_RUN_N,

@@ -379,7 +379,7 @@ def stopping_controller(
 
     Returns (chain, verdicts), one verdict per check in order.
     """
-    blocks = []
+    values = np.empty((0, config.p))
     n = 0
     verdicts = []
     target = min(config.n_star, config.max_n)
@@ -392,9 +392,9 @@ def stopping_controller(
             raise DimensionError(
                 f"sampler returned shape {block.shape}, expected ({k}, {config.p})"
             )
-        blocks.append(block)
         n = target
-        chain = ChainMatrix._adopt(np.vstack(blocks), labels)
+        values = np.concatenate([values, block])  # a copy: no block is kept
+        chain = ChainMatrix._adopt(values, labels)
         b = None if batch_size_fn is None else batch_size_fn(n)
         verdict, _, _ = evaluate_verdict(chain, config, batch_size=b)
         verdicts.append(verdict)

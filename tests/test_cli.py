@@ -28,6 +28,7 @@ from mcoutput.cli import (
     write_chain_csv,
 )
 from mcoutput.errors import NumericsError, ParameterError, ParseError
+from mcoutput.lcd_demo import BETA_START
 from oracles import Ar1Spec, generate_ar1
 
 
@@ -239,6 +240,7 @@ def test_demo_small_run_is_deterministic(tmp_path):
     assert (d1 / "demo_report.json").read_text() == (d2 / "demo_report.json").read_text()
     assert (d1 / "demo_chain.csv").read_text() == (d2 / "demo_chain.csv").read_text()
     assert report["terminated"] is True
+    assert report["config"]["beta_start"] == BETA_START
     assert [v["n"] for v in report["verdicts"]] == [209, 2000]
     for name in report["files"].values():
         assert (d1 / name).exists()
@@ -636,6 +638,20 @@ def test_ragged_row_after_leading_blanks_names_its_line(tmp_path):
     assert "expected 2 columns, got 1" in str(info.value)
 
 
+@pytest.mark.parametrize(
+    "text", ['x,y\n"1\n",3\nabc,4\n', '"x\n",y\n1,2\nabc,4\n'],
+    ids=["multi-line-cell", "multi-line-label"],
+)
+def test_row_after_a_multi_line_record_names_its_physical_line(
+    tmp_path, capsys, text
+):
+    path = tmp_path / "quoted.csv"
+    path.write_text(text)
+    assert main(["analyze", str(path), "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: line 4: could not convert string to float: 'abc'\n"
+
+
 def test_non_finite_cell_after_leading_blanks_names_its_line(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("\n\nx,y\n1,2\n\n3,inf\n")
@@ -854,11 +870,15 @@ def test_plotdata_density_failure_names_column_and_level(
 
 
 def test_importing_the_cli_does_not_load_scipy_signal(fresh_python):
-    """No command line path needs scipy.signal; the package never imports it."""
-    code = "import sys, mcoutput.cli; print('scipy.signal' in sys.modules)"
+    """No command line path needs scipy.signal; the package never imports
+    it. scipy.optimize is imported only when weibull_mle_beta runs."""
+    code = (
+        "import sys, mcoutput.cli\n"
+        "print(*(m in sys.modules for m in ('scipy.signal', 'scipy.optimize')))"
+    )
     done = fresh_python("-c", code)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    assert done.stdout.split() == ["False", "False"]
 
 
 def test_module_entry_point_exit_codes(fresh_python, tmp_path):

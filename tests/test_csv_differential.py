@@ -101,6 +101,8 @@ def _csv_module_parser(path):
 @example(b"\n\n1,2\n3,4\n")  # a numeric header after blank lines
 @example(b"x,y\n")  # a header and no data
 @example(b"x,y\n1,2\n3\n")  # a ragged row
+@example(b'x,y\n"1\n",3\nabc,4\n')  # a bad row after a multi-line cell
+@example(b'"x\n",y\n1,2\nabc,4\n')  # a bad row after a multi-line label
 @given(chain_texts())
 def test_fast_reader_agrees_with_the_csv_module_parser(data):
     with tempfile.TemporaryDirectory() as tmp:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -594,6 +595,24 @@ def test_controller_chain_shares_no_sampler_block():
     assert all(b.flags.writeable for b in blocks)
     assert chain.values.tobytes() == np.vstack(blocks).tobytes()
     assert not chain.values.flags.writeable
+
+
+def test_controller_keeps_no_sampler_block_past_the_next_call():
+    """Each check copies the chain so far and the new block into one array,
+    so a block is dead by the time the sampler is called twice more."""
+    refs, data = [], []
+
+    def sampler(k, rng):
+        assert all(ref() is None for ref in refs[:-1])
+        block = rng.normal(size=(int(k), 2))
+        refs.append(weakref.ref(block))
+        data.append(block.tobytes())
+        return block
+
+    cfg = StoppingConfig(p=2, n_star=8, max_n=2_000)
+    chain, _ = stopping_controller(sampler, cfg, RngStream(29))
+    assert len(refs) > 2
+    assert chain.values.tobytes() == b"".join(data)
 
 
 def test_controller_rejects_misshapen_sampler_output():

@@ -11,6 +11,7 @@ from scipy.special import digamma
 from mcoutput import RngStream, lcd_demo
 from mcoutput.errors import DataError, NumericsError, ParameterError
 from mcoutput.lcd_demo import (
+    BETA_START,
     LAMBDA_PRIOR_RATE,
     LCD_FAILURE_HOURS,
     POSTERIOR_LAMBDA_SHAPE,
@@ -224,10 +225,10 @@ def test_run_demo_config_validation():
 def test_run_demo_rejects_non_integer_settings_before_any_work(
     monkeypatch, setting, name
 ):
-    def no_mle(times):
-        raise AssertionError("the MLE ran before the settings were checked")
+    def no_sampler():
+        raise AssertionError("the sampler was built before the settings were checked")
 
-    monkeypatch.setattr(lcd_demo, "weibull_mle_beta", no_mle)
+    monkeypatch.setattr(lcd_demo, "_WeibullGibbsSampler", no_sampler)
     with pytest.raises(ParameterError, match=f"^{name} must be an integer$"):
         run_demo(DemoConfig(**setting))
 
@@ -236,7 +237,7 @@ def test_run_demo_defaults():
     report = run_demo()
     assert report.terminated
     assert [v.n for v in report.verdicts] == [7_529, 100_000]
-    assert report.beta_start == pytest.approx(1.1207, abs=1e-3)
+    assert BETA_START == pytest.approx(1.1207, abs=1e-3)
     assert 7_529 < report.final.ess < 20_000
     assert 0.2 < report.accept_rate < 0.45
     summary = report.summary
@@ -256,10 +257,9 @@ def test_sampler_matches_a_scan_on_the_unbuffered_stream(
 ):
     """Two calls on the block-buffered stream give the draws, rows and
     generator position of one call on one-draw-at-a-time uniforms."""
-    beta_start = weibull_mle_beta(LCD_FAILURE_HOURS)
-    fast, rng = _WeibullGibbsSampler(beta_start), RngStream(0)
+    fast, rng = _WeibullGibbsSampler(), RngStream(0)
     h = np.vstack([fast(7_529, rng), fast(52_471, rng)])
-    slow, ref = _WeibullGibbsSampler(beta_start), unbuffered_stream(0)
+    slow, ref = _WeibullGibbsSampler(), unbuffered_stream(0)
     assert h.tobytes() == slow(60_000, ref).tobytes()
     assert fast.params.tobytes() == slow.params.tobytes()
     assert fast.accepted == slow.accepted
@@ -289,22 +289,11 @@ def test_mh_beta_overflowing_proposal_is_rejected_without_warning():
             assert mh_beta(1e-9, 90.0, s, 50.0, RngStream(seed)) == (90.0, s, False)
 
 
-def test_weibull_mle_root_equals_scipy_brentq(monkeypatch):
-    """The ported Brent iteration returns scipy's root bit for bit, on the
-    study data and on seeded Weibull samples."""
-    from scipy.optimize import brentq
-
-    samples = [LCD_FAILURE_HOURS]
-    gen = np.random.default_rng(2024)
-    for _ in range(300):
-        shape, scale = gen.uniform(0.2, 8.0), gen.uniform(1.0, 1e3)
-        samples.append(scale * gen.weibull(shape, int(gen.integers(2, 201))))
-    ported = [weibull_mle_beta(t) for t in samples]
-    monkeypatch.setattr(
-        lcd_demo, "_brent", lambda f, a, b, xtol: brentq(f, a, b, xtol=xtol)
-    )
-    assert ported == [weibull_mle_beta(t) for t in samples]
-    assert ported[0] == float.fromhex("0x1.1ee67a1761be4p+0")
+def test_demo_start_is_the_pinned_mle():
+    """The sampler's start is the study data's MLE, bit for bit."""
+    bhat = weibull_mle_beta(LCD_FAILURE_HOURS)
+    assert bhat == BETA_START == float.fromhex("0x1.1ee67a1761be4p+0")
+    assert _WeibullGibbsSampler()._beta == BETA_START
 
 
 def test_run_demo_does_not_import_scipy_optimize(fresh_python):
