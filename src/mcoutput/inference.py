@@ -24,6 +24,7 @@ from .errors import (
     DataError,
     DegreesOfFreedomError,
     DimensionError,
+    InsufficientDataError,
     NumericsError,
     OutputAnalysisError,
     ParameterError,
@@ -36,7 +37,7 @@ from .mcse import (
     flat_top_sigma,
     sample_cov_lambda,
 )
-from .quantiles import quantile_ci
+from .quantiles import _quantile_cis
 
 __all__ = [
     "CHECK_GROWTH",
@@ -328,7 +329,9 @@ def evaluate_verdict(chain, config, batch_size=None):
 
     Returns (verdict, lambda_estimate, sigma_estimate). ``batch_size``
     defaults to :func:`default_batch_size` at the current length, so
-    repeated checks re-select b as the chain grows.
+    repeated checks re-select b as the chain grows. A batch-means Sigma has
+    rank at most a - 1, so a = n // b <= p batches raise
+    :class:`InsufficientDataError`.
     """
     n = chain.rows
     if chain.cols != config.p:
@@ -337,6 +340,13 @@ def evaluate_verdict(chain, config, batch_size=None):
         )
     b = default_batch_size(n) if batch_size is None else batch_size
     lam = sample_cov_lambda(chain)
+    _require_int(b, "batch length")
+    if b >= 1 and n // b <= config.p:
+        raise InsufficientDataError(
+            f"too few batches for Sigma: a={n // b} batches of length b={b} "
+            f"for p={config.p} components; a must exceed p: use a shorter "
+            "batch or a longer chain"
+        )
     sig = flat_top_sigma(chain, b) if config.use_flat_top else None
     fallback = sig is not None and sig.chol is None
     if sig is None or fallback:
@@ -442,6 +452,8 @@ def summarize(chain, sigma_est, b, alpha, levels):
 
     ``sigma_est`` is the chain's asymptotic covariance and ``b`` the batch
     length of the quantile CIs; every interval has confidence 1 - alpha.
+    The quantile CIs are computed one column at a time, every level in one
+    pass.
     """
     n, p = chain.rows, chain.cols
     mean = chain.values.mean(axis=0)
@@ -452,15 +464,7 @@ def summarize(chain, sigma_est, b, alpha, levels):
         region = hotelling_region(mean, sigma_est, n, alpha, q_df)
     except (DegreesOfFreedomError, SingularEstimateError) as exc:
         reason = exc
-    quantiles = []
-    for i in range(p):
-        entries = []
-        for q in levels:
-            try:
-                entries.append(quantile_ci(chain.column(i), q, alpha, b))
-            except OutputAnalysisError as exc:
-                entries.append(exc)
-        quantiles.append(tuple(entries))
+    quantiles = [_quantile_cis(chain.column(i), levels, alpha, b) for i in range(p)]
     mcse = np.sqrt(np.diag(sigma_est.matrix) / n)
     labels = tuple(chain.label(i) for i in range(p))
     return Summary(mean, mcse, tuple(quantiles), region, reason, labels, tuple(levels))

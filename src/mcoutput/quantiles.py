@@ -5,6 +5,10 @@ order statistics). Its Monte Carlo error combines the batch-means
 variance of the indicator series I(V_t <= y) with a kernel density
 estimate of the target density at the quantile, following the CLT
     sigma^2(phi_q) = sigma^2(y) / f(phi_q)^2.
+
+The intervals are computed one column at a time: one contiguous copy of
+the column, one partition for the order statistics of every level, and
+one KDE call, so one bandwidth, for the densities at every level.
 """
 
 import math
@@ -19,6 +23,7 @@ from .errors import (
     DegenerateDataError,
     DimensionError,
     NumericsError,
+    OutputAnalysisError,
     ParameterError,
 )
 from .mcse import _TINY, batch_means_sigma
@@ -54,31 +59,36 @@ class QuantileEstimate:
 
 
 def _as_series(v):
+    """The series as a contiguous 1-D float array; a copy only if strided."""
     if isinstance(v, ChainMatrix):
         if v.cols != 1:
             raise DimensionError(
                 f"quantile operations take one column, got {v.cols}"
             )
-        return v.column(0)
+        return np.ascontiguousarray(v.column(0))
     arr = np.asarray(v, dtype=float)
     if arr.ndim != 1:
         raise DimensionError(f"series must be 1-dimensional, got ndim={arr.ndim}")
+    arr = np.ascontiguousarray(arr)
     if arr.size and not np.isfinite(arr).all():
         raise DataError("series values must all be finite")
     return arr
 
 
+def _rank(n, q):
+    """0-based rank of the order statistic V_(ceil(n q)) of n values."""
+    if not 0.0 < q < 1.0:
+        raise ParameterError(f"quantile level must be inside (0, 1), got {q}")
+    return min(max(math.ceil(n * q), 1), n) - 1
+
+
 def empirical_quantile(v, q):
     """Order statistic V_(ceil(n q)): the smallest j+1 with j < n q <= j+1."""
     arr = _as_series(v)
-    n = arr.size
-    if n < 1:
+    if arr.size < 1:
         raise DataError("series is empty")
-    if not 0.0 < q < 1.0:
-        raise ParameterError(f"quantile level must be inside (0, 1), got {q}")
-    k = math.ceil(n * q)
-    k = min(max(k, 1), n)
-    return float(np.partition(arr, k - 1)[k - 1])
+    k = _rank(arr.size, q)
+    return float(np.partition(arr, k)[k])
 
 
 def indicator_sigma2(v, y, b):
@@ -114,24 +124,89 @@ def kde_bandwidth(arr):
 def kde_at(v, x):
     """Gaussian kernel density estimate at ``x``.
 
-    The bandwidth comes from :func:`kde_bandwidth`. Accepts a scalar or a
-    1-D grid of evaluation points.
+    The bandwidth comes from :func:`kde_bandwidth`, once per call. Accepts a
+    scalar or a 1-D grid of evaluation points; every point must be finite
+    (a point at +-inf is refused, not given density 0).
     """
     arr = _as_series(v)
+    pts = np.asarray(x, dtype=float)
+    if pts.ndim > 1:
+        raise DimensionError(
+            f"evaluation points must be a scalar or 1-D, got ndim={pts.ndim}"
+        )
+    if not np.isfinite(pts).all():
+        raise DataError("evaluation points must all be finite")
     if arr.size < 2:
         raise DegenerateDataError("density estimation needs at least two points")
     if arr.min() == arr.max():
         raise DegenerateDataError("density estimation needs a non-constant series")
     h = kde_bandwidth(arr)
-    scalar = np.ndim(x) == 0
-    pts = np.atleast_1d(np.asarray(x, dtype=float))
+    z = np.empty_like(arr)
+    w = np.empty_like(arr)
     out = np.empty(pts.size)
-    # far points overflow z * z to inf, and their kernel weight is exactly 0
+    # w = (-0.5 * z) * z, in place; far points overflow it to -inf, and
+    # their kernel weight is exactly 0
     with np.errstate(over="ignore"):
-        for idx, p in enumerate(pts):
-            z = (p - arr) / h
-            out[idx] = float(np.exp(-0.5 * z * z).mean()) / (h * _SQRT_2PI)
-    return float(out[0]) if scalar else out
+        for idx, p in enumerate(pts.flat):
+            np.subtract(p, arr, out=z)
+            np.divide(z, h, out=z)
+            np.multiply(z, -0.5, out=w)
+            np.multiply(w, z, out=w)
+            np.exp(w, out=w)
+            out[idx] = w.mean()
+    out /= h * _SQRT_2PI
+    return float(out[0]) if pts.ndim == 0 else out
+
+
+def _quantile_cis(v, levels, alpha, b):
+    """:func:`quantile_ci` of one series at every level in ``levels``.
+
+    Returns one entry per level: its :class:`QuantileEstimate`, or the
+    :class:`OutputAnalysisError` its estimation raised. The series is made
+    contiguous once, one partition places every level's order statistic,
+    and one :func:`kde_at` call gives the densities of the levels whose
+    indicator variance exists. A KDE error does not depend on the point,
+    so every such level gets the same one.
+    """
+    try:
+        if not 0.0 < alpha < 1.0:
+            raise ParameterError(f"alpha must be inside (0, 1), got {alpha}")
+        arr = _as_series(v)
+        if arr.size < 1:
+            raise DataError("series is empty")
+    except OutputAnalysisError as exc:
+        return (exc,) * len(levels)
+    entries = [None] * len(levels)
+    ranks = {}
+    for j, q in enumerate(levels):
+        try:
+            ranks[j] = _rank(arr.size, q)
+        except ParameterError as exc:
+            entries[j] = exc
+    ordered = np.partition(arr, list(ranks.values())) if ranks else arr
+    found = {}  # level index -> (point, indicator variance)
+    for j, k in ranks.items():
+        point = float(ordered[k])
+        try:
+            found[j] = (point, indicator_sigma2(arr, point, b))
+        except OutputAnalysisError as exc:
+            entries[j] = exc
+    if not found:
+        return tuple(entries)
+    try:
+        dens = kde_at(arr, [point for point, _ in found.values()]).tolist()
+    except OutputAnalysisError as exc:
+        return tuple(exc if j in found else e for j, e in enumerate(entries))
+    for (j, (point, s2)), d in zip(found.items(), dens):
+        entries[j] = QuantileEstimate(
+            q=float(levels[j]),
+            point=point,
+            indicator_sigma2=s2,
+            density_at=d,
+            ci=normal_interval(point, alpha, math.sqrt(s2), d * math.sqrt(arr.size)),
+            alpha=float(alpha),
+        )
+    return tuple(entries)
 
 
 def quantile_ci(v, q, alpha, b):
@@ -141,22 +216,10 @@ def quantile_ci(v, q, alpha, b):
     with y the empirical quantile, sigma^2(y) from the indicator series,
     and f_hat the Gaussian KDE at y.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ParameterError(f"alpha must be inside (0, 1), got {alpha}")
-    arr = _as_series(v)
-    point = empirical_quantile(arr, q)
-    sig2 = indicator_sigma2(arr, point, b)
-    dens = kde_at(arr, point)
-    return QuantileEstimate(
-        q=float(q),
-        point=point,
-        indicator_sigma2=sig2,
-        density_at=dens,
-        ci=normal_interval(
-            point, alpha, math.sqrt(sig2), dens * math.sqrt(arr.size)
-        ),
-        alpha=float(alpha),
-    )
+    (entry,) = _quantile_cis(v, (q,), alpha, b)
+    if isinstance(entry, OutputAnalysisError):
+        raise entry
+    return entry
 
 
 def normal_interval(center, alpha, sd, scale=1.0):

@@ -9,6 +9,9 @@ this directory on ``sys.path``.
 - :func:`log_unnormalized_posterior` is the lamp study's log posterior
   density, written out term by term, which the sampler kernel in
   ``mcoutput.lcd_demo`` is checked against.
+- :func:`quantile_ci_per_level` is one quantile CI computed on its own,
+  with a sorted copy, its own KDE bandwidth and a one-expression kernel,
+  which the one-pass quantile CIs are checked against.
 """
 
 import math
@@ -16,7 +19,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from mcoutput import ChainMatrix, DimensionError, ParameterError
+from mcoutput import (
+    ChainMatrix,
+    DegenerateDataError,
+    DimensionError,
+    ParameterError,
+    QuantileEstimate,
+    indicator_sigma2,
+    kde_bandwidth,
+)
+from mcoutput.errors import DataError
 from mcoutput.lcd_demo import (
     BETA_PRIOR_RATE,
     LAMBDA_PRIOR_RATE,
@@ -114,4 +126,44 @@ def log_unnormalized_posterior(lam, beta):
         - lam * s
         - BETA_PRIOR_RATE * beta
         - LAMBDA_PRIOR_RATE * lam
+    )
+
+
+def kde_per_point(arr, x):
+    """Gaussian KDE of ``arr`` at the one point ``x``, in one expression."""
+    if arr.size < 2:
+        raise DegenerateDataError("density estimation needs at least two points")
+    if arr.min() == arr.max():
+        raise DegenerateDataError("density estimation needs a non-constant series")
+    h = kde_bandwidth(arr)
+    with np.errstate(over="ignore"):
+        z = (x - arr) / h
+        return float(np.exp(-0.5 * z * z).mean()) / (h * math.sqrt(2.0 * math.pi))
+
+
+def quantile_ci_per_level(v, q, alpha, b):
+    """One quantile CI from its own order statistic, indicator variance and
+    KDE, with the library's error types and messages."""
+    from scipy.special import ndtri
+
+    if not 0.0 < alpha < 1.0:
+        raise ParameterError(f"alpha must be inside (0, 1), got {alpha}")
+    arr = np.array(v, dtype=float)
+    if arr.size < 1:
+        raise DataError("series is empty")
+    if not 0.0 < q < 1.0:
+        raise ParameterError(f"quantile level must be inside (0, 1), got {q}")
+    k = min(max(math.ceil(arr.size * q), 1), arr.size)
+    point = float(np.sort(arr)[k - 1])
+    sig2 = indicator_sigma2(arr, point, b)
+    dens = kde_per_point(arr, point)
+    half = float(ndtri(1.0 - alpha / 2.0)) * math.sqrt(sig2)
+    half /= dens * math.sqrt(arr.size)
+    return QuantileEstimate(
+        q=float(q),
+        point=point,
+        indicator_sigma2=sig2,
+        density_at=dens,
+        ci=(point - half, point + half),
+        alpha=float(alpha),
     )

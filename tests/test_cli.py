@@ -912,3 +912,17 @@ def test_argparse_exits_are_remapped(capsys):
     assert main(["analyze"]) == 1
     assert main(["frobnicate"]) == 1
     capsys.readouterr()
+
+
+def test_analyze_with_too_few_batches_names_them(tmp_path, capsys):
+    """64 rows and 20 columns pick b = 4, so a = 16 <= p: the report used to
+    be refused as a singular batch-means estimate."""
+    path = tmp_path / "wide.csv"
+    write_chain_csv(ChainMatrix(RngStream(91).normal(size=(64, 20))), path)
+    out = tmp_path / "out"
+    assert main(["analyze", str(path), "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: too few batches for Sigma: a=16 batches of length b=4 for p=20 "
+        "components; a must exceed p: use a shorter batch or a longer chain\n"
+    )
+    assert not out.exists()

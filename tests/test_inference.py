@@ -37,6 +37,7 @@ from mcoutput.errors import (
     DegenerateDataError,
     DegreesOfFreedomError,
     DimensionError,
+    InsufficientDataError,
     ParameterError,
     SingularEstimateError,
 )
@@ -619,3 +620,36 @@ def test_controller_rejects_misshapen_sampler_output():
     bad = lambda k, rng: rng.normal(size=(int(k), 2))
     with pytest.raises(DimensionError):
         stopping_controller(bad, StoppingConfig(p=1, n_star=8, max_n=10), RngStream(0))
+
+
+@pytest.mark.parametrize("use_flat_top", [False, True])
+def test_verdict_needs_more_batches_than_components(use_flat_top):
+    """A batch-means Sigma has rank at most a - 1. With a = n // b <= p the
+    verdict used to fail as a singular estimate naming no batch count."""
+    p = 6
+    chain = ChainMatrix(RngStream(87).normal(size=(96, p)))
+    cfg = StoppingConfig(p=p, n_star=8, use_flat_top=use_flat_top)
+    for b in (2, 6, 8, 12, 14, 16, 32, 48):
+        a = 96 // b
+        if a > p:
+            verdict, _, _ = evaluate_verdict(chain, cfg, batch_size=b)
+            assert math.isfinite(verdict.ess)
+            continue
+        with pytest.raises(InsufficientDataError) as info:
+            evaluate_verdict(chain, cfg, batch_size=b)
+        assert str(info.value) == (
+            f"too few batches for Sigma: a={a} batches of length b={b} for "
+            f"p={p} components; a must exceed p: use a shorter batch or a "
+            "longer chain"
+        )
+
+
+def test_bad_batch_lengths_keep_their_estimator_errors():
+    chain = ChainMatrix(RngStream(89).normal(size=(96, 2)))
+    with pytest.raises(ParameterError, match="^batch length must be >= 1, got 0$"):
+        evaluate_verdict(chain, StoppingConfig(p=2, n_star=8), batch_size=0)
+    flat = StoppingConfig(p=2, n_star=8, use_flat_top=True)
+    with pytest.raises(ParameterError, match="even and >= 2, got 0$"):
+        evaluate_verdict(chain, flat, batch_size=0)
+    with pytest.raises(ParameterError, match="^batch length must be an integer$"):
+        evaluate_verdict(chain, flat, batch_size=2.0)

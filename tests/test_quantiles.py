@@ -4,24 +4,29 @@ import math
 
 import numpy as np
 import pytest
+from oracles import kde_per_point, quantile_ci_per_level
 from scipy.special import ndtri
 
 from mcoutput import (
     ChainMatrix,
+    CovarianceEstimate,
     RngStream,
     empirical_quantile,
     indicator_sigma2,
     kde_at,
     kde_bandwidth,
     quantile_ci,
+    summarize,
 )
 from mcoutput.errors import (
     DataError,
     DegenerateDataError,
     DimensionError,
     NumericsError,
+    OutputAnalysisError,
     ParameterError,
 )
+from mcoutput.quantiles import _quantile_cis
 
 Z_975 = 1.959963984540054
 
@@ -216,3 +221,94 @@ def test_quantile_ci_alpha_validation():
         quantile_ci(arr, 0.5, 0.0, 10)
     with pytest.raises(ParameterError):
         quantile_ci(arr, 0.5, 1.0, 10)
+
+
+@pytest.mark.parametrize(
+    "x", [float("nan"), [0.0, float("nan")], float("inf"), [-float("inf"), 1.0]]
+)
+def test_kde_at_refuses_non_finite_points(x):
+    """A NaN point used to give a NaN density with no error, and a point at
+    +-inf a density of exactly 0; both are refused now."""
+    with pytest.raises(DataError, match="evaluation points must all be finite"):
+        kde_at(RngStream(71).normal(size=50), x)
+
+
+def test_kde_at_refuses_a_two_dimensional_grid():
+    """It used to escape as numpy's untyped broadcast ValueError."""
+    with pytest.raises(DimensionError, match="got ndim=2"):
+        kde_at(RngStream(73).normal(size=50), np.zeros((2, 2)))
+
+
+def _assert_same_entry(got, expected):
+    if isinstance(expected, OutputAnalysisError):
+        assert type(got) is type(expected)
+        assert str(got) == str(expected)
+    else:
+        assert got == expected
+
+
+def _per_level(v, levels, alpha, b):
+    entries = []
+    for q in levels:
+        try:
+            entries.append(quantile_ci_per_level(v, q, alpha, b))
+        except OutputAnalysisError as exc:
+            entries.append(exc)
+    return entries
+
+
+def test_summarize_matches_the_per_level_arithmetic():
+    """One pass per column gives every entry of a per-level loop, errors
+    included: a level whose indicator is constant, a constant column, a
+    column whose KDE bandwidth overflows, and an out-of-range level."""
+    rng = RngStream(75)
+    n = 3_000
+    normal = rng.normal(size=n)
+    ties = np.round(rng.normal(size=n), 1)
+    values = np.column_stack([normal, np.full(n, 2.5), ties * 1e300, ties])
+    levels = (0.025, 0.5, 1.0, 0.975, 0.9999, 0.0)
+    p = values.shape[1]
+    sigma = CovarianceEstimate(np.eye(p), "batch-means", 30, n)
+    summary = summarize(ChainMatrix(values), sigma, 30, 0.05, levels)
+    kinds = set()
+    for i in range(p):
+        expected = _per_level(values[:, i], levels, 0.05, 30)
+        for got, want in zip(summary.quantiles[i], expected, strict=True):
+            _assert_same_entry(got, want)
+            kinds.add(type(want).__name__)
+    assert kinds == {
+        "QuantileEstimate", "ParameterError", "DegenerateDataError", "NumericsError"
+    }
+
+
+@pytest.mark.parametrize(
+    "v,levels",
+    [
+        ([4.0], (0.5, 0.9)),
+        ([], (0.5,)),
+        ([1.0, 2.0], (0.5, 0.75)),
+        (RngStream(77).normal(size=400), (0.9, 0.1, 0.9, 0.5)),
+    ],
+)
+@pytest.mark.parametrize("alpha", [0.05, 1.0])
+def test_one_pass_helper_matches_the_per_level_arithmetic(v, levels, alpha):
+    """Short and empty series, repeated levels and a bad alpha; quantile_ci
+    is the helper's one-level case."""
+    expected = _per_level(v, levels, alpha, 2)
+    for got, want in zip(_quantile_cis(v, levels, alpha, 2), expected, strict=True):
+        _assert_same_entry(got, want)
+    for q, want in zip(levels, expected):
+        if isinstance(want, OutputAnalysisError):
+            with pytest.raises(type(want)) as info:
+                quantile_ci(v, q, alpha, 2)
+            assert str(info.value) == str(want)
+        else:
+            assert quantile_ci(v, q, alpha, 2) == want
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-150, 1e150])
+def test_kde_grid_equals_per_point_arithmetic(scale):
+    arr = RngStream(79).normal(size=2_000) * scale
+    points = np.concatenate([np.linspace(-4.0, 4.0, 33), [1e3, -1e150]]) * scale
+    out = kde_at(arr, points)
+    assert out.tolist() == [kde_per_point(arr, p) for p in points]
