@@ -114,23 +114,26 @@ def _check_underflow(kind, mat, centered, data):
             raise NumericsError(f"{kind} covariance underflows; rescale the chain")
 
 
-def _batch_means_matrix(chain, b, kind):
-    """Symmetrized batch-means matrix and the number of rows it used."""
-    n = chain.rows
-    a = n // b
+def _complete_batches(chain, b):
+    """Number a = n // b of complete batches of length b; at least two."""
+    a = chain.rows // b
     if a < 2:
         raise InsufficientDataError(
-            f"need at least two complete batches: n={n}, b={b}"
+            f"need at least two complete batches: n={chain.rows}, b={b}"
         )
-    used = a * b
-    data = chain.values[:used]
+    return a
+
+
+def _batch_means_matrix(means, centre, b, kind, data):
+    """Symmetrized b / (a - 1) * sum_k (Y_k - centre)(Y_k - centre)^T over
+    the a rows Y_k of ``means``, the batch means of the rows ``data``.
+    Centres ``means`` in place."""
     # no overflow warning: CovarianceEstimate rejects a non-finite matrix
     with np.errstate(over="ignore", invalid="ignore"):
-        batch_means = data.reshape(a, b, chain.cols).mean(axis=1)
-        centered = batch_means - data.mean(axis=0)
-        mat = (b / (a - 1.0)) * (centered.T @ centered)
+        centered = np.subtract(means, centre, out=means)
+        mat = (b / (means.shape[0] - 1.0)) * (centered.T @ centered)
     _check_underflow(kind, mat, centered, data)
-    return 0.5 * (mat + mat.T), used
+    return 0.5 * (mat + mat.T)
 
 
 def batch_means_sigma(chain, b):
@@ -153,25 +156,47 @@ def batch_means_sigma(chain, b):
     CovarianceEstimate
     """
     _require_int(b, "batch length", 1)
-    mat, used = _batch_means_matrix(chain, b, "batch-means")
-    return CovarianceEstimate(mat, "batch-means", int(b), int(used))
+    a = _complete_batches(chain, b)
+    data = chain.values[: a * b]
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = data.reshape(a, b, chain.cols).mean(axis=1)
+        centre = data.mean(axis=0)
+    mat = _batch_means_matrix(means, centre, b, "batch-means", data)
+    return CovarianceEstimate(mat, "batch-means", int(b), int(a * b))
 
 
 def flat_top_sigma(chain, b):
-    """Flat-top (lugsail style) combination 2*Sigma_hat(b) - Sigma_hat(b/2).
+    """Flat-top combination 2*Sigma_hat(b) - Sigma_hat(b/2).
 
-    Cancels the leading-order bias of plain batch means at the price of a
-    matrix that is not guaranteed positive definite; check ``chol``
-    before inverting and fall back to :func:`batch_means_sigma` when it
-    is None.
+    This is the lugsail estimator with r = 2 and c = 1/2 (Vats & Flegal,
+    "Lugsail lag windows"): it cancels the leading-order bias of plain
+    batch means at the price of a matrix that is not guaranteed positive
+    definite; check ``chol`` before inverting and fall back to
+    :func:`batch_means_sigma` when it is None.
+
+    One pass over the chain: Sigma_hat(b/2) uses all a_f = n // (b/2)
+    half-batch means, so the (2a+1)-th half-batch counts when n mod b >=
+    b/2, while the a = n // b batch means of Sigma_hat(b) are the averages
+    of aligned pairs of the first 2a half-batch means. Each set is centred
+    at the mean of its own batch means; ``n_used`` is a*b.
     """
     _require_int(b, "batch length")
     if b < 2 or b % 2 != 0:
         raise ParameterError(f"flat-top batch length must be even and >= 2, got {b}")
-    coarse, used = _batch_means_matrix(chain, b, "flat-top")
-    fine, _ = _batch_means_matrix(chain, b // 2, "flat-top")
+    a = _complete_batches(chain, b)
+    half, p = b // 2, chain.cols
+    a_fine = chain.rows // half
+    data = chain.values[: a_fine * half]
     with np.errstate(over="ignore", invalid="ignore"):
-        return CovarianceEstimate(2.0 * coarse - fine, "flat-top", int(b), int(used))
+        fine = data.reshape(a_fine, half, p).mean(axis=1)
+        coarse = fine[: 2 * a].reshape(a, 2, p).mean(axis=1)
+        coarse_mat = _batch_means_matrix(
+            coarse, coarse.mean(axis=0), b, "flat-top", data[: a * b]
+        )
+        fine_mat = _batch_means_matrix(fine, fine.mean(axis=0), half, "flat-top", data)
+        return CovarianceEstimate(
+            2.0 * coarse_mat - fine_mat, "flat-top", int(b), int(a * b)
+        )
 
 
 def sample_cov_lambda(chain):

@@ -12,6 +12,9 @@ this directory on ``sys.path``.
 - :func:`quantile_ci_per_level` is one quantile CI computed on its own,
   with a sorted copy, its own KDE bandwidth and a one-expression kernel,
   which the one-pass quantile CIs are checked against.
+- :func:`flat_top_two_pass` is the flat-top matrix from two full
+  batch-means passes, which the one-pass ``flat_top_sigma`` is checked
+  against.
 """
 
 import math
@@ -25,6 +28,7 @@ from mcoutput import (
     DimensionError,
     ParameterError,
     QuantileEstimate,
+    batch_means_sigma,
     indicator_sigma2,
     kde_bandwidth,
 )
@@ -167,3 +171,11 @@ def quantile_ci_per_level(v, q, alpha, b):
         ci=(point - half, point + half),
         alpha=float(alpha),
     )
+
+
+def flat_top_two_pass(chain, b):
+    """2 * Sigma_hat(b) - Sigma_hat(b/2), each from its own batch-means pass
+    centred at the grand mean of the rows that pass uses."""
+    coarse = batch_means_sigma(chain, b).matrix
+    fine = batch_means_sigma(chain, b // 2).matrix
+    return 2.0 * coarse - fine

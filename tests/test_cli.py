@@ -68,6 +68,36 @@ def test_analyze_long_chain_terminates(ar1_csv, tmp_path, capsys):
     assert "terminated=yes" in shown
 
 
+def _period_four_csv(tmp_path):
+    """0, 0, 1, 1, ... plus small noise: at b = 4 the batch means are
+    nearly equal and the half-batch means alternate, so flat-top is
+    negative."""
+    path = tmp_path / "period4.csv"
+    x = np.tile([0.0, 0.0, 1.0, 1.0], 100) + 0.01 * RngStream(3).normal(size=400)
+    write_chain_csv(ChainMatrix(x), path)
+    return path
+
+
+@pytest.mark.parametrize("case,fallback", [("ar1", False), ("period4", True)])
+def test_analyze_flat_top_names_the_estimator_it_used(
+    ar1_csv, tmp_path, case, fallback
+):
+    path = ar1_csv if case == "ar1" else _period_four_csv(tmp_path)
+    out = tmp_path / "report.json"
+    argv = ["analyze", str(path), "--flat-top", "--out", str(out)]
+    if case == "period4":
+        argv += ["--batch-size", "4"]
+    assert main(argv) in (0, 2)
+    report = json.loads(out.read_text())
+    assert report["asymptotic_covariance"]["fallback_used"] is fallback
+    expected = "batch-means" if fallback else "flat-top"
+    assert report["config"]["estimator"] == expected
+    assert report["asymptotic_covariance"]["kind"] == expected
+    assert report["config"]["flat_top_requested"] is True
+    assert report["config"]["batch_size"] % 2 == 0
+    assert math.isfinite(report["ess"])
+
+
 def test_analyze_report_is_deterministic_and_roundtrips(ar1_csv, tmp_path):
     out1 = tmp_path / "a.json"
     out2 = tmp_path / "b.json"

@@ -6,6 +6,11 @@ by s, densities by 1/s, Lambda and Sigma by s^2, and the indicator
 variance not at all. An increasing map commutes with an order statistic,
 a strided column gives what its contiguous copy gives, and burn-in
 discards compose additively.
+
+Linear maps hold within a tolerance: Sigma(X A^T) = A Sigma(X) A^T for
+batch means and flat-top, and the ESS is invariant under an invertible
+affine map X A^T + c and under a permutation of columns, each to 1e-10
+relative.
 """
 
 import numpy as np
@@ -20,6 +25,7 @@ from mcoutput import (  # noqa: E402
     RngStream,
     batch_means_sigma,
     discard_initial,
+    ess,
     flat_top_sigma,
     quantile_ci,
     sample_cov_lambda,
@@ -125,3 +131,73 @@ def test_discards_compose_additively(seed, n, j, k):
     once = discard_initial(chain, j + k)
     assert np.array_equal(twice.values, once.values)
     assert twice.labels == once.labels
+
+
+def _smooth_chain(seed, n, p):
+    """An AR(1)-like chain without ties, whose columns have mean 0..p-1."""
+    x = RngStream(seed).normal(size=(n, p))
+    x[1:] += 0.5 * x[:-1]
+    return x + np.arange(p)
+
+
+def _well_conditioned(seed, p, k):
+    """2^k U diag(s) V^T with U, V orthogonal and s in [0.5, 2]."""
+    rng = RngStream(seed, 1)
+    u, _ = np.linalg.qr(rng.normal(size=(p, p)))
+    v, _ = np.linalg.qr(rng.normal(size=(p, p)))
+    s = 0.5 + 1.5 * rng.uniform(size=p)
+    return 2.0**k * (u * s) @ v.T
+
+
+def _terms(chain, estimator):
+    """The PSD matrix whose rounding bounds the estimator's: batch means
+    itself, or the two batch-means terms flat-top subtracts."""
+    if estimator is batch_means_sigma:
+        return batch_means_sigma(chain, B).matrix
+    return 2.0 * batch_means_sigma(chain, B).matrix + batch_means_sigma(
+        chain, B // 2
+    ).matrix
+
+
+def _ess_or_none(chain, estimator):
+    sig = estimator(chain, B)
+    if sig.chol is None:
+        return None
+    return ess(chain.rows, sample_cov_lambda(chain), sig)
+
+
+ESTIMATORS = (batch_means_sigma, flat_top_sigma)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=seeds, n=st.integers(200, 600), p=st.integers(1, 4),
+       k=st.integers(-20, 20), shift=st.floats(-10.0, 10.0))
+def test_an_affine_map_transforms_sigma_and_keeps_the_ess(seed, n, p, k, shift):
+    x = _smooth_chain(seed, n, p)
+    a = _well_conditioned(seed, p, k)
+    c = shift * 2.0**k * np.arange(1.0, p + 1.0)
+    chain, mapped = ChainMatrix(x), ChainMatrix(x @ a.T + c)
+    for estimator in ESTIMATORS:
+        expected = a @ estimator(chain, B).matrix @ a.T
+        d = np.diag(a @ _terms(chain, estimator) @ a.T)
+        err = np.abs(estimator(mapped, B).matrix - expected)
+        assert np.all(err <= 1e-10 * np.sqrt(np.outer(d, d))), estimator
+        base, after = _ess_or_none(chain, estimator), _ess_or_none(mapped, estimator)
+        # batch means is positive definite on these chains; flat-top need not be
+        if estimator is flat_top_sigma and None in (base, after):
+            continue
+        assert after == pytest.approx(base, rel=1e-10)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=seeds, n=st.integers(200, 600), p=st.integers(2, 4), data=st.data())
+def test_a_column_permutation_keeps_the_ess(seed, n, p, data):
+    perm = data.draw(st.permutations(range(p)))
+    x = _smooth_chain(seed, n, p)
+    chain, permuted = ChainMatrix(x), ChainMatrix(x[:, perm])
+    for estimator in ESTIMATORS:
+        base = _ess_or_none(chain, estimator)
+        after = _ess_or_none(permuted, estimator)
+        assert (base is None) == (after is None)
+        if base is not None:
+            assert after == pytest.approx(base, rel=1e-10)

@@ -69,6 +69,29 @@ def test_flat_top_rejects_odd_or_tiny_batches():
         flat_top_sigma(chain, 0)
 
 
+def test_flat_top_needs_two_batches_of_its_own_length():
+    """Three half-batches of 10 rows fit, but only one batch of 20."""
+    with pytest.raises(
+        InsufficientDataError,
+        match="^need at least two complete batches: n=39, b=20$",
+    ):
+        flat_top_sigma(ChainMatrix(np.arange(39.0)), 20)
+
+
+def test_flat_top_fine_pass_keeps_its_spare_half_batch():
+    """n = 135, b = 20: the coarse pass uses 6 batches (120 rows), the fine
+    pass 13 half-batches (130 rows); only rows 130..134 are dropped."""
+    x = generate_ar1(Ar1Spec(rho=0.3), 135, RngStream(5)).values
+    base = flat_top_sigma(ChainMatrix(x), 20)
+    assert base.n_used == 120
+    tail = x.copy()
+    tail[130:] = 1e6
+    assert np.array_equal(flat_top_sigma(ChainMatrix(tail), 20).matrix, base.matrix)
+    spare = x.copy()
+    spare[125] += 1.0
+    assert flat_top_sigma(ChainMatrix(spare), 20).matrix[0, 0] != base.matrix[0, 0]
+
+
 def test_batch_means_needs_two_batches():
     chain = ChainMatrix(np.arange(10.0))
     with pytest.raises(InsufficientDataError):
@@ -302,6 +325,24 @@ def test_exact_zero_variances_are_not_underflow():
         evaluate_verdict(_with_constant_column(3e-170), StoppingConfig(p=2))
     periodic = batch_means_sigma(ChainMatrix(np.tile([0.0, 1.0], 50)), 2)
     assert periodic.matrix[0, 0] == 0.0 and periodic.chol is None
+
+
+def test_flat_top_of_exactly_equal_batch_means_is_exactly_zero():
+    """Every half-batch mean and every batch mean is 0.5, and so is each
+    pass's centre: an exactly zero, singular estimate, not underflow."""
+    est = flat_top_sigma(ChainMatrix(np.tile([0.0, 1.0], 50)), 4)
+    assert est.matrix[0, 0] == 0.0 and est.chol is None
+
+
+@pytest.mark.filterwarnings("error")
+def test_flat_top_range_errors_with_a_spare_half_batch():
+    """At b = 14 (3000 mod 14 < 7) the tests above cover these errors; at
+    b = 16, 3000 mod 16 = 8, so the fine pass holds 2a + 1 half-batches."""
+    for scale in (1e-170, 1e-160):
+        with pytest.raises(NumericsError, match="^flat-top covariance underflows"):
+            flat_top_sigma(ChainMatrix(UNIT_CHAIN * scale), 16)
+    with pytest.raises(NumericsError, match="^flat-top covariance overflows"):
+        flat_top_sigma(ChainMatrix(UNIT_CHAIN * 1e160), 16)
 
 
 @pytest.mark.parametrize("value", [0.1, 0.0])
