@@ -43,7 +43,6 @@ from .inference import (
 )
 from .lcd_demo import (
     LCD_FAILURE_HOURS,
-    DemoConfig,
     DemoReport,
     run_demo,
     weibull_mle_beta,
@@ -102,7 +101,6 @@ __all__ = [
     "kde_bandwidth",
     "quantile_ci",
     "LCD_FAILURE_HOURS",
-    "DemoConfig",
     "DemoReport",
     "weibull_mle_beta",
     "run_demo",

@@ -41,7 +41,6 @@ from .inference import (
     CHECK_GROWTH,
     StoppingConfig,
     evaluate_verdict,
-    min_ess_cutoff,
     summarize,
 )
 from .mcse import batch_means_sigma, correlogram, default_batch_size
@@ -321,7 +320,7 @@ def cmd_analyze(args):
     )
     b = _batch_size(args, n)
     verdict, lam, sig = evaluate_verdict(chain, config, batch_size=b)
-    summary = summarize(chain, sig, b, args.alpha, args.quantiles)
+    summary = summarize(chain, sig, args.alpha, args.quantiles)
 
     quantile_entries = [
         _quantile_dict(chain.label(i), q, args.alpha, entry)
@@ -386,13 +385,10 @@ def cmd_analyze(args):
 
 def cmd_demo(args):
     _check_grid_points(args)
-    config = lcd_demo.DemoConfig(
-        seed=args.seed,
-        alpha=args.alpha,
-        epsilon=args.epsilon,
-        max_n=args.max_n,
+    report = lcd_demo.run_demo(
+        seed=args.seed, alpha=args.alpha, epsilon=args.epsilon, max_n=args.max_n
     )
-    report = lcd_demo.run_demo(config)
+    config = report.config
     chain = report.chain
     summary = report.summary
     n = chain.rows
@@ -432,7 +428,7 @@ def cmd_demo(args):
         "tool": {"name": "mcoutput", "version": __version__},
         "kind": "demo-report",
         "config": {
-            "seed": config.seed,
+            "seed": args.seed,
             "stream_id": lcd_demo.STREAM_ID,
             "proposal_sd": lcd_demo.PROPOSAL_SD,
             "beta_start": lcd_demo.BETA_START,
@@ -454,7 +450,7 @@ def cmd_demo(args):
         "terminated": report.terminated,
         "ess": final.ess,
         "cutoff": final.cutoff,
-        "cutoff_rounded": min_ess_cutoff(config.alpha, config.epsilon, 2).rounded,
+        "cutoff_rounded": config.cutoff.rounded,
         "rhat": final.rhat,
         "accept_rate": report.accept_rate,
         "verdicts": [dataclasses.asdict(v) for v in report.verdicts],
@@ -503,9 +499,8 @@ def cmd_plotdata(args):
         _check_grid_points(args)
         if not 0.0 < args.alpha < 1.0:
             raise UsageError(f"--alpha must be inside (0, 1), got {args.alpha}")
-        b = _batch_size(args, n)
-        sigma = batch_means_sigma(chain, b)
-        summary = summarize(chain, sigma, b, args.alpha, (0.025, 0.975))
+        sigma = batch_means_sigma(chain, _batch_size(args, n))
+        summary = summarize(chain, sigma, args.alpha, (0.025, 0.975))
         summary.raise_failures(region=False)
         tables = _density_tables(chain, summary, args.alpha, args.grid_points, stem)
     else:  # region
@@ -513,8 +508,8 @@ def cmd_plotdata(args):
             raise UsageError(
                 f"region plot data needs a two-column chain, got p={p}"
             )
-        b = _batch_size(args, n)
-        summary = summarize(chain, batch_means_sigma(chain, b), b, args.alpha, ())
+        sigma = batch_means_sigma(chain, _batch_size(args, n))
+        summary = summarize(chain, sigma, args.alpha, ())
         summary.raise_failures()
         tables = _region_tables(summary.region, stem)
 

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the integer check."""
+"""Exception types shared across the package, and the integer and alpha checks."""
 
 import numpy as np
 
@@ -59,3 +59,14 @@ def _require_int(value, what, low=None):
         raise ParameterError(f"{what} must be an integer")
     if low is not None and value < low:
         raise ParameterError(f"{what} must be >= {low}, got {value}")
+
+
+def _require_alpha(alpha):
+    """Raise ParameterError unless alpha is inside (0, 1) with 1 - alpha/2 < 1
+    in floating point, that is, alpha > 2**-53."""
+    if not 0.0 < alpha < 1.0:
+        raise ParameterError(f"alpha must be inside (0, 1), got {alpha}")
+    if 1.0 - alpha / 2.0 == 1.0:
+        raise ParameterError(
+            f"alpha must exceed 2**-53, got {alpha}: 1 - alpha/2 rounds to 1"
+        )

@@ -29,6 +29,7 @@ from .errors import (
     OutputAnalysisError,
     ParameterError,
     SingularEstimateError,
+    _require_alpha,
     _require_int,
 )
 from .mcse import (
@@ -100,10 +101,10 @@ def min_ess_cutoff(alpha=0.05, epsilon=0.05, p=1):
         M = (2^(2/p) * pi / (p * Gamma(p/2))^(2/p)) * chi2_{1-alpha, p} / epsilon^2
 
     For p = 1 this reduces to 4 * chi2_{1-alpha, 1} / epsilon^2. Computed
-    in log space so large p stays finite.
+    in log space so large p stays finite. An M beyond the largest double
+    raises ParameterError.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ParameterError(f"alpha must be inside (0, 1), got {alpha}")
+    _require_alpha(alpha)
     if not 0.0 < epsilon < 1.0:
         raise ParameterError(f"epsilon must be inside (0, 1), got {epsilon}")
     try:
@@ -118,7 +119,13 @@ def min_ess_cutoff(alpha=0.05, epsilon=0.05, p=1):
         + math.log(chi2)
         - 2.0 * math.log(epsilon)
     )
-    value = math.exp(log_m)
+    try:
+        value = math.exp(log_m)
+    except OverflowError:
+        raise ParameterError(
+            f"epsilon={epsilon}, alpha={alpha}, p={p} give a minimum ESS that "
+            "exceeds the largest double; raise epsilon"
+        ) from None
     return EssCutoff(value=value, rounded=int(round(value)))
 
 
@@ -225,8 +232,7 @@ def hotelling_region(mean, sigma_est, n, alpha, q):
         raise DimensionError(
             f"mean has {p} components but sigma is {sigma_est.dim}x{sigma_est.dim}"
         )
-    if not 0.0 < alpha < 1.0:
-        raise ParameterError(f"alpha must be inside (0, 1), got {alpha}")
+    _require_alpha(alpha)
     _require_int(n, "n", 1)
     if not q > p:
         raise DegreesOfFreedomError(f"too few batches for a region: q={q} <= p={p}")
@@ -447,13 +453,14 @@ class Summary:
             raise self.region_reason
 
 
-def summarize(chain, sigma_est, b, alpha, levels):
+def summarize(chain, sigma_est, alpha, levels):
     """Mean, MCSE sqrt(diag(Sigma) / n), quantile CIs and Hotelling region.
 
-    ``sigma_est`` is the chain's asymptotic covariance and ``b`` the batch
-    length of the quantile CIs; every interval has confidence 1 - alpha.
-    The quantile CIs are computed one column at a time, every level in one
-    pass.
+    ``sigma_est`` is the chain's asymptotic covariance, batch-style: its
+    batch length b also sets the region's degrees of freedom and the
+    quantile CIs' indicator variances. Every interval has confidence
+    1 - alpha. The quantile CIs are computed one column at a time, every
+    level in one pass.
     """
     n, p = chain.rows, chain.cols
     mean = chain.values.mean(axis=0)
@@ -464,6 +471,7 @@ def summarize(chain, sigma_est, b, alpha, levels):
         region = hotelling_region(mean, sigma_est, n, alpha, q_df)
     except (DegreesOfFreedomError, SingularEstimateError) as exc:
         reason = exc
+    b = sigma_est.batch_size
     quantiles = [_quantile_cis(chain.column(i), levels, alpha, b) for i in range(p)]
     mcse = np.sqrt(np.diag(sigma_est.matrix) / n)
     labels = tuple(chain.label(i) for i in range(p))

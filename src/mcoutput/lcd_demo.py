@@ -44,7 +44,6 @@ __all__ = [
     "LONG_RUN_N",
     "ACF_LAGS",
     "CREDIBLE_LEVELS",
-    "DemoConfig",
     "DemoReport",
     "sum_t_pow",
     "gibbs_lambda",
@@ -267,26 +266,11 @@ class _WeibullGibbsSampler:
         return np.vstack(self._param_blocks)
 
 
-@dataclass(frozen=True)
-class DemoConfig:
-    """The settings of :func:`run_demo` that the command line exposes.
-
-    :class:`StoppingConfig` validates alpha, epsilon and max_n, and
-    :class:`RngStream` the seed, before any work; :func:`run_demo` also
-    requires max_n > ``ACF_LAGS``. The other run settings are the module
-    constants above.
-    """
-
-    seed: int = 0
-    alpha: float = 0.05
-    epsilon: float = 0.05
-    max_n: int = 200_000
-
-
 @dataclass
 class DemoReport:
-    """Everything :func:`run_demo` produces; ``summary`` has CREDIBLE_LEVELS."""
+    """What :func:`run_demo` ran with and produced; ``summary`` has CREDIBLE_LEVELS."""
 
+    config: StoppingConfig
     chain: object
     params: np.ndarray
     verdicts: list
@@ -304,7 +288,7 @@ class DemoReport:
         return self.final.terminate
 
 
-def run_demo(config=None):
+def run_demo(*, seed=0, alpha=0.05, epsilon=0.05, max_n=200_000):
     """Run the lamp-reliability workflow end to end.
 
     Starts beta at its MLE ``BETA_START``, runs the Metropolis-within-Gibbs
@@ -331,18 +315,18 @@ def run_demo(config=None):
     covariance badly enough to let the ESS check fire tens of thousands
     of draws early; square-root batches keep the estimate close to its
     long-run value at every check.
+
+    :class:`StoppingConfig` validates alpha, epsilon and max_n, and
+    :class:`RngStream` the seed, before any work; max_n must also exceed
+    ``ACF_LAGS``. The other run settings are the module constants above.
     """
-    if config is None:
-        config = DemoConfig()
-    stop_cfg = StoppingConfig(
-        p=2, alpha=config.alpha, epsilon=config.epsilon, max_n=config.max_n
-    )
-    if config.max_n <= ACF_LAGS:
+    config = StoppingConfig(p=2, alpha=alpha, epsilon=epsilon, max_n=max_n)
+    if max_n <= ACF_LAGS:
         raise ParameterError(
             f"max_n must be >= {ACF_LAGS + 1} for correlograms to lag "
-            f"{ACF_LAGS}, got {config.max_n}"
+            f"{ACF_LAGS}, got {max_n}"
         )
-    rng = RngStream(config.seed, STREAM_ID)
+    rng = RngStream(seed, STREAM_ID)
     sampler = _WeibullGibbsSampler()
     def next_check(n):
         if n < LONG_RUN_N:
@@ -351,18 +335,19 @@ def run_demo(config=None):
 
     chain, verdicts = stopping_controller(
         sampler,
-        stop_cfg,
+        config,
         rng,
         labels=("MTTF", "R1500"),
         batch_size_fn=sqrt_batch_size,
         next_check_fn=next_check,
     )
     b = sqrt_batch_size(chain.rows)
-    _, lambda_est, sigma_est = evaluate_verdict(chain, stop_cfg, batch_size=b)
-    summary = summarize(chain, sigma_est, b, config.alpha, CREDIBLE_LEVELS)
+    _, lambda_est, sigma_est = evaluate_verdict(chain, config, batch_size=b)
+    summary = summarize(chain, sigma_est, alpha, CREDIBLE_LEVELS)
     summary.raise_failures()
 
     return DemoReport(
+        config=config,
         chain=chain,
         params=sampler.params,
         verdicts=verdicts,

@@ -25,6 +25,7 @@ from .errors import (
     NumericsError,
     OutputAnalysisError,
     ParameterError,
+    _require_alpha,
 )
 from .mcse import _TINY, batch_means_sigma
 
@@ -169,8 +170,7 @@ def _quantile_cis(v, levels, alpha, b):
     so every such level gets the same one.
     """
     try:
-        if not 0.0 < alpha < 1.0:
-            raise ParameterError(f"alpha must be inside (0, 1), got {alpha}")
+        _require_alpha(alpha)
         arr = _as_series(v)
         if arr.size < 1:
             raise DataError("series is empty")
@@ -224,5 +224,6 @@ def quantile_ci(v, q, alpha, b):
 
 def normal_interval(center, alpha, sd, scale=1.0):
     """Two-sided CLT interval center -/+ z_{1-alpha/2} * sd / scale."""
+    _require_alpha(alpha)
     half = float(ndtri(1.0 - alpha / 2.0)) * sd / scale
     return (center - half, center + half)

@@ -29,7 +29,6 @@ from mcoutput.lcd_demo import (
     LAMBDA_PRIOR_RATE,
     LCD_FAILURE_HOURS,
     POSTERIOR_LAMBDA_SHAPE,
-    DemoConfig,
     gibbs_lambda,
     mh_beta,
     run_demo,
@@ -127,7 +126,7 @@ def test_criterion_06_demo_reproduction():
     passes = 0
     ess_seen = []
     for seed in range(20):
-        rep = run_demo(DemoConfig(seed=seed))
+        rep = run_demo(seed=seed)
         mttf, rel = rep.summary.mean
         mttf_ci = [qe.point for qe in rep.summary.quantiles[0]]
         rel_ci = [qe.point for qe in rep.summary.quantiles[1]]

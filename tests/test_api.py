@@ -27,7 +27,7 @@ def test_top_level_exports():
         "QuantileEstimate", "empirical_quantile", "indicator_sigma2", "kde_at",
         "kde_bandwidth", "quantile_ci",
         # lcd_demo
-        "LCD_FAILURE_HOURS", "DemoConfig", "DemoReport",
+        "LCD_FAILURE_HOURS", "DemoReport",
         "weibull_mle_beta", "run_demo",
         # errors
         "OutputAnalysisError", "DimensionError", "DataError", "ParseError",

@@ -329,6 +329,14 @@ def test_demo_cutoff_echo_tracks_epsilon(tmp_path):
     assert report["cutoff_rounded"] == 7529
 
 
+def test_demo_cutoff_echo_is_the_run_s_stopping_cutoff(small_demo, tmp_path):
+    _, report = small_demo
+    assert report["cutoff_rounded"] == StoppingConfig(p=2, epsilon=0.3).cutoff.rounded
+    assert main(["demo", "--max-n", "500", "--out-dir", str(tmp_path)]) == 2
+    report = json.loads((tmp_path / "demo_report.json").read_text())
+    assert report["cutoff_rounded"] == StoppingConfig(p=2).cutoff.rounded
+
+
 def test_demo_chain_reanalysis_reproduces_ess(tmp_path):
     """Feeding the demo's own chain back through analyze with the same
     batch length must reproduce the reported ESS bit for bit."""
@@ -568,6 +576,45 @@ def test_demo_seed_outside_int64_is_refused(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: seed must be in [-2**63, 2**63), got 18446744073709551616\n"
     )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "demo"])
+def test_cutoff_beyond_the_largest_double_is_an_error(
+    small_two_col, tmp_path, capsys, command
+):
+    """This exited with an OverflowError traceback from min_ess_cutoff."""
+    out = tmp_path / "out"
+    source = [str(small_two_col)] if command == "analyze" else []
+    argv = [command, *source, "--epsilon", "1e-160", "--out-dir", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "error: epsilon=1e-160, alpha=0.05, p=2 give a minimum ESS that exceeds "
+        "the largest double; raise epsilon\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, options",
+    [
+        ("analyze", ["--alpha", "5e-17"]),
+        ("analyze", ["--alpha", "1e-16"]),
+        ("plotdata", ["--kind", "region", "--alpha", "5e-17"]),
+        ("plotdata", ["--kind", "density", "--alpha", "2e-16"]),
+    ],
+    ids=["analyze-5e-17", "analyze-1e-16", "region-5e-17", "density-2e-16"],
+)
+def test_alpha_whose_level_rounds_to_one_is_an_error(
+    small_two_col, tmp_path, capsys, command, options
+):
+    """1 - alpha/2 rounds to 1 (for density at the Bonferroni-adjusted
+    alpha/6 = 3.3e-17). These printed "prob must be inside (0, 1), got 1.0",
+    failed on a -inf in the report, or wrote -inf,inf marker bands."""
+    out = tmp_path / "out"
+    argv = [command, str(small_two_col), *options, "--out-dir", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: alpha must exceed 2**-53, got ")
     assert not out.exists()
 
 

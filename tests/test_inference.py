@@ -32,6 +32,7 @@ from mcoutput import (
     summarize,
 )
 from mcoutput.inference import CHECK_GROWTH
+from mcoutput.quantiles import normal_interval
 from mcoutput.errors import (
     DataError,
     DegenerateDataError,
@@ -139,6 +140,51 @@ def test_min_ess_cutoff_validation():
         min_ess_cutoff(0.05, 1.0, 1)
     with pytest.raises(ParameterError):
         min_ess_cutoff(0.05, 0.05, 0)
+
+
+def test_min_ess_cutoff_beyond_the_largest_double_is_a_parameter_error():
+    """This was an OverflowError from math.exp; an epsilon just above the
+    limit keeps its value."""
+    cutoff = min_ess_cutoff(0.05, 1e-153, 2)
+    assert cutoff.value == pytest.approx(M2 * (0.05 / 1e-153) ** 2, rel=1e-12)
+    with pytest.raises(
+        ParameterError,
+        match=r"^epsilon=1e-160, alpha=0\.05, p=2 give a minimum ESS that "
+        "exceeds the largest double; raise epsilon$",
+    ):
+        min_ess_cutoff(0.05, 1e-160, 2)
+
+
+SMALLEST_ALPHA = math.nextafter(2.0**-53, 1.0)
+
+
+def _alpha_entry_points():
+    """Each public path through the alpha check, as a function of alpha."""
+    x = RngStream(31).normal(size=(400, 2))
+    chain = ChainMatrix(x)
+    sig = batch_means_sigma(chain, 10)
+    return {
+        "min_ess_cutoff": lambda a: min_ess_cutoff(a, 0.05, 2),
+        "hotelling_region": lambda a: hotelling_region(x.mean(axis=0), sig, 400, a, 38),
+        "quantile_ci": lambda a: quantile_ci(x[:, 0], 0.5, a, 10),
+        "normal_interval": lambda a: normal_interval(0.0, a, 1.0),
+        "summarize": lambda a: summarize(chain, sig, a, (0.5,)),
+    }
+
+
+@pytest.mark.parametrize("entry", sorted(_alpha_entry_points()))
+def test_alpha_whose_level_rounds_to_one_is_refused(entry):
+    """1 - alpha/2 rounds to 1 at alpha <= 2**-53: that gave "prob must be
+    inside (0, 1), got 1.0", or an infinite interval. Just above, it works;
+    outside (0, 1) the message is as before."""
+    fn = _alpha_entry_points()[entry]
+    for alpha in (2.0**-53, 5e-17, 1e-300):
+        with pytest.raises(ParameterError, match=r"^alpha must exceed 2\*\*-53, got "):
+            fn(alpha)
+    assert fn(SMALLEST_ALPHA) is not None
+    for alpha in (0.0, 1.0, -0.5, math.nan):
+        with pytest.raises(ParameterError, match=r"^alpha must be inside \(0, 1\)"):
+            fn(alpha)
 
 
 def _estimate_pair(chain, b):
@@ -379,7 +425,7 @@ def test_summarize_matches_its_parts_and_keeps_failed_entries_in_place():
     chain = ChainMatrix(x)
     sig = batch_means_sigma(chain, 12)
     levels = (0.025, 0.5, 0.975)
-    summary = summarize(chain, sig, 12, 0.05, levels)
+    summary = summarize(chain, sig, 0.05, levels)
     assert isinstance(summary, Summary)
     np.testing.assert_array_equal(summary.mean, x.mean(axis=0))
     np.testing.assert_array_equal(summary.mcse, np.sqrt(np.diag(sig.matrix) / 2000))
@@ -400,9 +446,26 @@ def test_summarize_matches_its_parts_and_keeps_failed_entries_in_place():
     assert summary.region.log_volume == want.log_volume
 
 
+def test_summarize_takes_the_batch_length_from_sigma():
+    """A flat-top Sigma at even b sets both the region's degrees of freedom
+    and every quantile CI's batch length; a sample covariance has none."""
+    x = RngStream(29).normal(size=(3000, 2))
+    x[1:] += 0.5 * x[:-1]
+    chain = ChainMatrix(x)
+    sig = flat_top_sigma(chain, 16)
+    levels = (0.1, 0.5, 0.9)
+    summary = summarize(chain, sig, 0.05, levels)
+    for i in range(2):
+        for q, entry in zip(levels, summary.quantiles[i], strict=True):
+            assert entry == quantile_ci(chain.column(i), q, 0.05, 16)
+    assert summary.region.df == 3000 // 16 - 2
+    with pytest.raises(ParameterError, match="only defined for batch-style"):
+        summarize(chain, sample_cov_lambda(chain), 0.05, levels)
+
+
 def test_summarize_without_a_region_says_why():
     few = ChainMatrix(RngStream(21).normal(size=(40, 2)))
-    summary = summarize(few, batch_means_sigma(few, 10), 10, 0.05, (0.5,))
+    summary = summarize(few, batch_means_sigma(few, 10), 0.05, (0.5,))
     assert summary.region is None
     assert isinstance(summary.region_reason, DegreesOfFreedomError)
     assert str(summary.region_reason) == "too few batches for a region: q=2 <= p=2"
@@ -413,7 +476,7 @@ def test_summarize_without_a_region_says_why():
     v = RngStream(3).normal(size=400)
     collinear = ChainMatrix(np.column_stack([v, -v]))
     sig = batch_means_sigma(collinear, 20)
-    summary = summarize(collinear, sig, 20, 0.05, (0.5,))
+    summary = summarize(collinear, sig, 0.05, (0.5,))
     assert summary.region is None
     assert isinstance(summary.region_reason, SingularEstimateError)
     assert str(summary.region_reason) == (
@@ -422,7 +485,7 @@ def test_summarize_without_a_region_says_why():
     assert summary.quantiles[0][0] == quantile_ci(v, 0.5, 0.05, 20)
 
     with pytest.raises(ParameterError, match="alpha must be inside"):
-        summarize(collinear, sig, 20, 1.5, (0.5,))
+        summarize(collinear, sig, 1.5, (0.5,))
 
 
 def test_stopping_config_defaults_and_validation():

@@ -10,8 +10,12 @@ discards compose additively.
 Linear maps hold within a tolerance: Sigma(X A^T) = A Sigma(X) A^T for
 batch means and flat-top, and the ESS is invariant under an invertible
 affine map X A^T + c and under a permutation of columns, each to 1e-10
-relative.
+relative. Under X 2^k the ESS holds to 1e-12 relative and the region's
+log_volume shifts by p k ln 2 to within 1e-12: both pass through
+log(diag(chol)), which is not exact.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -24,9 +28,11 @@ from mcoutput import (  # noqa: E402
     ChainMatrix,
     RngStream,
     batch_means_sigma,
+    default_hotelling_df,
     discard_initial,
     ess,
     flat_top_sigma,
+    hotelling_region,
     quantile_ci,
     sample_cov_lambda,
     summarize,
@@ -67,8 +73,8 @@ def test_power_of_two_scaling_is_exact(seed, n, p, k):
         sig, sig_s = estimator(chain, B), estimator(scaled, B)
         assert np.array_equal(sig_s.matrix, sig.matrix * s * s)
     sig = batch_means_sigma(chain, B)
-    base = summarize(chain, sig, B, 0.05, LEVELS)
-    other = summarize(scaled, batch_means_sigma(scaled, B), B, 0.05, LEVELS)
+    base = summarize(chain, sig, 0.05, LEVELS)
+    other = summarize(scaled, batch_means_sigma(scaled, B), 0.05, LEVELS)
     for e, e_s in zip(_entries(base), _entries(other)):
         if isinstance(e, OutputAnalysisError):
             assert type(e_s) is type(e)
@@ -201,3 +207,22 @@ def test_a_column_permutation_keeps_the_ess(seed, n, p, data):
         assert (base is None) == (after is None)
         if base is not None:
             assert after == pytest.approx(base, rel=1e-10)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=seeds, n=st.integers(200, 600), p=st.integers(1, 4),
+       k=st.integers(-40, 40))
+def test_power_of_two_scaling_keeps_the_ess_and_shifts_the_log_volume(seed, n, p, k):
+    x = _smooth_chain(seed, n, p)
+    chain, scaled = ChainMatrix(x), ChainMatrix(x * 2.0**k)
+    for estimator in ESTIMATORS:
+        base, after = _ess_or_none(chain, estimator), _ess_or_none(scaled, estimator)
+        assert (base is None) == (after is None)
+        if base is not None:
+            assert after == pytest.approx(base, rel=1e-12)
+    sig, sig_s = batch_means_sigma(chain, B), batch_means_sigma(scaled, B)
+    q = default_hotelling_df(sig, p)
+    region = hotelling_region(chain.values.mean(axis=0), sig, n, 0.05, q)
+    region_s = hotelling_region(scaled.values.mean(axis=0), sig_s, n, 0.05, q)
+    shift = region_s.log_volume - region.log_volume
+    assert shift == pytest.approx(p * k * math.log(2.0), rel=0.0, abs=1e-12)

@@ -1,6 +1,5 @@
 """The lamp-failure Weibull study: data, samplers, functionals, full runs."""
 
-import dataclasses
 import math
 import warnings
 
@@ -8,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import digamma
 
-from mcoutput import RngStream, lcd_demo
+from mcoutput import RngStream, StoppingConfig, lcd_demo
 from mcoutput.errors import DataError, NumericsError, ParameterError
 from mcoutput.lcd_demo import (
     BETA_START,
@@ -16,7 +15,6 @@ from mcoutput.lcd_demo import (
     LCD_FAILURE_HOURS,
     POSTERIOR_LAMBDA_SHAPE,
     PROPOSAL_SD,
-    DemoConfig,
     _LOG_TIMES,
     _NO_OVERFLOW_BETA,
     _WeibullGibbsSampler,
@@ -191,7 +189,7 @@ def test_run_demo_two_stage_schedule():
     """With a loose epsilon the pilot check fails; the jump to LONG_RUN_N
     is capped at max_n, where the check succeeds, so exactly two verdicts
     appear."""
-    report = run_demo(DemoConfig(epsilon=0.3, max_n=4_000))
+    report = run_demo(epsilon=0.3, max_n=4_000)
     assert [v.n for v in report.verdicts] == [209, 4_000]
     assert [v.terminate for v in report.verdicts] == [False, True]
     assert report.terminated
@@ -201,15 +199,27 @@ def test_run_demo_two_stage_schedule():
     assert report.final is report.verdicts[-1]
 
 
+def test_run_demo_settings_are_keyword_only():
+    """alpha and epsilon are both floats; by position they could swap."""
+    with pytest.raises(TypeError):
+        run_demo(0.05)
+
+
+def test_run_demo_report_carries_its_stopping_config():
+    report = run_demo(epsilon=0.3, max_n=4_000)
+    config = report.config
+    assert isinstance(config, StoppingConfig)
+    assert (config.p, config.alpha, config.epsilon) == (2, 0.05, 0.3)
+    assert (config.max_n, config.n_star) == (4_000, report.verdicts[0].n)
+    assert report.final.cutoff == config.cutoff.value
+
+
 def test_run_demo_config_validation():
-    config = DemoConfig()
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        config.max_n = 10
     with pytest.raises(ParameterError):
-        run_demo(DemoConfig(max_n=0))
+        run_demo(max_n=0)
     # correlograms to lag ACF_LAGS need more draws than lags
     with pytest.raises(ParameterError, match="max_n must be >= 51"):
-        run_demo(DemoConfig(max_n=50))
+        run_demo(max_n=50)
 
 
 @pytest.mark.parametrize(
@@ -230,7 +240,7 @@ def test_run_demo_rejects_non_integer_settings_before_any_work(
 
     monkeypatch.setattr(lcd_demo, "_WeibullGibbsSampler", no_sampler)
     with pytest.raises(ParameterError, match=f"^{name} must be an integer$"):
-        run_demo(DemoConfig(**setting))
+        run_demo(**setting)
 
 
 def test_run_demo_defaults():
@@ -299,8 +309,8 @@ def test_demo_start_is_the_pinned_mle():
 def test_run_demo_does_not_import_scipy_optimize(fresh_python):
     code = (
         "import sys\n"
-        "from mcoutput.lcd_demo import DemoConfig, run_demo\n"
-        "run_demo(DemoConfig(max_n=8000))\n"
+        "from mcoutput.lcd_demo import run_demo\n"
+        "run_demo(max_n=8000)\n"
         "print('scipy.optimize' in sys.modules)"
     )
     done = fresh_python("-c", code)

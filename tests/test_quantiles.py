@@ -269,7 +269,7 @@ def test_summarize_matches_the_per_level_arithmetic():
     levels = (0.025, 0.5, 1.0, 0.975, 0.9999, 0.0)
     p = values.shape[1]
     sigma = CovarianceEstimate(np.eye(p), "batch-means", 30, n)
-    summary = summarize(ChainMatrix(values), sigma, 30, 0.05, levels)
+    summary = summarize(ChainMatrix(values), sigma, 0.05, levels)
     kinds = set()
     for i in range(p):
         expected = _per_level(values[:, i], levels, 0.05, 30)
