@@ -199,23 +199,46 @@ def _region_dict(region):
     }
 
 
-def _quantile_dict(column_label, q, alpha, entry):
-    """A summary entry: its estimate, or nulls and the reason it failed."""
-    failed = isinstance(entry, OutputAnalysisError)
-    lo, hi = (None, None) if failed else entry.ci
-    out = {
-        "column": column_label,
-        "q": q,
-        "point": None if failed else entry.point,
-        "indicator_sigma2": None if failed else entry.indicator_sigma2,
-        "density_at": None if failed else entry.density_at,
-        "ci_lo": lo,
-        "ci_hi": hi,
-        "alpha": alpha,
+def _analysis(config, verdict, lam, sig, summary):
+    """The check and summary fields of every report, in report order. A
+    quantile entry is its estimate, or nulls and the reason it failed."""
+    quantiles = []
+    for label, entries in zip(summary.labels, summary.quantiles):
+        for q, entry in zip(summary.levels, entries):
+            failed = isinstance(entry, OutputAnalysisError)
+            lo, hi = (None, None) if failed else entry.ci
+            out = {
+                "column": label,
+                "q": q,
+                "point": None if failed else entry.point,
+                "indicator_sigma2": None if failed else entry.indicator_sigma2,
+                "density_at": None if failed else entry.density_at,
+                "ci_lo": lo,
+                "ci_hi": hi,
+                "alpha": config.alpha,
+            }
+            if failed:
+                out["reason"] = str(entry)
+            quantiles.append(out)
+    region, reason = summary.region, summary.region_reason
+    return {
+        "mean": summary.mean.tolist(),
+        "mcse": summary.mcse.tolist(),
+        "target_covariance": _covariance_dict(lam),
+        "asymptotic_covariance": {
+            **_covariance_dict(sig),
+            "fallback_used": verdict.fallback_used,
+        },
+        "ess": verdict.ess,
+        "cutoff": verdict.cutoff,
+        "cutoff_rounded": config.cutoff.rounded,
+        "n_star": config.n_star,
+        "rhat": verdict.rhat,
+        "terminated": verdict.terminate,
+        "quantiles": quantiles,
+        "region": None if region is None else _region_dict(region),
+        "region_reason": None if reason is None else str(reason),
     }
-    if failed:
-        out["reason"] = str(entry)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -260,11 +283,25 @@ def _correlogram_tables(chain, lags, pairs, kind, stem):
     return tables
 
 
+def _marker_alpha(alpha, p, levels):
+    """The Bonferroni level of each density marker band: alpha split across
+    the mean and ``levels`` markers of p columns, so the bands hold jointly
+    at level 1 - alpha. A split level at which 1 - level/2 rounds to 1 is
+    refused before any work, naming --alpha as given."""
+    markers = p * (1 + len(levels))
+    if 0.0 < alpha < 1.0 and 1.0 - alpha / markers / 2.0 == 1.0:
+        smallest = math.nextafter(markers * 2.0**-53, 1.0)
+        raise UsageError(
+            f"--alpha {alpha} is split across {markers} density markers, and "
+            f"1 - (alpha/{markers})/2 rounds to 1; the smallest accepted "
+            f"--alpha is {smallest!r}"
+        )
+    return alpha / markers
+
+
 def _density_tables(chain, summary, alpha, grid_points, stem):
     """Density curve and markers (mean, summary quantiles) of every column,
-    by file name. The marker bands are Bonferroni-adjusted across all the
-    markers, so they hold jointly at level 1 - alpha."""
-    alpha /= chain.cols * (1 + len(summary.quantiles[0]))
+    by file name; ``alpha`` is each marker band's level (``_marker_alpha``)."""
     tables = {}
     for i in range(chain.cols):
         name = f"{stem}_density_{_safe(chain.label(i))}"
@@ -318,16 +355,9 @@ def cmd_analyze(args):
     config = StoppingConfig(
         p=p, alpha=args.alpha, epsilon=args.epsilon, use_flat_top=args.flat_top
     )
-    b = _batch_size(args, n)
-    verdict, lam, sig = evaluate_verdict(chain, config, batch_size=b)
+    verdict, lam, sig = evaluate_verdict(chain, config, args.batch_size)
     summary = summarize(chain, sig, args.alpha, args.quantiles)
-
-    quantile_entries = [
-        _quantile_dict(chain.label(i), q, args.alpha, entry)
-        for i in range(p)
-        for q, entry in zip(args.quantiles, summary.quantiles[i])
-    ]
-    region, reason = summary.region, summary.region_reason
+    b = sig.batch_size
 
     report = {
         "tool": {"name": "mcoutput", "version": __version__},
@@ -349,21 +379,7 @@ def cmd_analyze(args):
             "kde_bandwidth_rule": KDE_BANDWIDTH_RULE,
             "hotelling_df_rule": "batches - p",
         },
-        "mean": summary.mean.tolist(),
-        "target_covariance": _covariance_dict(lam),
-        "asymptotic_covariance": {
-            **_covariance_dict(sig),
-            "fallback_used": verdict.fallback_used,
-        },
-        "ess": verdict.ess,
-        "cutoff": verdict.cutoff,
-        "cutoff_rounded": config.cutoff.rounded,
-        "n_star": config.n_star,
-        "rhat": verdict.rhat,
-        "terminated": verdict.terminate,
-        "quantiles": quantile_entries,
-        "region": None if region is None else _region_dict(region),
-        "region_reason": None if reason is None else str(reason),
+        **_analysis(config, verdict, lam, sig, summary),
     }
 
     out_path = (
@@ -385,6 +401,7 @@ def cmd_analyze(args):
 
 def cmd_demo(args):
     _check_grid_points(args)
+    marker_alpha = _marker_alpha(args.alpha, 2, lcd_demo.CREDIBLE_LEVELS)
     report = lcd_demo.run_demo(
         seed=args.seed, alpha=args.alpha, epsilon=args.epsilon, max_n=args.max_n
     )
@@ -401,27 +418,13 @@ def cmd_demo(args):
         **_trace_tables("demo", *params),
         **_correlogram_tables(chain, lags, [(0, 0), (1, 1)], "acf", "demo"),
         **_correlogram_tables(chain, lags, [(0, 1)], "ccf", "demo"),
-        **_density_tables(chain, summary, config.alpha, args.grid_points, "demo"),
+        **_density_tables(chain, summary, marker_alpha, args.grid_points, "demo"),
         **_region_tables(summary.region, "demo"),
     }
     out_dir = _resolve_out_dir(args.out_dir)
     for name, table in tables.items():
         _write_csv(out_dir / name, *table)
     files = {Path(name).stem.removeprefix("demo_"): name for name in tables}
-
-    estimates = {}
-    for i in range(chain.cols):
-        label = chain.label(i)
-        entries = summary.quantiles[i]
-        estimates[label] = {
-            "mean": float(summary.mean[i]),
-            "mcse": float(summary.mcse[i]),
-            "credible_lo": entries[0].point,
-            "credible_hi": entries[-1].point,
-            "quantiles": [
-                _quantile_dict(label, qe.q, qe.alpha, qe) for qe in entries
-            ],
-        }
 
     final = report.final
     doc = {
@@ -447,31 +450,21 @@ def cmd_demo(args):
             "total_hours": sum(lcd_demo.LCD_FAILURE_HOURS),
         },
         "n": n,
-        "terminated": report.terminated,
-        "ess": final.ess,
-        "cutoff": final.cutoff,
-        "cutoff_rounded": config.cutoff.rounded,
-        "rhat": final.rhat,
         "accept_rate": report.accept_rate,
         "verdicts": [dataclasses.asdict(v) for v in report.verdicts],
-        "estimates": estimates,
-        "target_covariance": _covariance_dict(report.lambda_est),
-        "asymptotic_covariance": _covariance_dict(report.sigma_est),
-        "region": _region_dict(summary.region),
+        **_analysis(config, final, report.lambda_est, report.sigma_est, summary),
         "files": files,
     }
     report_path = out_dir / "demo_report.json"
     report_path.write_text(dumps_report(doc))
     status = "yes" if report.terminated else "no"
     print(
-        f"n={n} ess={final.ess:.1f} cutoff={doc['cutoff_rounded']} "
+        f"n={n} ess={final.ess:.1f} cutoff={config.cutoff.rounded} "
         f"accept_rate={report.accept_rate:.3f} terminated={status}"
     )
-    for label, est in estimates.items():
-        print(
-            f"{label}: mean={est['mean']:.4g} "
-            f"ci=({est['credible_lo']:.4g}, {est['credible_hi']:.4g})"
-        )
+    for label, mean, entries in zip(summary.labels, summary.mean, summary.quantiles):
+        lo, hi = entries[0].point, entries[-1].point
+        print(f"{label}: mean={mean:.4g} ci=({lo:.4g}, {hi:.4g})")
     print(f"report: {report_path}")
     return 0 if report.terminated else 2
 
@@ -499,10 +492,12 @@ def cmd_plotdata(args):
         _check_grid_points(args)
         if not 0.0 < args.alpha < 1.0:
             raise UsageError(f"--alpha must be inside (0, 1), got {args.alpha}")
+        levels = (0.025, 0.975)
+        marker_alpha = _marker_alpha(args.alpha, p, levels)
         sigma = batch_means_sigma(chain, _batch_size(args, n))
-        summary = summarize(chain, sigma, args.alpha, (0.025, 0.975))
+        summary = summarize(chain, sigma, args.alpha, levels)
         summary.raise_failures(region=False)
-        tables = _density_tables(chain, summary, args.alpha, args.grid_points, stem)
+        tables = _density_tables(chain, summary, marker_alpha, args.grid_points, stem)
     else:  # region
         if p != 2:
             raise UsageError(

@@ -319,7 +319,8 @@ class StoppingVerdict:
 
     ``terminate`` is true exactly when ess >= cutoff and n >= n_star held
     at the check; ``fallback_used`` records that a requested flat-top
-    estimate was replaced by plain batch means.
+    estimate was replaced by plain batch means. Sigma used ``batches``
+    = n // ``batch_size`` batches.
     """
 
     n: int
@@ -328,6 +329,8 @@ class StoppingVerdict:
     rhat: float
     terminate: bool
     fallback_used: bool
+    batch_size: int
+    batches: int
 
 
 def evaluate_verdict(chain, config, batch_size=None):
@@ -365,6 +368,8 @@ def evaluate_verdict(chain, config, batch_size=None):
         rhat=rhat_from_ess(value),
         terminate=bool(value >= config.cutoff.value and n >= config.n_star),
         fallback_used=fallback,
+        batch_size=b,
+        batches=n // b,
     )
     return verdict, lam, sig
 

@@ -18,6 +18,7 @@ from mcoutput import (
     batch_means_sigma,
     default_batch_size,
     hotelling_region,
+    lcd_demo,
     quantile_ci,
     sqrt_batch_size,
 )
@@ -30,6 +31,13 @@ from mcoutput.cli import (
 from mcoutput.errors import NumericsError, ParameterError, ParseError
 from mcoutput.lcd_demo import BETA_START
 from oracles import Ar1Spec, generate_ar1
+
+# the check and summary fields every report carries, in report order
+ANALYSIS_KEYS = [
+    "mean", "mcse", "target_covariance", "asymptotic_covariance", "ess",
+    "cutoff", "cutoff_rounded", "n_star", "rhat", "terminated", "quantiles",
+    "region", "region_reason",
+]
 
 
 @pytest.fixture(scope="module")
@@ -312,9 +320,9 @@ def test_demo_plot_files_are_plotdata_output(small_demo, tmp_path):
 
 def test_demo_density_mean_marker_is_the_reported_mean(small_demo):
     out, report = small_demo
-    for label, estimate in report["estimates"].items():
+    for label, mean in zip(["MTTF", "R1500"], report["mean"], strict=True):
         rows = _read_rows(out / report["files"][f"density_{label.lower()}_markers"])
-        assert rows[1][:2] == ["mean", format(estimate["mean"], ".17g")]
+        assert rows[1][:2] == ["mean", format(mean, ".17g")]
 
 
 def test_demo_cutoff_echo_tracks_epsilon(tmp_path):
@@ -337,24 +345,49 @@ def test_demo_cutoff_echo_is_the_run_s_stopping_cutoff(small_demo, tmp_path):
     assert report["cutoff_rounded"] == StoppingConfig(p=2).cutoff.rounded
 
 
-def test_demo_chain_reanalysis_reproduces_ess(tmp_path):
+def test_demo_chain_reanalysis_reproduces_ess(small_demo, tmp_path):
     """Feeding the demo's own chain back through analyze with the same
-    batch length must reproduce the reported ESS bit for bit."""
-    main(["demo", "--epsilon", "0.3", "--max-n", "2000", "--out-dir", str(tmp_path)])
-    demo_report = json.loads((tmp_path / "demo_report.json").read_text())
+    epsilon and batch length reproduces the demo's whole analysis block,
+    key for key, in the same order and bit for bit."""
+    demo_dir, demo_report = small_demo
     b = demo_report["asymptotic_covariance"]["batch_size"]
     assert b == sqrt_batch_size(demo_report["n"])
     out = tmp_path / "re.json"
     code = main(
-        ["analyze", str(tmp_path / "demo_chain.csv"),
+        ["analyze", str(demo_dir / "demo_chain.csv"), "--epsilon", "0.3",
          "--batch-size", str(b), "--out", str(out)]
     )
-    assert code in (0, 2)
+    assert code == 0
     re_report = json.loads(out.read_text())
-    assert re_report["ess"] == demo_report["ess"]
-    assert re_report["asymptotic_covariance"]["matrix"] == (
-        demo_report["asymptotic_covariance"]["matrix"]
-    )
+    for report in (demo_report, re_report):
+        assert [key for key in report if key in ANALYSIS_KEYS] == ANALYSIS_KEYS
+    for key in ANALYSIS_KEYS:
+        assert re_report[key] == demo_report[key], key
+
+
+def test_report_top_level_keys(small_demo, small_two_col, tmp_path):
+    _, demo_report = small_demo
+    assert list(demo_report) == [
+        "tool", "kind", "config", "data", "n", "accept_rate", "verdicts",
+        *ANALYSIS_KEYS, "files",
+    ]
+    assert list(demo_report["verdicts"][0]) == [
+        "n", "ess", "cutoff", "rhat", "terminate", "fallback_used",
+        "batch_size", "batches",
+    ]
+    out = tmp_path / "report.json"
+    assert main(["analyze", str(small_two_col), "--out", str(out)]) in (0, 2)
+    report = json.loads(out.read_text())
+    assert list(report) == ["tool", "kind", "input", "config", *ANALYSIS_KEYS]
+
+
+def test_analyze_mcse_is_root_diag_sigma_over_n(small_two_col, tmp_path):
+    out = tmp_path / "report.json"
+    assert main(["analyze", str(small_two_col), "--out", str(out)]) in (0, 2)
+    report = json.loads(out.read_text())
+    sigma = np.array(report["asymptotic_covariance"]["matrix"])
+    expected = np.sqrt(np.diag(sigma) / report["input"]["n"])
+    assert report["mcse"] == expected.tolist()
 
 
 @pytest.fixture()
@@ -595,27 +628,68 @@ def test_cutoff_beyond_the_largest_double_is_an_error(
     assert not out.exists()
 
 
+LEVEL_ERROR = "error: alpha must exceed 2**-53, got "
+MARKER_ALPHA_ERROR = (
+    "error: --alpha 2e-16 is split across 6 density markers, and "
+    "1 - (alpha/6)/2 rounds to 1; the smallest accepted --alpha is "
+    f"{math.nextafter(6 * 2.0**-53, 1.0)!r}\n"
+)
+
+
 @pytest.mark.parametrize(
-    "command, options",
+    "command, options, message",
     [
-        ("analyze", ["--alpha", "5e-17"]),
-        ("analyze", ["--alpha", "1e-16"]),
-        ("plotdata", ["--kind", "region", "--alpha", "5e-17"]),
-        ("plotdata", ["--kind", "density", "--alpha", "2e-16"]),
+        ("analyze", ["--alpha", "5e-17"], LEVEL_ERROR),
+        ("analyze", ["--alpha", "1e-16"], LEVEL_ERROR),
+        ("plotdata", ["--kind", "region", "--alpha", "5e-17"], LEVEL_ERROR),
+        ("plotdata", ["--kind", "density", "--alpha", "2e-16"], MARKER_ALPHA_ERROR),
     ],
     ids=["analyze-5e-17", "analyze-1e-16", "region-5e-17", "density-2e-16"],
 )
 def test_alpha_whose_level_rounds_to_one_is_an_error(
-    small_two_col, tmp_path, capsys, command, options
+    small_two_col, tmp_path, capsys, command, options, message
 ):
     """1 - alpha/2 rounds to 1 (for density at the Bonferroni-adjusted
-    alpha/6 = 3.3e-17). These printed "prob must be inside (0, 1), got 1.0",
-    failed on a -inf in the report, or wrote -inf,inf marker bands."""
+    alpha/6 = 3.3e-17, where the message names --alpha as given). These
+    printed "prob must be inside (0, 1), got 1.0", failed on a -inf in the
+    report, or wrote -inf,inf marker bands."""
     out = tmp_path / "out"
     argv = [command, str(small_two_col), *options, "--out-dir", str(out)]
     assert main(argv) == 1
-    assert capsys.readouterr().err.startswith("error: alpha must exceed 2**-53, got ")
+    assert capsys.readouterr().err.startswith(message)
     assert not out.exists()
+
+
+def test_demo_alpha_whose_marker_level_rounds_to_one_is_refused_before_any_draw(
+    tmp_path, capsys, monkeypatch
+):
+    """This sampled the whole 200,000-draw budget, then named alpha/6."""
+    def no_run(**settings):
+        raise AssertionError("run_demo was called")
+
+    monkeypatch.setattr(lcd_demo, "run_demo", no_run)
+    out = tmp_path / "out"
+    assert main(["demo", "--alpha", "2e-16", "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == MARKER_ALPHA_ERROR
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cols", [1, 2, 5])
+def test_smallest_accepted_density_alpha(tmp_path, capsys, cols):
+    """With m = 3p markers, m * 2**-53 is refused and the next double up
+    gives finite marker bands."""
+    path = tmp_path / "chain.csv"
+    write_chain_csv(ChainMatrix(RngStream(21).normal(size=(400, cols))), path)
+    bound = 3 * cols * 2.0**-53
+    argv = ["plotdata", str(path), "--kind", "density", "--out-dir"]
+    assert main([*argv, str(tmp_path / "no"), f"--alpha={bound!r}"]) == 1
+    assert f"split across {3 * cols} density markers" in capsys.readouterr().err
+    assert not (tmp_path / "no").exists()
+    smallest = math.nextafter(bound, 1.0)
+    assert main([*argv, str(tmp_path / "yes"), f"--alpha={smallest!r}"]) == 0
+    for markers in (tmp_path / "yes").glob("*_markers.csv"):
+        bands = [float(x) for row in _read_rows(markers)[1:] for x in row[2:]]
+        assert all(map(math.isfinite, bands)), markers
 
 
 def test_demo_smallest_budget_writes_a_report(tmp_path):

@@ -18,6 +18,7 @@ from mcoutput import (
     Summary,
     batch_means_sigma,
     chi2_quantile,
+    default_batch_size,
     default_hotelling_df,
     ess,
     evaluate_verdict,
@@ -284,6 +285,17 @@ def test_each_estimate_is_factored_once(monkeypatch, use_flat_top):
     calls.clear()
     hotelling_region(chain.values.mean(axis=0), sig, chain.rows, 0.05, 50)
     assert calls == []
+
+
+def test_verdict_records_its_batch_length_and_count():
+    chain = generate_ar1(Ar1Spec(rho=0.5, dim=2), 1_000, RngStream(31))
+    verdict, _, sig = evaluate_verdict(chain, StoppingConfig(p=2))
+    assert (verdict.batch_size, verdict.batches) == (10, 100) == (
+        default_batch_size(1_000), sig.n_used // sig.batch_size
+    )
+    verdict, _, sig = evaluate_verdict(chain, StoppingConfig(p=2), batch_size=7)
+    assert (verdict.batch_size, verdict.batches) == (7, 142)
+    assert sig.batch_size == 7
 
 
 def test_rhat_formula_and_stopping_equivalence():

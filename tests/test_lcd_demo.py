@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 from scipy.special import digamma
 
-from mcoutput import RngStream, StoppingConfig, lcd_demo
+from mcoutput import (
+    ChainMatrix,
+    RngStream,
+    StoppingConfig,
+    evaluate_verdict,
+    lcd_demo,
+    sqrt_batch_size,
+)
 from mcoutput.errors import DataError, NumericsError, ParameterError
 from mcoutput.lcd_demo import (
     BETA_START,
@@ -212,6 +219,18 @@ def test_run_demo_report_carries_its_stopping_config():
     assert (config.p, config.alpha, config.epsilon) == (2, 0.05, 0.3)
     assert (config.max_n, config.n_star) == (4_000, report.verdicts[0].n)
     assert report.final.cutoff == config.cutoff.value
+
+
+def test_every_demo_verdict_records_the_batches_that_reproduce_it():
+    """A verdict's batch length and the run's config are all evaluate_verdict
+    needs to give the same verdict again on the chain's first n rows."""
+    report = run_demo(epsilon=0.3, max_n=4_000)
+    chain = report.chain
+    for v in report.verdicts:
+        assert v.batch_size == sqrt_batch_size(v.n)
+        assert v.batches == v.n // v.batch_size
+        head = ChainMatrix(chain.values[: v.n], chain.labels)
+        assert evaluate_verdict(head, report.config, v.batch_size)[0] == v
 
 
 def test_run_demo_config_validation():
