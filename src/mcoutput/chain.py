@@ -138,10 +138,12 @@ class ChainMatrix:
 
     @classmethod
     def _adopt(cls, arr, labels=None):
-        """Wrap a fresh float64 array the package owns, without copying it.
+        """Wrap a float64 array the package owns, without copying it.
 
-        The checks are those of ``ChainMatrix(arr)``; ``arr`` itself is
-        then marked read-only, so no caller may keep a writable reference.
+        ``arr`` is fresh, or a view of a package-owned buffer whose rows
+        under the view are never written again. The checks are those of
+        ``ChainMatrix(arr)``; ``arr`` itself is then marked read-only, so
+        no caller may keep a writable reference.
         """
         chain = cls.__new__(cls)
         chain._freeze(arr, labels)

@@ -398,9 +398,28 @@ def stopping_controller(
     the default geometric schedule; the controller still caps it at
     ``config.max_n`` and insists it actually grows the chain.
 
+    Memory: one buffer of ``config.max_n`` by p doubles is reserved before
+    the first draw, and each block is written into it once. The reservation
+    is address space; resident memory grows only with the rows drawn. Each
+    check sees the rows drawn so far as a read-only view of the buffer, and
+    the returned chain is such a view, with the buffer itself read-only. A
+    reservation the machine refuses raises :class:`ParameterError` before
+    the sampler is called.
+
     Returns (chain, verdicts), one verdict per check in order.
     """
-    values = np.empty((0, config.p))
+    try:
+        buf = np.empty((config.max_n, config.p))
+    except (MemoryError, ValueError):
+        # ValueError: the byte count overflows the platform's array size
+        raise ParameterError(
+            f"max_n={config.max_n} rows of p={config.p} doubles need "
+            f"{8 * config.max_n * config.p} bytes, more than can be reserved; "
+            "lower max_n"
+        ) from None
+    # the checks and the caller read a read-only alias of the buffer; its
+    # base, a read-only memoryview, cannot be made writable again
+    values = np.asarray(memoryview(buf).toreadonly())
     n = 0
     verdicts = []
     target = min(config.n_star, config.max_n)
@@ -413,13 +432,16 @@ def stopping_controller(
             raise DimensionError(
                 f"sampler returned shape {block.shape}, expected ({k}, {config.p})"
             )
+        buf[n:target] = block  # a copy: no block is kept
         n = target
-        values = np.concatenate([values, block])  # a copy: no block is kept
-        chain = ChainMatrix._adopt(values, labels)
+        # rows below n are never written again, so every check's chain
+        # stays immutable
+        chain = ChainMatrix._adopt(values[:n], labels)
         b = None if batch_size_fn is None else batch_size_fn(n)
         verdict, _, _ = evaluate_verdict(chain, config, batch_size=b)
         verdicts.append(verdict)
         if verdict.terminate or n >= config.max_n:
+            buf.setflags(write=False)
             return chain, verdicts
         if next_check_fn is None:
             proposed = math.ceil(n * CHECK_GROWTH)

@@ -35,6 +35,9 @@ __all__ = [
 _MIN_RELATIVE_PIVOT = 1e-12
 # smallest normal double: a variance below it has lost precision to underflow
 _TINY = np.finfo(float).tiny
+# doubles (4 MiB) per block of rows centred at a time by sample_cov_lambda;
+# a chain of at most this many values is centred in one block
+_GRAM_VALUES = 2**19
 
 
 @dataclass(frozen=True)
@@ -206,21 +209,35 @@ def sample_cov_lambda(chain):
     columns whose variance could be the rounding noise of their mean,
     at most (n * eps * |mean|)^2 or below the smallest normal double, are
     scanned for min == max.
+
+    The centred Gram is summed over blocks of ``_GRAM_VALUES // p`` rows,
+    each centred into one reused buffer, so no second n-by-p array is made.
     """
-    n = chain.rows
+    n, p = chain.rows, chain.cols
     if n < 2:
         raise InsufficientDataError(f"need at least two rows, got {n}")
+    rows = max(1, _GRAM_VALUES // p)
+    data = chain.values
     with np.errstate(over="ignore", invalid="ignore"):
-        mean = chain.values.mean(axis=0)
-        centered = chain.values - mean
-        mat = (centered.T @ centered) / n
+        mean = data.mean(axis=0)
+        buf = np.empty((min(n, rows), p))
+        centered = np.subtract(data[:rows], mean, out=buf)
+        mat = centered.T @ centered
+        for start in range(rows, n, rows):
+            block = data[start : start + rows]
+            centered = np.subtract(block, mean, out=buf[: len(block)])
+            mat += centered.T @ centered
+        mat /= n
         noise = (n * np.finfo(float).eps * np.abs(mean)) ** 2
     diag = np.diag(mat)
     for j in np.flatnonzero((diag <= noise) | (diag < _TINY)):
         col = chain.column(j)
         if col.min() == col.max():
             raise DegenerateDataError(f"column '{chain.label(j)}' is constant")
-    _check_underflow("sample-cov", mat, centered, chain.values)
+    # every column left varies, so a centred entry is non-zero: a variance
+    # below _TINY is a sum of squares that underflowed
+    if (diag < _TINY).any():
+        raise NumericsError("sample-cov covariance underflows; rescale the chain")
     return CovarianceEstimate(0.5 * (mat + mat.T), "sample-cov", 0, n)
 
 

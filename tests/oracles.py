@@ -15,6 +15,9 @@ this directory on ``sys.path``.
 - :func:`flat_top_two_pass` is the flat-top matrix from two full
   batch-means passes, which the one-pass ``flat_top_sigma`` is checked
   against.
+- :func:`sample_cov_centred_copy` is the target covariance from one
+  centred n-by-p copy of the chain, which the row-block
+  ``sample_cov_lambda`` is checked against.
 """
 
 import math
@@ -179,3 +182,10 @@ def flat_top_two_pass(chain, b):
     coarse = batch_means_sigma(chain, b).matrix
     fine = batch_means_sigma(chain, b // 2).matrix
     return 2.0 * coarse - fine
+
+
+def sample_cov_centred_copy(x):
+    """(x - mean)^T (x - mean) / n from one centred copy, symmetrized."""
+    centered = x - x.mean(axis=0)
+    mat = (centered.T @ centered) / x.shape[0]
+    return 0.5 * (mat + mat.T)

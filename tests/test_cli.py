@@ -602,6 +602,17 @@ def test_demo_too_short_budget_is_an_error(tmp_path, capsys, max_n):
     assert not out.exists()
 
 
+def test_demo_budget_that_cannot_be_reserved_is_an_error(tmp_path, capsys):
+    """The controller reserves max_n x 2 doubles before the first draw:
+    16 PB fails at once, naming max_n, and creates no output directory."""
+    out = tmp_path / "out"
+    assert main(["demo", "--max-n", str(10**15), "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: max_n=1000000000000000 rows of p=2 doubles")
+    assert err.rstrip().endswith("lower max_n")
+    assert not out.exists()
+
+
 def test_demo_seed_outside_int64_is_refused(tmp_path, capsys):
     """The key was reduced modulo 2**64: this seed ran seed 0."""
     out = tmp_path / "out"

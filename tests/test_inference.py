@@ -32,6 +32,7 @@ from mcoutput import (
     stopping_controller,
     summarize,
 )
+from mcoutput import inference
 from mcoutput.inference import CHECK_GROWTH
 from mcoutput.quantiles import normal_interval
 from mcoutput.errors import (
@@ -588,6 +589,10 @@ def _ar1_sampler(rho):
     return sample
 
 
+def _iid_sampler_2():
+    return lambda k, rng: rng.normal(size=(int(k), 2))
+
+
 def test_controller_iid_stops_at_first_check():
     chain, verdicts = stopping_controller(
         _iid_sampler(), StoppingConfig(p=1), RngStream(3)
@@ -674,8 +679,8 @@ def test_controller_chain_shares_no_sampler_block():
 
 
 def test_controller_keeps_no_sampler_block_past_the_next_call():
-    """Each check copies the chain so far and the new block into one array,
-    so a block is dead by the time the sampler is called twice more."""
+    """Each check copies the new block into the one reserved buffer, so a
+    block is dead by the time the sampler is called twice more."""
     refs, data = [], []
 
     def sampler(k, rng):
@@ -695,6 +700,65 @@ def test_controller_rejects_misshapen_sampler_output():
     bad = lambda k, rng: rng.normal(size=(int(k), 2))
     with pytest.raises(DimensionError):
         stopping_controller(bad, StoppingConfig(p=1, n_star=8, max_n=10), RngStream(0))
+
+
+def test_controller_rejects_a_non_finite_block_after_the_first_check():
+    calls = []
+
+    def sampler(k, rng):
+        block = rng.normal(size=(int(k), 2))
+        if calls:
+            block[-1, 1] = np.nan
+        calls.append(k)
+        return block
+
+    cfg = StoppingConfig(p=2, n_star=8, max_n=20_000)
+    with pytest.raises(DataError, match="finite"):
+        stopping_controller(sampler, cfg, RngStream(0))
+    assert len(calls) == 2
+
+
+def test_every_checked_chain_keeps_its_bytes(monkeypatch):
+    """The checks see views of one buffer that later blocks extend: no
+    write may reach rows an earlier check saw."""
+    seen = []
+
+    def record(chain, config, batch_size=None):
+        seen.append((chain, chain.values.tobytes()))
+        return evaluate_verdict(chain, config, batch_size)
+
+    monkeypatch.setattr(inference, "evaluate_verdict", record)
+    cfg = StoppingConfig(p=2, n_star=8, max_n=40_000)
+    chain, verdicts = stopping_controller(_iid_sampler_2(), cfg, RngStream(31))
+    assert len(seen) == len(verdicts) > 2
+    for checked, data in seen:
+        assert checked.values.tobytes() == data
+    assert seen[-1][0] is chain
+
+
+def test_controller_returns_a_read_only_buffer():
+    cfg = StoppingConfig(p=2, n_star=8, max_n=2_000)
+    chain, _ = stopping_controller(_iid_sampler_2(), cfg, RngStream(33))
+    for arr in (chain.values, chain.values.base):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr.setflags(write=True)
+    # the buffer the controller wrote, under the read-only memoryview
+    assert not chain.values.base.base.obj.flags.writeable
+
+
+def test_a_budget_that_cannot_be_reserved_is_refused_before_sampling():
+    """The max_n x p buffer is reserved up front: 1.6e16 bytes fail at once,
+    as a ParameterError naming the budget, and the sampler is never called."""
+    def sampler(k, rng):
+        pytest.fail("the sampler was called")
+
+    with pytest.raises(ParameterError) as info:
+        stopping_controller(sampler, StoppingConfig(p=2, max_n=10**15), RngStream(0))
+    assert str(info.value) == (
+        "max_n=1000000000000000 rows of p=2 doubles need 16000000000000000 "
+        "bytes, more than can be reserved; lower max_n"
+    )
 
 
 @pytest.mark.parametrize("use_flat_top", [False, True])
