@@ -277,17 +277,26 @@ def default_hotelling_df(sigma_est, p):
     return sigma_est.n_used // sigma_est.batch_size - p
 
 
+def _geometric_next_check(n):
+    """The default check schedule: the chain grows by ``CHECK_GROWTH``."""
+    return math.ceil(n * CHECK_GROWTH)
+
+
 @dataclass(frozen=True)
 class StoppingConfig:
-    """Tuning knobs for the sequential stopping rule.
+    """The sequential stopping rule: when to check, and how each check runs.
 
     ``n_star`` defaults to the rounded cutoff M(alpha, epsilon, p): the
     first check never happens before the minimum ESS could possibly be
-    reached. After a failed check the next one waits for the chain to
-    grow by ``CHECK_GROWTH``, so estimation cost stays proportional to
-    the final chain length. ``use_flat_top`` switches Sigma to the
-    flat-top estimator with automatic fallback to plain batch means when
-    the combination is not usable.
+    reached. ``use_flat_top`` switches Sigma to the flat-top estimator with
+    automatic fallback to plain batch means when the combination is not
+    usable. ``batch_size_fn(n)`` is Sigma's batch length at a check of n
+    rows, :func:`default_batch_size` by default; :func:`evaluate_verdict`
+    calls it whenever no b is given. ``next_check_fn(n)`` is the length to
+    check at after a failed check at n, by default n grown by
+    ``CHECK_GROWTH``, so estimation cost stays proportional to the final
+    length; :func:`stopping_controller` caps it at ``max_n`` and insists
+    that it grows the chain.
     """
 
     p: int
@@ -296,6 +305,8 @@ class StoppingConfig:
     n_star: int | None = None
     max_n: int = 1_000_000
     use_flat_top: bool = False
+    batch_size_fn: Callable[[int], int] = default_batch_size
+    next_check_fn: Callable[[int], int] = _geometric_next_check
     cutoff: EssCutoff = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -337,9 +348,9 @@ def evaluate_verdict(chain, config, batch_size=None):
     """Run one convergence check on a chain.
 
     Returns (verdict, lambda_estimate, sigma_estimate). ``batch_size``
-    defaults to :func:`default_batch_size` at the current length, so
-    repeated checks re-select b as the chain grows. A batch-means Sigma has
-    rank at most a - 1, so a = n // b <= p batches raise
+    defaults to ``config.batch_size_fn(n)``, so every check the controller
+    made gives its verdict again on the chain's first n rows. A batch-means
+    Sigma has rank at most a - 1, so a = n // b <= p batches raise
     :class:`InsufficientDataError`.
     """
     n = chain.rows
@@ -347,7 +358,7 @@ def evaluate_verdict(chain, config, batch_size=None):
         raise DimensionError(
             f"chain has {chain.cols} columns, config expects p={config.p}"
         )
-    b = default_batch_size(n) if batch_size is None else batch_size
+    b = config.batch_size_fn(n) if batch_size is None else batch_size
     lam = sample_cov_lambda(chain)
     _require_int(b, "batch length")
     if b >= 1 and n // b <= config.p:
@@ -379,24 +390,15 @@ def stopping_controller(
     config: StoppingConfig,
     rng,
     labels=None,
-    batch_size_fn=None,
-    next_check_fn=None,
 ):
     """Grow a chain until its effective sample size clears the cutoff.
 
     ``sampler(k, rng)`` must return the next k rows (shape (k, p)) of the
     functional's evaluations, continuing from wherever it left off. The
-    controller runs n_star steps, checks, then re-checks every time the
-    chain has grown by ``CHECK_GROWTH``, stopping early at
-    ``config.max_n``. It never raises just because the budget ran out:
-    the last verdict simply has ``terminate=False``.
-
-    ``batch_size_fn`` maps the current chain length to the batch length
-    used at that check; by default every check re-selects
-    :func:`default_batch_size` at the current n. ``next_check_fn`` maps
-    the current length to the next length worth checking at, replacing
-    the default geometric schedule; the controller still caps it at
-    ``config.max_n`` and insists it actually grows the chain.
+    controller runs n_star steps, checks with ``evaluate_verdict(chain,
+    config)``, then re-checks at ``config.next_check_fn(n)``, stopping
+    early at ``config.max_n``. It never raises just because the budget ran
+    out: the last verdict simply has ``terminate=False``.
 
     Memory: one buffer of ``config.max_n`` by p doubles is reserved before
     the first draw, and each block is written into it once. The reservation
@@ -437,17 +439,12 @@ def stopping_controller(
         # rows below n are never written again, so every check's chain
         # stays immutable
         chain = ChainMatrix._adopt(values[:n], labels)
-        b = None if batch_size_fn is None else batch_size_fn(n)
-        verdict, _, _ = evaluate_verdict(chain, config, batch_size=b)
+        verdict, _, _ = evaluate_verdict(chain, config)
         verdicts.append(verdict)
         if verdict.terminate or n >= config.max_n:
             buf.setflags(write=False)
             return chain, verdicts
-        if next_check_fn is None:
-            proposed = math.ceil(n * CHECK_GROWTH)
-        else:
-            proposed = int(next_check_fn(n))
-        target = min(config.max_n, max(proposed, n + 1))
+        target = min(config.max_n, max(int(config.next_check_fn(n)), n + 1))
 
 
 @dataclass(frozen=True)

@@ -24,8 +24,8 @@ import numpy as np
 from .chain import RngStream
 from .errors import DataError, NumericsError, ParameterError
 from .inference import (
-    CHECK_GROWTH,
     StoppingConfig,
+    _geometric_next_check,
     evaluate_verdict,
     stopping_controller,
     summarize,
@@ -288,6 +288,11 @@ class DemoReport:
         return self.final.terminate
 
 
+def _next_check(n):
+    """The demo's check schedule: the pilot, then ``LONG_RUN_N``, then geometric."""
+    return LONG_RUN_N if n < LONG_RUN_N else _geometric_next_check(n)
+
+
 def run_demo(*, seed=0, alpha=0.05, epsilon=0.05, max_n=200_000):
     """Run the lamp-reliability workflow end to end.
 
@@ -320,7 +325,10 @@ def run_demo(*, seed=0, alpha=0.05, epsilon=0.05, max_n=200_000):
     :class:`RngStream` the seed, before any work; max_n must also exceed
     ``ACF_LAGS``. The other run settings are the module constants above.
     """
-    config = StoppingConfig(p=2, alpha=alpha, epsilon=epsilon, max_n=max_n)
+    config = StoppingConfig(
+        p=2, alpha=alpha, epsilon=epsilon, max_n=max_n,
+        batch_size_fn=sqrt_batch_size, next_check_fn=_next_check,
+    )
     if max_n <= ACF_LAGS:
         raise ParameterError(
             f"max_n must be >= {ACF_LAGS + 1} for correlograms to lag "
@@ -328,21 +336,11 @@ def run_demo(*, seed=0, alpha=0.05, epsilon=0.05, max_n=200_000):
         )
     rng = RngStream(seed, STREAM_ID)
     sampler = _WeibullGibbsSampler()
-    def next_check(n):
-        if n < LONG_RUN_N:
-            return LONG_RUN_N
-        return math.ceil(n * CHECK_GROWTH)
-
     chain, verdicts = stopping_controller(
-        sampler,
-        config,
-        rng,
-        labels=("MTTF", "R1500"),
-        batch_size_fn=sqrt_batch_size,
-        next_check_fn=next_check,
+        sampler, config, rng, labels=("MTTF", "R1500")
     )
-    b = sqrt_batch_size(chain.rows)
-    _, lambda_est, sigma_est = evaluate_verdict(chain, config, batch_size=b)
+    # the last check's call again, for its estimates
+    _, lambda_est, sigma_est = evaluate_verdict(chain, config)
     summary = summarize(chain, sigma_est, alpha, CREDIBLE_LEVELS)
     summary.raise_failures()
 

@@ -241,20 +241,23 @@ def sample_cov_lambda(chain):
     return CovarianceEstimate(0.5 * (mat + mat.T), "sample-cov", 0, n)
 
 
-def default_batch_size(n):
-    """Cube-root batch length floored to the nearest even integer (min 2)."""
+def _require_batch_n(n):
+    """A batch-length rule's chain length: an integer of at least 8."""
     _require_int(n, "n")
     if n < 8:
         raise InsufficientDataError(f"need n >= 8 to pick a batch length, got {n}")
+
+
+def default_batch_size(n):
+    """Cube-root batch length floored to the nearest even integer (min 2)."""
+    _require_batch_n(n)
     # integer cube root; round-then-correct avoids float cbrt edge cases
     b = int(round(n ** (1.0 / 3.0)))
     while (b + 1) ** 3 <= n:
         b += 1
     while b**3 > n:
         b -= 1
-    if b % 2 != 0:
-        b -= 1
-    return max(b, 2)
+    return max(b - b % 2, 2)
 
 
 def sqrt_batch_size(n):
@@ -268,13 +271,9 @@ def sqrt_batch_size(n):
     trade variance for much smaller bias, which is the safer direction
     when the estimate gates a termination decision.
     """
-    _require_int(n, "n")
-    if n < 8:
-        raise InsufficientDataError(f"need n >= 8 to pick a batch length, got {n}")
+    _require_batch_n(n)
     b = math.isqrt(int(n))
-    if b % 2 != 0:
-        b -= 1
-    return max(b, 2)
+    return max(b - b % 2, 2)
 
 
 def correlogram(chain, max_lag, pair=(0, 0)):

@@ -106,9 +106,10 @@ def indicator_sigma2(v, y, b):
 
 def kde_bandwidth(arr):
     """Bandwidth of :func:`kde_at` for a 1-D array: ``KDE_BANDWIDTH_RULE``,
-    with the standard deviation alone when the interquartile range is zero."""
+    with the standard deviation alone when the interquartile range is zero.
+    Only a constant array's is below ``_TINY``; others raise NumericsError."""
     n = arr.size
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         sd = float(arr.std())
     if not math.isfinite(sd):
         raise NumericsError(
@@ -119,7 +120,10 @@ def kde_bandwidth(arr):
     q75, q25 = np.percentile(arr, [75.0, 25.0])
     iqr = float(q75 - q25)
     scale = min(sd, iqr / 1.34) if iqr > 0.0 else sd
-    return 0.9 * scale * n ** (-0.2)
+    h = 0.9 * scale * n ** (-0.2)
+    if h < _TINY and arr.min() < arr.max():
+        raise NumericsError("KDE bandwidth underflows; rescale the chain")
+    return h
 
 
 def kde_at(v, x):

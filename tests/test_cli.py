@@ -188,6 +188,42 @@ def test_analyze_underflowing_chain_says_to_rescale(tmp_path, capsys):
     )
 
 
+def _subnormal_spike_csv(tmp_path, seed, n):
+    """Subnormal N(0, 1) * 1e-320 draws and one 1e-12 spike, in column 'a':
+    the IQR is subnormal, so the KDE bandwidth underflows."""
+    x = np.random.default_rng(seed).standard_normal(n) * 1e-320
+    x[3] = 1e-12
+    path = tmp_path / f"spike{n}.csv"
+    write_chain_csv(ChainMatrix(x[:, None], ("a",)), path)
+    return path
+
+
+def test_analyze_underflowing_kde_bandwidth_is_a_quantile_reason(tmp_path, capsys):
+    """The subnormal bandwidth made the density inf: numpy warned, and the
+    report failed to serialize with exit code 1."""
+    out = tmp_path / "report.json"
+    argv = ["analyze", str(_subnormal_spike_csv(tmp_path, 0, 30)), "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == ""
+    low, high = json.loads(out.read_text())["quantiles"]
+    assert (low["q"], low["point"], low["ci_lo"]) == (0.025, None, None)
+    assert low["reason"] == "KDE bandwidth underflows; rescale the chain"
+    assert high["reason"] == "indicator series for threshold 1e-12 is constant"
+
+
+def test_plotdata_underflowing_kde_bandwidth_writes_nothing(tmp_path, capsys):
+    """The same chain at 300 rows used to give exit code 0 and a density
+    file of inf."""
+    path = _subnormal_spike_csv(tmp_path, 1, 300)
+    out = tmp_path / "out"
+    argv = ["plotdata", str(path), "--kind", "density", "--out-dir", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "error: column 'a', q=0.025: KDE bandwidth underflows; rescale the chain\n"
+    )
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "cols, scale", [(10, 2.0**300), (10, 1e100), (10, 1e-100), (50, 1e30)]
 )

@@ -1,6 +1,7 @@
 """Cutoffs, effective sample size, Hotelling regions, and the stopping rule."""
 
 import dataclasses
+import inspect
 import math
 import weakref
 
@@ -511,7 +512,7 @@ def test_stopping_config_defaults_and_validation():
     assert explicit.n_star == 500
     with pytest.raises(ParameterError):
         StoppingConfig(p=1, n_star=7)
-    # the check growth is a constant; next_check_fn overrides the schedule
+    # the check growth is a constant; the next_check_fn field overrides the schedule
     with pytest.raises(TypeError):
         StoppingConfig(p=1, check_growth=2.0)
     with pytest.raises(ParameterError):
@@ -644,22 +645,29 @@ def test_controller_check_schedule_is_geometric():
 
 
 def test_controller_batch_size_hook():
-    cfg = StoppingConfig(p=1)
-    chain, verdicts = stopping_controller(
-        _iid_sampler(), cfg, RngStream(3), batch_size_fn=lambda n: 100
-    )
+    cfg = StoppingConfig(p=1, batch_size_fn=lambda n: 100)
+    chain, verdicts = stopping_controller(_iid_sampler(), cfg, RngStream(3))
     direct, _, _ = evaluate_verdict(chain, cfg, batch_size=100)
     assert verdicts[-1].ess == direct.ess
-    default_direct, _, _ = evaluate_verdict(chain, cfg)
+    assert evaluate_verdict(chain, cfg)[0] == verdicts[-1]
+    default_direct, _, _ = evaluate_verdict(chain, StoppingConfig(p=1))
     assert verdicts[-1].ess != default_direct.ess
 
 
 def test_controller_next_check_hook():
-    cfg = StoppingConfig(p=1, n_star=8, max_n=700)
-    _, verdicts = stopping_controller(
-        _ar1_sampler(0.9), cfg, RngStream(27), next_check_fn=lambda n: 3 * n
-    )
+    cfg = StoppingConfig(p=1, n_star=8, max_n=700, next_check_fn=lambda n: 3 * n)
+    _, verdicts = stopping_controller(_ar1_sampler(0.9), cfg, RngStream(27))
     assert [v.n for v in verdicts] == [8, 24, 72, 216, 648, 700]
+
+
+def test_stopping_config_holds_the_check_rules():
+    """The batch rule and the check schedule are config fields, not
+    controller arguments."""
+    cfg = StoppingConfig(p=2)
+    assert cfg.batch_size_fn is default_batch_size
+    assert [cfg.next_check_fn(n) for n in (8, 7529)] == [12, 11294]
+    params = inspect.signature(stopping_controller).parameters
+    assert list(params) == ["sampler", "config", "rng", "labels"]
 
 
 def test_controller_chain_shares_no_sampler_block():

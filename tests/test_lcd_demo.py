@@ -20,6 +20,7 @@ from mcoutput.lcd_demo import (
     BETA_START,
     LAMBDA_PRIOR_RATE,
     LCD_FAILURE_HOURS,
+    LONG_RUN_N,
     POSTERIOR_LAMBDA_SHAPE,
     PROPOSAL_SD,
     _LOG_TIMES,
@@ -222,15 +223,31 @@ def test_run_demo_report_carries_its_stopping_config():
 
 
 def test_every_demo_verdict_records_the_batches_that_reproduce_it():
-    """A verdict's batch length and the run's config are all evaluate_verdict
-    needs to give the same verdict again on the chain's first n rows."""
+    """The run's config is all evaluate_verdict needs to give the same
+    verdict again on the chain's first n rows, square-root batches included."""
     report = run_demo(epsilon=0.3, max_n=4_000)
     chain = report.chain
     for v in report.verdicts:
         assert v.batch_size == sqrt_batch_size(v.n)
         assert v.batches == v.n // v.batch_size
         head = ChainMatrix(chain.values[: v.n], chain.labels)
-        assert evaluate_verdict(head, report.config, v.batch_size)[0] == v
+        assert evaluate_verdict(head, report.config)[0] == v
+
+
+def test_demo_config_holds_its_batch_rule_and_check_schedule():
+    """The demo's square-root batches and pilot-then-long-run schedule live
+    in its config, and the summary's estimates come from the last check's
+    call."""
+    report = run_demo(epsilon=0.3, max_n=2_000)
+    config = report.config
+    assert config.batch_size_fn is sqrt_batch_size
+    steps = [config.next_check_fn(n) for n in (8, LONG_RUN_N - 1, LONG_RUN_N)]
+    assert steps == [LONG_RUN_N, LONG_RUN_N, 150_000]
+    assert report.sigma_est.batch_size == report.final.batch_size
+    last, lam, sig = evaluate_verdict(report.chain, config)
+    assert last == report.final
+    assert lam.matrix.tobytes() == report.lambda_est.matrix.tobytes()
+    assert sig.matrix.tobytes() == report.sigma_est.matrix.tobytes()
 
 
 def test_run_demo_config_validation():

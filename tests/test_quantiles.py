@@ -159,6 +159,28 @@ def test_quantile_ci_overflowing_sd_is_a_numerics_error():
         quantile_ci(arr, 0.5, 0.05, 10)
 
 
+def test_kde_bandwidth_of_cancelling_extremes_is_a_numerics_error():
+    """The sum of +-1e308 overflows to inf - inf in the deviations: numpy
+    warned "invalid value" before the typed error."""
+    arr = np.zeros(16)
+    arr[[0, 8]] = 1e308
+    arr[[1, 9]] = -1e308
+    with pytest.raises(NumericsError, match="standard deviation overflows"):
+        kde_at(arr, [0.0])
+
+
+def test_kde_bandwidth_below_tiny_is_a_numerics_error():
+    """A subnormal IQR gives a subnormal bandwidth, and z = (x - v) / h
+    overflowed into an infinite density; a constant series keeps h = 0."""
+    arr = np.random.default_rng(0).standard_normal(30) * 1e-320
+    arr[3] = 1e-12
+    with pytest.raises(NumericsError, match="^KDE bandwidth underflows; rescale"):
+        kde_bandwidth(arr)
+    with pytest.raises(NumericsError, match="^KDE bandwidth underflows; rescale"):
+        kde_at(arr, [0.0])
+    assert kde_bandwidth(np.full(10, 5e-324)) == 0.0
+
+
 def test_kde_validation():
     with pytest.raises(DegenerateDataError):
         kde_at([1.0], 0.0)
