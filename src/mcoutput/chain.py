@@ -137,19 +137,20 @@ class ChainMatrix:
         self._freeze(np.array(data, dtype=float), labels)
 
     @classmethod
-    def _adopt(cls, arr, labels=None):
+    def _adopt(cls, arr, labels=None, finite=False):
         """Wrap a float64 array the package owns, without copying it.
 
         ``arr`` is fresh, or a view of a package-owned buffer whose rows
         under the view are never written again. The checks are those of
-        ``ChainMatrix(arr)``; ``arr`` itself is then marked read-only, so
-        no caller may keep a writable reference.
+        ``ChainMatrix(arr)``, less the scan for non-finite values when the
+        caller has already made it (``finite``); ``arr`` itself is then
+        marked read-only, so no caller may keep a writable reference.
         """
         chain = cls.__new__(cls)
-        chain._freeze(arr, labels)
+        chain._freeze(arr, labels, finite)
         return chain
 
-    def _freeze(self, arr, labels):
+    def _freeze(self, arr, labels, finite=False):
         """Check a float array and its labels, then store it read-only."""
         if arr.ndim == 1:
             arr = arr[:, None]
@@ -159,7 +160,7 @@ class ChainMatrix:
             )
         if arr.shape[1] < 1:
             raise DimensionError("chain needs at least one column")
-        if arr.size and not np.isfinite(arr).all():
+        if not finite and arr.size and not np.isfinite(arr).all():
             raise DataError("chain values must all be finite")
         if labels is not None:
             labels = tuple(str(lab) for lab in labels)

@@ -33,6 +33,8 @@ from .errors import (
     _require_int,
 )
 from .mcse import (
+    _GRAM_VALUES,
+    _CoMoments,
     batch_means_sigma,
     default_batch_size,
     flat_top_sigma,
@@ -322,6 +324,10 @@ class StoppingConfig:
             object.__setattr__(self, "n_star", cutoff.rounded)
         _require_int(self.n_star, "n_star", 8)
         _require_int(self.max_n, "max_n", 1)
+        for name in ("batch_size_fn", "next_check_fn"):
+            rule = getattr(self, name)
+            if not callable(rule):
+                raise ParameterError(f"{name} must be callable, got {rule!r}")
 
 
 @dataclass(frozen=True)
@@ -344,22 +350,33 @@ class StoppingVerdict:
     batches: int
 
 
-def evaluate_verdict(chain, config, batch_size=None):
+def evaluate_verdict(chain, config, batch_size=None, lam=None):
     """Run one convergence check on a chain.
 
     Returns (verdict, lambda_estimate, sigma_estimate). ``batch_size``
-    defaults to ``config.batch_size_fn(n)``, so every check the controller
-    made gives its verdict again on the chain's first n rows. A batch-means
-    Sigma has rank at most a - 1, so a = n // b <= p batches raise
-    :class:`InsufficientDataError`.
+    defaults to ``config.batch_size_fn(n)``. ``lam`` is Lambda for this
+    chain when the caller already has it, as :func:`stopping_controller`
+    does; by default it is ``sample_cov_lambda(chain)``. A ``lam`` that is
+    not a sample covariance of n rows and p columns raises
+    :class:`ParameterError`. A batch-means Sigma has rank at most a - 1, so
+    a = n // b <= p batches raise :class:`InsufficientDataError`.
     """
     n = chain.rows
     if chain.cols != config.p:
         raise DimensionError(
             f"chain has {chain.cols} columns, config expects p={config.p}"
         )
+    if lam is not None and (
+        lam.kind != "sample-cov" or lam.n_used != n or lam.dim != chain.cols
+    ):
+        raise ParameterError(
+            f"lam is a {lam.kind} estimate of {lam.n_used} rows and "
+            f"{lam.dim} columns, not the sample covariance of this "
+            f"{n} by {chain.cols} chain"
+        )
     b = config.batch_size_fn(n) if batch_size is None else batch_size
-    lam = sample_cov_lambda(chain)
+    if lam is None:
+        lam = sample_cov_lambda(chain)
     _require_int(b, "batch length")
     if b >= 1 and n // b <= config.p:
         raise InsufficientDataError(
@@ -396,9 +413,13 @@ def stopping_controller(
     ``sampler(k, rng)`` must return the next k rows (shape (k, p)) of the
     functional's evaluations, continuing from wherever it left off. The
     controller runs n_star steps, checks with ``evaluate_verdict(chain,
-    config)``, then re-checks at ``config.next_check_fn(n)``, stopping
-    early at ``config.max_n``. It never raises just because the budget ran
-    out: the last verdict simply has ``terminate=False``.
+    config, lam=lam)``, then re-checks at ``config.next_check_fn(n)``,
+    stopping early at ``config.max_n``. It never raises just because the
+    budget ran out: the last verdict simply has ``terminate=False``.
+
+    Lambda comes from one co-moment accumulator, rebuilt from all n rows
+    (``sample_cov_lambda``'s bits) while n * p <= ``_GRAM_VALUES``; past
+    that each check merges in only its new rows, equal to rounding.
 
     Memory: one buffer of ``config.max_n`` by p doubles is reserved before
     the first draw, and each block is written into it once. The reservation
@@ -406,7 +427,8 @@ def stopping_controller(
     check sees the rows drawn so far as a read-only view of the buffer, and
     the returned chain is such a view, with the buffer itself read-only. A
     reservation the machine refuses raises :class:`ParameterError` before
-    the sampler is called.
+    the sampler is called. Each block is checked for finite values once, as
+    it is copied in.
 
     Returns (chain, verdicts), one verdict per check in order.
     """
@@ -424,6 +446,7 @@ def stopping_controller(
     values = np.asarray(memoryview(buf).toreadonly())
     n = 0
     verdicts = []
+    moments = _CoMoments()
     target = min(config.n_star, config.max_n)
     while True:
         k = target - n
@@ -434,12 +457,17 @@ def stopping_controller(
             raise DimensionError(
                 f"sampler returned shape {block.shape}, expected ({k}, {config.p})"
             )
+        if not np.isfinite(block).all():
+            raise DataError("chain values must all be finite")
         buf[n:target] = block  # a copy: no block is kept
         n = target
         # rows below n are never written again, so every check's chain
-        # stays immutable
-        chain = ChainMatrix._adopt(values[:n], labels)
-        verdict, _, _ = evaluate_verdict(chain, config)
+        # stays immutable, and all of them were found finite on the way in
+        chain = ChainMatrix._adopt(values[:n], labels, finite=True)
+        if n * config.p <= _GRAM_VALUES:
+            moments = _CoMoments()
+        moments.add(values[moments.count : n])
+        verdict, _, _ = evaluate_verdict(chain, config, lam=moments.estimate(chain))
         verdicts.append(verdict)
         if verdict.terminate or n >= config.max_n:
             buf.setflags(write=False)

@@ -202,43 +202,83 @@ def flat_top_sigma(chain, b):
         )
 
 
+class _CoMoments:
+    """Row count, column mean and centred Gram M2 of the rows added so far.
+
+    :meth:`add` merges a block's mean and centred Gram, summed over
+    ``_GRAM_VALUES // p``-row pieces in one reused buffer, by the pairwise
+    update M2 = M2_a + M2_b + (n_a n_b / n) d d^T, d the difference of the
+    means (Chan, Golub & LeVeque 1983; Pebay, SAND2008-6212). The mean is
+    ``centre``, the first block's ``data.mean(axis=0)``, plus an ``offset``
+    summed from centred rows, so d keeps its digits when the mean is large
+    next to the spread. One block is exactly the Gram centred at ``centre``.
+    """
+
+    def __init__(self):
+        self.count = 0
+        self.centre = self.offset = self.m2 = None
+
+    def add(self, data):
+        n, p = data.shape
+        rows = max(1, _GRAM_VALUES // p)
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = data.mean(axis=0)
+            buf = np.empty((min(n, rows), p))
+            centered = np.subtract(data[:rows], mean, out=buf)
+            m2 = centered.T @ centered
+            offset = centered.sum(axis=0)
+            for start in range(rows, n, rows):
+                block = data[start : start + rows]
+                centered = np.subtract(block, mean, out=buf[: len(block)])
+                m2 += centered.T @ centered
+                offset += centered.sum(axis=0)
+            offset /= n
+            if not self.count:
+                self.count, self.centre, self.offset, self.m2 = n, mean, offset, m2
+                return
+            delta = (mean - self.centre) + (offset - self.offset)
+            total = self.count + n
+            m2 += self.m2
+            m2 += (self.count * n / total) * np.outer(delta, delta)
+            self.offset = self.offset + delta * (n / total)
+        self.count, self.m2 = total, m2
+
+    def estimate(self, chain):
+        """Lambda with divisor n for ``chain``, the rows added so far.
+
+        Raises DegenerateDataError naming the first constant column. Only
+        columns whose variance could be the rounding noise of their mean,
+        at most (n * eps * |centre|)^2 or below the smallest normal double,
+        are scanned for min == max; a constant column's centre is its value.
+        """
+        n = self.count
+        with np.errstate(over="ignore", invalid="ignore"):
+            mat = self.m2 / n
+            noise = (n * np.finfo(float).eps * np.abs(self.centre)) ** 2
+        diag = np.diag(mat)
+        for j in np.flatnonzero((diag <= noise) | (diag < _TINY)):
+            col = chain.column(j)
+            if col.min() == col.max():
+                raise DegenerateDataError(f"column '{chain.label(j)}' is constant")
+        # every column left varies, so a centred entry is non-zero: a variance
+        # below _TINY is a sum of squares that underflowed
+        if (diag < _TINY).any():
+            raise NumericsError("sample-cov covariance underflows; rescale the chain")
+        return CovarianceEstimate(0.5 * (mat + mat.T), "sample-cov", 0, n)
+
+
 def sample_cov_lambda(chain):
     """Target covariance of the functional: divisor n, not n - 1.
 
-    Raises DegenerateDataError naming the first constant column. Only
-    columns whose variance could be the rounding noise of their mean,
-    at most (n * eps * |mean|)^2 or below the smallest normal double, are
-    scanned for min == max.
-
-    The centred Gram is summed over blocks of ``_GRAM_VALUES // p`` rows,
-    each centred into one reused buffer, so no second n-by-p array is made.
+    Raises DegenerateDataError naming the first constant column. The chain
+    is one block of a :class:`_CoMoments`, so no second n-by-p array is made.
     """
-    n, p = chain.rows, chain.cols
+    n = chain.rows
     if n < 2:
         raise InsufficientDataError(f"need at least two rows, got {n}")
-    rows = max(1, _GRAM_VALUES // p)
-    data = chain.values
-    with np.errstate(over="ignore", invalid="ignore"):
-        mean = data.mean(axis=0)
-        buf = np.empty((min(n, rows), p))
-        centered = np.subtract(data[:rows], mean, out=buf)
-        mat = centered.T @ centered
-        for start in range(rows, n, rows):
-            block = data[start : start + rows]
-            centered = np.subtract(block, mean, out=buf[: len(block)])
-            mat += centered.T @ centered
-        mat /= n
-        noise = (n * np.finfo(float).eps * np.abs(mean)) ** 2
-    diag = np.diag(mat)
-    for j in np.flatnonzero((diag <= noise) | (diag < _TINY)):
-        col = chain.column(j)
-        if col.min() == col.max():
-            raise DegenerateDataError(f"column '{chain.label(j)}' is constant")
-    # every column left varies, so a centred entry is non-zero: a variance
-    # below _TINY is a sum of squares that underflowed
-    if (diag < _TINY).any():
-        raise NumericsError("sample-cov covariance underflows; rescale the chain")
-    return CovarianceEstimate(0.5 * (mat + mat.T), "sample-cov", 0, n)
+    moments = _CoMoments()
+    moments.add(chain.values)
+    return moments.estimate(chain)
 
 
 def _require_batch_n(n):

@@ -35,6 +35,7 @@ from mcoutput import (
 )
 from mcoutput import inference
 from mcoutput.inference import CHECK_GROWTH
+from mcoutput.mcse import _GRAM_VALUES
 from mcoutput.quantiles import normal_interval
 from mcoutput.errors import (
     DataError,
@@ -547,6 +548,18 @@ def test_stopping_config_is_frozen():
     assert cfg.cutoff.value == pytest.approx(M2, rel=1e-12)
 
 
+@pytest.mark.parametrize("name", ["batch_size_fn", "next_check_fn"])
+def test_stopping_rules_must_be_callable(name):
+    """A rule that cannot be called is refused when the config is made, not
+    as an untyped TypeError at the first check: the sampler never runs."""
+    def sampler(k, rng):
+        pytest.fail("the sampler was called")
+
+    with pytest.raises(ParameterError) as info:
+        stopping_controller(sampler, StoppingConfig(p=2, **{name: None}), RngStream(0))
+    assert str(info.value) == f"{name} must be callable, got None"
+
+
 def test_evaluate_verdict_dimension_check():
     chain = generate_ar1(Ar1Spec(rho=0.2, dim=2), 100, RngStream(15))
     with pytest.raises(DimensionError):
@@ -568,6 +581,22 @@ def test_evaluate_verdict_flat_top_fallback():
     # same chain without the flat-top request: no fallback to report
     plain, _, _ = evaluate_verdict(chain, StoppingConfig(p=1, n_star=8), batch_size=2)
     assert not plain.fallback_used
+
+
+@pytest.mark.parametrize("mismatch", ["kind", "rows", "cols"])
+def test_a_lambda_that_is_not_this_chains_is_refused(mismatch):
+    x = RngStream(91).normal(size=(400, 3))
+    chain = ChainMatrix(x)
+    lam = {
+        "kind": lambda: batch_means_sigma(chain, 10),
+        "rows": lambda: sample_cov_lambda(ChainMatrix(x[:399])),
+        "cols": lambda: sample_cov_lambda(ChainMatrix(x[:, :2])),
+    }[mismatch]()
+    cfg = StoppingConfig(p=3, n_star=8)
+    with pytest.raises(ParameterError, match="not the sample covariance of this 400 by 3"):
+        evaluate_verdict(chain, cfg, lam=lam)
+    own = evaluate_verdict(chain, cfg, lam=sample_cov_lambda(chain))
+    assert own[0] == evaluate_verdict(chain, cfg)[0]
 
 
 def _iid_sampler():
@@ -726,14 +755,57 @@ def test_controller_rejects_a_non_finite_block_after_the_first_check():
     assert len(calls) == 2
 
 
+def _wide_config(**settings):
+    """p = 50, checked at 400 rows and then every 1.5 times more up to
+    40,000: the last four checks are past n * p = 2**19, so each merges only
+    its new rows into Lambda. The cutoff is out of reach."""
+    return StoppingConfig(p=50, epsilon=0.01, n_star=400, max_n=40_000, **settings)
+
+
+def test_controller_rejects_a_non_finite_block_past_the_merge_threshold():
+    """Only new rows are scanned for finiteness; a NaN in a block that
+    starts past the threshold still raises."""
+    drawn = []
+
+    def sampler(k, rng):
+        block = rng.normal(size=(int(k), 50))
+        if sum(drawn) * 50 > _GRAM_VALUES:
+            block[k // 2, 7] = np.nan
+        drawn.append(k)
+        return block
+
+    with pytest.raises(DataError, match="finite"):
+        stopping_controller(sampler, _wide_config(), RngStream(0))
+    assert sum(drawn[:-2]) * 50 <= _GRAM_VALUES < sum(drawn[:-1]) * 50
+
+
+@pytest.mark.parametrize("use_flat_top", [False, True])
+def test_every_merged_verdict_is_given_again_by_its_head(use_flat_top):
+    """Below the threshold a check is ``evaluate_verdict(head, config)``
+    exactly; past it Lambda is merged, so ESS agrees to rounding."""
+    cfg = _wide_config(use_flat_top=use_flat_top)
+    sampler = lambda k, rng: rng.normal(size=(int(k), 50)) + 3.0
+    chain, verdicts = stopping_controller(sampler, cfg, RngStream(41))
+    assert sum(v.n * 50 > _GRAM_VALUES for v in verdicts) == 4
+    assert verdicts[-1].n == 40_000 and not verdicts[-1].terminate
+    fields = ("n", "terminate", "fallback_used", "batch_size", "batches")
+    for v in verdicts:
+        again, _, _ = evaluate_verdict(ChainMatrix(chain.values[: v.n]), cfg)
+        if v.n * 50 <= _GRAM_VALUES:
+            assert again == v
+            continue
+        assert [getattr(again, f) for f in fields] == [getattr(v, f) for f in fields]
+        assert again.ess == pytest.approx(v.ess, rel=1e-14, abs=0)
+
+
 def test_every_checked_chain_keeps_its_bytes(monkeypatch):
     """The checks see views of one buffer that later blocks extend: no
     write may reach rows an earlier check saw."""
     seen = []
 
-    def record(chain, config, batch_size=None):
+    def record(chain, config, batch_size=None, **kwargs):
         seen.append((chain, chain.values.tobytes()))
-        return evaluate_verdict(chain, config, batch_size)
+        return evaluate_verdict(chain, config, batch_size, **kwargs)
 
     monkeypatch.setattr(inference, "evaluate_verdict", record)
     cfg = StoppingConfig(p=2, n_star=8, max_n=40_000)
