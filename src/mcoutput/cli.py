@@ -19,7 +19,6 @@ import argparse
 import array
 import csv
 import dataclasses
-import itertools
 import json
 import math
 import os
@@ -28,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, lcd_demo
+from . import __version__, _csvrows, lcd_demo
 from .chain import ChainMatrix, discard_initial
 from .errors import (
     InsufficientDataError,
@@ -102,7 +101,11 @@ def read_chain_csv(path):
     gives a finite value for every cell of every row; otherwise, and
     always for input that cannot seek (a pipe), the csv-module parser reads
     it from the start. That parser decides every error, which names the
-    physical line of the first bad row in file order.
+    physical line of the first bad row in file order. A seekable file of
+    at least 32 MiB is cut into byte ranges, one per CPU, each parsed by
+    the same ``loadtxt`` step at the same time, all but the first in a
+    child process; the ranges join to the same array, bit for bit, and a
+    range that is not clean sends the file to the csv-module parser.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         if fh.seekable():
@@ -118,28 +121,16 @@ def _loadtxt_chain(fh):
     csv parser must decide: any error, a file with no data row, a field
     longer than the csv module's limit, a column count that differs from
     the header's, or a value that is not finite."""
-    limit = csv.field_size_limit()
-
-    def within_limit(line):
-        if len(line) > limit:
-            if max(map(len, line.rstrip("\r\n").split(","))) > limit:
-                raise ValueError("field larger than field limit")
-        return line
-
     try:
-        header = next(filter(None, csv.reader(fh)), None)
-        # loadtxt warns, rather than raises, when no data line follows
-        first = next((line for line in fh if line.strip("\r\n")), None)
-        if header is None or first is None:
+        head = _csvrows.read_head(fh)
+        if head is None:
             return None
-        arr = np.loadtxt(
-            map(within_limit, itertools.chain((first,), fh)),
-            delimiter=",",
-            comments=None,
-            ndmin=2,
-            dtype=float,
+        header, first, head_end = head
+        labels = [cell.strip() for cell in header]
+        arr = _csvrows.read_after_head(
+            fh, first, head_end, len(labels), csv.field_size_limit()
         )
-        return ChainMatrix._adopt(arr, [cell.strip() for cell in header])
+        return None if arr is None else ChainMatrix._adopt(arr, labels, finite=True)
     except (ValueError, csv.Error, OutputAnalysisError):
         return None
 
