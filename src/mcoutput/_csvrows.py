@@ -1,9 +1,11 @@
 """The data rows of a chain CSV as ``np.loadtxt`` reads them: in one piece,
-or, for a large file, in byte ranges that child processes parse at once.
+or, for a large file, in byte ranges after the header that child processes
+parse at once.
 
 Every range goes through ``read_rows``. A range that is not clean (a value
 ``loadtxt`` cannot read, bytes that are not UTF-8, a field over the csv
-limit, a row of another width or a value that is not finite) declines the
+limit, a row of another width or a value that is not finite), a child that
+fails and a file with no data row all raise ValueError. That declines the
 whole read, so the csv-module parser, which reads the file again from the
 start, decides every error and names its line.
 
@@ -31,9 +33,9 @@ _CHILD = "import runpy, sys; runpy.run_path(sys.argv[1], run_name='__main__')"
 
 
 def read_head(fh):
-    """(header cells, first data line, the byte offset where that line
-    ends) of a chain file opened at its start, or None where the file has
-    no header or no data line. Blank lines are skipped."""
+    """(header cells, the byte offset where the header record ends) of a
+    chain file opened at its start; blank lines before the header are
+    skipped. Raises ValueError where the file has no header."""
     bom = fh.buffer.peek(len(codecs.BOM_UTF8)).startswith(codecs.BOM_UTF8)
     seen = []
 
@@ -42,13 +44,11 @@ def read_head(fh):
             seen.append(line)
             yield line
 
-    lines = recorded(fh)
-    header = next(filter(None, csv.reader(lines)), None)
-    first = next((line for line in lines if line.strip("\r\n")), None)
-    if header is None or first is None:
-        return None
+    header = next(filter(None, csv.reader(recorded(fh))), None)
+    if header is None:
+        raise ValueError("file is empty")
     end = sum(len(line.encode()) for line in seen)
-    return header, first, end + bom * len(codecs.BOM_UTF8)
+    return header, end + bom * len(codecs.BOM_UTF8)
 
 
 def read_rows(lines, width, limit):
@@ -82,28 +82,31 @@ def read_rows(lines, width, limit):
     return arr
 
 
-def read_after_head(fh, first, head_end, width, limit):
-    """The rows of the seekable chain file ``fh`` from its first data line
-    ``first``, which ends at byte ``head_end``, on. A range that declines
-    raises ValueError here, or in a child makes this None. A file of at
-    least ``_SPLIT_BYTES`` is cut just after a ``\\n`` past ``head_end``
-    into one range per CPU; otherwise ``fh`` is read on from where
-    ``read_head`` left it."""
+def read_after_head(fh, head_end, width, limit):
+    """The rows of the seekable chain file ``fh`` after its header, which
+    ends at byte ``head_end``. A file of at least ``_SPLIT_BYTES`` is cut
+    just after a ``\\n`` into one range per CPU, the first starting at
+    ``head_end``; otherwise ``fh`` is read on from where ``read_head`` left
+    it. Raises ValueError where a range declines or no data row follows."""
     fd = fh.fileno()
     size = os.fstat(fd).st_size
     cuts = _cuts(fd, size, head_end, _pieces(size))
-    if not cuts:
-        return read_rows(itertools.chain((first,), fh), width, limit)
-    return _read_ranges(fd, first, [head_end, *cuts, size], width, limit)
+    if cuts:
+        arr = _read_ranges(fd, [head_end, *cuts, size], width, limit)
+    else:
+        arr = read_rows(fh, width, limit)
+    if not len(arr):
+        raise ValueError("no data rows after the header")
+    return arr
 
 
-def read_range(fd, start, end, width, limit, head=()):
-    """``read_rows`` of the lines ``head``, then those of bytes [start, end)
-    of the open file ``fd``, decoded as UTF-8 and split as a ``newline=""``
-    handle splits them. Every range of a split read goes through here."""
+def read_range(fd, start, end, width, limit):
+    """``read_rows`` of bytes [start, end) of the open file ``fd``, decoded
+    as UTF-8 and split as a ``newline=""`` handle splits them. Every range
+    of a split read goes through here."""
     raw = io.BufferedReader(_ByteRange(fd, start, end), 1 << 16)
     with io.TextIOWrapper(raw, encoding="utf-8", newline="") as lines:
-        return read_rows(itertools.chain(head, lines), width, limit)
+        return read_rows(lines, width, limit)
 
 
 class _ByteRange(io.RawIOBase):
@@ -136,8 +139,8 @@ def _pieces(size):
 
 def _cuts(fd, size, head_end, pieces):
     """Where ranges 2..pieces start: just after the first ``\\n`` at or past
-    an even share of the file. A share that ends inside the header or the
-    first data line gives no cut."""
+    an even share of the file. A share that ends inside the header gives
+    no cut."""
     cuts = []
     for i in range(1, pieces):
         target = size * i // pieces
@@ -157,31 +160,31 @@ def _after_newline(fd, pos):
     return None
 
 
-def _read_ranges(fd, first, bounds, width, limit):
-    """Parse [bounds[0], bounds[1]) here, after ``first``, and each later
-    range in a child at the same time; the rows in file order, or None
-    where a range declines. Every child is killed and reaped on return."""
+def _read_ranges(fd, bounds, width, limit):
+    """Parse [bounds[0], bounds[1]) here and each later range in a child at
+    the same time; the rows in file order. A range that declines, or a
+    child that cannot start, raises ValueError. Every child is killed and
+    reaped on return."""
     procs = []
     try:
         try:
             for start, end in zip(bounds[1:-1], bounds[2:]):
                 procs.append(_launch(fd, start, end, width, limit))
-        except OSError:
-            return None
-        own = read_range(fd, bounds[0], bounds[1], width, limit, (first,))
-        # a child writes its count at once, so a read gets all of it or none
+        except OSError as exc:
+            raise ValueError(f"cannot start a range's child: {exc}") from None
+        own = read_range(fd, bounds[0], bounds[1], width, limit)
         heads = [proc.stdout.read(_COUNT.size) for proc in procs]
         if any(len(head) < _COUNT.size for head in heads):
-            return None
+            raise ValueError("a child declined its range")
         counts = [_COUNT.unpack(head)[0] for head in heads]
         out = np.empty((len(own) + sum(counts), width))
         out[: len(own)] = own
         row = len(own)
         del own
         for proc, count in zip(procs, counts):
-            view = _byte_view(out[row : row + count])
-            if _read_into(proc.stdout, view) < len(view) or proc.wait() != 0:
-                return None
+            rows = out[row : row + count]
+            if proc.stdout.readinto(rows) < rows.nbytes or proc.wait() != 0:
+                raise ValueError("a child declined its range")
             row += count
         return out
     finally:
@@ -199,24 +202,8 @@ def _launch(fd, start, end, width, limit):
     return subprocess.Popen(
         [sys.executable, "-c", _CHILD, *map(str, args)],
         stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
-        stderr=subprocess.DEVNULL, bufsize=0, pass_fds=(fd,),
+        stderr=subprocess.DEVNULL, pass_fds=(fd,),
     )
-
-
-def _byte_view(arr):
-    """The bytes of a C-contiguous array, without a copy."""
-    return memoryview(arr.reshape(-1).view(np.uint8))
-
-
-def _read_into(pipe, view):
-    """Fill ``view`` from ``pipe``; the number of bytes read, short at EOF."""
-    got = 0
-    while got < len(view):
-        n = pipe.readinto(view[got:])
-        if not n:
-            break
-        got += n
-    return got
 
 
 def _child(fd, start, end, width, limit):
@@ -226,10 +213,9 @@ def _child(fd, start, end, width, limit):
         arr = read_range(fd, start, end, width, limit)
     except ValueError:
         sys.exit(1)
-    os.write(1, _COUNT.pack(len(arr)))
-    view = _byte_view(arr)
-    while view:
-        view = view[os.write(1, view):]
+    with open(1, "wb", closefd=False) as out:
+        out.write(_COUNT.pack(len(arr)))
+        out.write(arr)
 
 
 if __name__ == "__main__":

@@ -122,15 +122,12 @@ def _loadtxt_chain(fh):
     longer than the csv module's limit, a column count that differs from
     the header's, or a value that is not finite."""
     try:
-        head = _csvrows.read_head(fh)
-        if head is None:
-            return None
-        header, first, head_end = head
+        header, head_end = _csvrows.read_head(fh)
         labels = [cell.strip() for cell in header]
         arr = _csvrows.read_after_head(
-            fh, first, head_end, len(labels), csv.field_size_limit()
+            fh, head_end, len(labels), csv.field_size_limit()
         )
-        return None if arr is None else ChainMatrix._adopt(arr, labels, finite=True)
+        return ChainMatrix._adopt(arr, labels, finite=True)
     except (ValueError, csv.Error, OutputAnalysisError):
         return None
 
@@ -471,6 +468,8 @@ def cmd_plotdata(args):
     # every table is computed before the output directory is made
     if args.kind in ("trace", "acf", "density"):
         _check_file_labels(chain)
+    if args.kind in ("acf", "ccf") and not 0 <= args.lags < n:
+        raise UsageError(f"--lags must satisfy 0 <= lags < n={n}, got {args.lags}")
 
     if args.kind == "trace":
         tables = _trace_tables(stem, *_chain_table(chain))

@@ -11,6 +11,17 @@ from scipy.special import ndtri
 
 import mcoutput
 
+try:
+    from hypothesis import settings
+except ImportError:
+    pass
+else:
+    # a long run of tests/test_cli_boundary.py, as CI makes it
+    settings.register_profile(
+        "cli-boundary", max_examples=3000, derandomize=True, database=None,
+        deadline=None,
+    )
+
 
 class UnbufferedStream:
     """RngStream's draw rules with one Generator call per draw.

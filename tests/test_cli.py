@@ -510,6 +510,23 @@ def test_plotdata_usage_errors(small_two_col, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind", ["acf", "ccf"])
+@pytest.mark.parametrize("lags", [None, "10", "-1"])
+def test_plotdata_lags_outside_the_chain_name_the_option(tmp_path, capsys, kind,
+                                                         lags):
+    """A 10-row chain has lags 0..9; the default 50 and -1 are refused
+    before any table, naming --lags rather than the library's max_lag."""
+    path = tmp_path / "short.csv"
+    write_chain_csv(ChainMatrix(RngStream(3).normal(size=(10, 2))), path)
+    out = tmp_path / "out"
+    argv = ["plotdata", str(path), "--kind", kind, "--out-dir", str(out)]
+    assert main(argv + (["--lags", lags] if lags else [])) == 1
+    got = lags or "50"
+    want = f"error: --lags must satisfy 0 <= lags < n=10, got {got}\n"
+    assert capsys.readouterr().err == want
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("b", ["0", "-4"])
 def test_nonpositive_batch_size_is_an_error(small_two_col, tmp_path, capsys, b):
     """A zero batch length used to fall through to the default silently."""

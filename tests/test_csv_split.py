@@ -39,33 +39,28 @@ def _rows(chain):
 
 
 def _split_in_process(path, pick):
-    """Labels and value bytes of the file read as two ranges cut after the
-    ``pick``-th ``\\n`` past the first data line (one range where there is
-    none), each by ``read_range`` in this process, or None where the read
-    declines."""
+    """Labels and value bytes of the file read as two ranges, the first
+    from the end of the header, cut after the ``pick``-th ``\\n`` past it
+    (one range where there is none), each by ``read_range`` in this
+    process, or None where the read declines: an error, or no data row."""
     data = path.read_bytes()
     with _open(path) as fh:
         try:
-            head = _csvrows.read_head(fh)
+            header, head_end = _csvrows.read_head(fh)
+            width, limit = len(header), csv.field_size_limit()
+            cuts = [m.end() for m in re.finditer(b"\n", data)
+                    if head_end <= m.end() < len(data)]
+            bounds = [head_end, len(data)]
+            if cuts:
+                bounds.insert(1, cuts[pick % len(cuts)])
+            pieces = [_csvrows.read_range(fh.fileno(), a, b, width, limit)
+                      for a, b in zip(bounds, bounds[1:])]
         except (ValueError, csv.Error):
             return None
-        if head is None:
-            return None
-        header, first, head_end = head
-        width, limit = len(header), csv.field_size_limit()
-        cuts = [m.end() for m in re.finditer(b"\n", data)
-                if head_end <= m.end() < len(data)]
-        bounds = [head_end, len(data)]
-        if cuts:
-            bounds.insert(1, cuts[pick % len(cuts)])
-        heads = [(first,)] + [()] * (len(bounds) - 2)
-        try:
-            pieces = [_csvrows.read_range(fh.fileno(), a, b, width, limit, h)
-                      for a, b, h in zip(bounds, bounds[1:], heads)]
-        except ValueError:
-            return None
-    labels = tuple(cell.strip() for cell in header)
-    return labels, np.concatenate(pieces).tobytes()
+    rows = np.concatenate(pieces)
+    if not len(rows):
+        return None
+    return tuple(cell.strip() for cell in header), rows.tobytes()
 
 
 @settings(database=None, deadline=None, max_examples=300, derandomize=True)
@@ -229,11 +224,7 @@ def test_child_that_fails_sends_the_file_to_the_csv_parser(
     _assert_reaped(launched)
 
 
-@pytest.mark.parametrize(
-    "text",
-    ["x" * 5000 + ",y\n1,2\n3,4\n", "x,y\n1," + "0" * 5000 + "2\n3,4\n"],
-    ids=["header", "first-data-line"],
-)
+@pytest.mark.parametrize("text", ["x" * 5000 + ",y\n1,2\n3,4\n"], ids=["header"])
 def test_head_past_the_midpoint_gives_no_split(tmp_path, monkeypatch, no_launch,
                                                text):
     monkeypatch.setattr(_csvrows, "_SPLIT_BYTES", 1)
@@ -241,6 +232,73 @@ def test_head_past_the_midpoint_gives_no_split(tmp_path, monkeypatch, no_launch,
     path = tmp_path / "head.csv"
     path.write_text(text)
     assert read_chain_csv(path).values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+
+def test_long_first_data_line_is_a_range_of_its_own(tmp_path, launched):
+    first = "x,y\n1," + "0" * 5000 + "2\n"
+    path = tmp_path / "first.csv"
+    path.write_text(first + "3,4\n")
+    assert read_chain_csv(path).values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    # the child's range starts just after the first data line
+    assert launched[0].args[5] == str(len(first))
+    assert [proc.returncode for proc in launched] == [0]
+    _assert_reaped(launched)
+
+
+@pytest.fixture
+def csv_parsed(monkeypatch):
+    """The names of the files the csv-module parser reads."""
+    parsed = []
+
+    def spy(fh, name, real=_csv_chain):
+        parsed.append(name)
+        return real(fh, name)
+
+    monkeypatch.setattr("mcoutput.cli._csv_chain", spy)
+    return parsed
+
+
+def test_byte_order_mark_and_two_line_header_end_where_ranges_start(
+    tmp_path, launched, csv_parsed
+):
+    plain, _ = _chain_file(tmp_path, "chain.csv")
+    body = plain.read_bytes().split(b"\r\n", 1)[1]
+    path = tmp_path / "head.csv"
+    # three two-byte labels: an offset counted in characters falls on "d"
+    path.write_bytes('\ufeff"α\nβ",γ,d\r\n'.encode() + body)
+    want = _csv_parser_outcome(path)
+    assert want[0] == ("α\nβ", "γ", "d")
+    assert _outcome(path) == want
+    assert csv_parsed == []
+    assert [proc.returncode for proc in launched] == [0]
+    _assert_reaped(launched)
+
+
+def test_first_range_of_blank_lines_only(tmp_path, launched, csv_parsed):
+    path = tmp_path / "blank.csv"
+    path.write_bytes(b"x,y\n" + b"\n" * 400 + b"1,2\r\n3,4\n")
+    want = _csv_parser_outcome(path)
+    assert want[1] == np.array([[1.0, 2.0], [3.0, 4.0]]).tobytes()
+    assert _outcome(path) == want
+    assert csv_parsed == []
+    # the cut falls among the blank lines, so the parent's range has no row
+    assert int(launched[0].args[5]) < 404
+    assert [proc.returncode for proc in launched] == [0]
+    _assert_reaped(launched)
+
+
+def test_child_that_cannot_start_sends_the_file_to_the_csv_parser(
+    tmp_path, monkeypatch, csv_parsed
+):
+    def refuse(*args):
+        raise OSError("no process")
+
+    monkeypatch.setattr(_csvrows, "_launch", refuse)
+    monkeypatch.setattr(_csvrows, "_SPLIT_BYTES", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    path, chain = _chain_file(tmp_path, "chain.csv")
+    assert _outcome(path) == (("a", "b", "c"), chain.values.tobytes())
+    assert csv_parsed == [path]
 
 
 def test_child_honours_a_raised_field_limit(tmp_path, launched):
