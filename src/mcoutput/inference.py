@@ -13,12 +13,14 @@ same moment, so either rule may drive termination.
 """
 
 import math
+import threading
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.special import fdtri, gammaincinv
 
+from ._csvrows import cpu_count
 from .chain import ChainMatrix
 from .errors import (
     DataError,
@@ -34,6 +36,7 @@ from .errors import (
 )
 from .mcse import (
     _GRAM_VALUES,
+    CovarianceEstimate,
     _CoMoments,
     batch_means_sigma,
     default_batch_size,
@@ -297,8 +300,9 @@ class StoppingConfig:
     calls it whenever no b is given. ``next_check_fn(n)`` is the length to
     check at after a failed check at n, by default n grown by
     ``CHECK_GROWTH``, so estimation cost stays proportional to the final
-    length; :func:`stopping_controller` caps it at ``max_n`` and insists
-    that it grows the chain.
+    length; :func:`stopping_controller` refuses one that is not an integer
+    with :class:`ParameterError`, caps it at ``max_n`` and insists that it
+    grows the chain.
     """
 
     p: int
@@ -350,30 +354,43 @@ class StoppingVerdict:
     batches: int
 
 
+def _own_lambda(lam, chain):
+    """``lam``, unless it is not an estimate or not the sample covariance of
+    ``chain``'s n rows and p columns: then ParameterError."""
+    if not isinstance(lam, CovarianceEstimate):
+        raise ParameterError(
+            f"lam must be a CovarianceEstimate, got {type(lam).__name__}"
+        )
+    n = chain.rows
+    if lam.kind != "sample-cov" or lam.n_used != n or lam.dim != chain.cols:
+        raise ParameterError(
+            f"lam is a {lam.kind} estimate of {lam.n_used} rows and "
+            f"{lam.dim} columns, not the sample covariance of this "
+            f"{n} by {chain.cols} chain"
+        )
+    return lam
+
+
 def evaluate_verdict(chain, config, batch_size=None, lam=None):
     """Run one convergence check on a chain.
 
     Returns (verdict, lambda_estimate, sigma_estimate). ``batch_size``
     defaults to ``config.batch_size_fn(n)``. ``lam`` is Lambda for this
-    chain when the caller already has it, as :func:`stopping_controller`
-    does; by default it is ``sample_cov_lambda(chain)``. A ``lam`` that is
-    not a sample covariance of n rows and p columns raises
-    :class:`ParameterError`. A batch-means Sigma has rank at most a - 1, so
-    a = n // b <= p batches raise :class:`InsufficientDataError`.
+    chain when the caller already has it, or a function of no arguments
+    that returns it, called once, after Sigma is computed, as
+    :func:`stopping_controller` passes it; by default it is
+    ``sample_cov_lambda(chain)``. A ``lam`` that is not a sample covariance
+    of n rows and p columns raises :class:`ParameterError`. A batch-means
+    Sigma has rank at most a - 1, so a = n // b <= p batches raise
+    :class:`InsufficientDataError`.
     """
     n = chain.rows
     if chain.cols != config.p:
         raise DimensionError(
             f"chain has {chain.cols} columns, config expects p={config.p}"
         )
-    if lam is not None and (
-        lam.kind != "sample-cov" or lam.n_used != n or lam.dim != chain.cols
-    ):
-        raise ParameterError(
-            f"lam is a {lam.kind} estimate of {lam.n_used} rows and "
-            f"{lam.dim} columns, not the sample covariance of this "
-            f"{n} by {chain.cols} chain"
-        )
+    if lam is not None and not callable(lam):
+        _own_lambda(lam, chain)
     b = config.batch_size_fn(n) if batch_size is None else batch_size
     if lam is None:
         lam = sample_cov_lambda(chain)
@@ -388,6 +405,8 @@ def evaluate_verdict(chain, config, batch_size=None, lam=None):
     fallback = sig is not None and sig.chol is None
     if sig is None or fallback:
         sig = batch_means_sigma(chain, b)
+    if callable(lam):
+        lam = _own_lambda(lam(), chain)
     value = ess(n, lam, sig)
     verdict = StoppingVerdict(
         n=n,
@@ -400,6 +419,29 @@ def evaluate_verdict(chain, config, batch_size=None, lam=None):
         batches=n // b,
     )
     return verdict, lam, sig
+
+
+class _Merge(threading.Thread):
+    """``moments.add(rows)`` on a worker thread, started at once.
+    :meth:`estimate` joins it, re-raises with its type what ``add`` raised,
+    and returns ``moments.estimate(chain)``, computed on the calling thread."""
+
+    def __init__(self, moments, rows):
+        super().__init__()
+        self.moments, self.rows, self.error = moments, rows, None
+        self.start()
+
+    def run(self):
+        try:
+            self.moments.add(self.rows)
+        except BaseException as exc:  # re-raised by estimate
+            self.error = exc
+
+    def estimate(self, chain):
+        self.join()
+        if self.error is not None:
+            raise self.error
+        return self.moments.estimate(chain)
 
 
 def stopping_controller(
@@ -419,10 +461,16 @@ def stopping_controller(
 
     Lambda comes from one co-moment accumulator, rebuilt from all n rows
     (``sample_cov_lambda``'s bits) while n * p <= ``_GRAM_VALUES``; past
-    that each check merges in only its new rows, equal to rounding.
+    that each check merges in only its new rows, equal to rounding. Where
+    the process may run on more than one CPU, that merge runs on a worker
+    thread while ``evaluate_verdict`` computes Sigma, and ``lam`` is a
+    function that waits for it and then factors Lambda on the calling
+    thread; on one CPU the merge runs first, in line. Either way the bits
+    are the same, and no worker outlives its check, even one that raises.
 
     Memory: one buffer of ``config.max_n`` by p doubles is reserved before
-    the first draw, and each block is written into it once. The reservation
+    the first draw, and each block is written into it once; the merges
+    share one buffer of at most ``_GRAM_VALUES`` doubles. The reservation
     is address space; resident memory grows only with the rows drawn. Each
     check sees the rows drawn so far as a read-only view of the buffer, and
     the returned chain is such a view, with the buffer itself read-only. A
@@ -444,9 +492,15 @@ def stopping_controller(
     # the checks and the caller read a read-only alias of the buffer; its
     # base, a read-only memoryview, cannot be made writable again
     values = np.asarray(memoryview(buf).toreadonly())
+    # every merge centres its rows in this one piece buffer, made here: a
+    # worker that made its own at each check left the memory in glibc's
+    # per-thread arena, and the peak grew from check to check
+    piece_rows = min(config.max_n, max(1, _GRAM_VALUES // config.p))
+    pieces = np.empty((piece_rows, config.p))
+    threaded = cpu_count() > 1
     n = 0
     verdicts = []
-    moments = _CoMoments()
+    moments = _CoMoments(pieces)
     target = min(config.n_star, config.max_n)
     while True:
         k = target - n
@@ -465,14 +519,25 @@ def stopping_controller(
         # stays immutable, and all of them were found finite on the way in
         chain = ChainMatrix._adopt(values[:n], labels, finite=True)
         if n * config.p <= _GRAM_VALUES:
-            moments = _CoMoments()
-        moments.add(values[moments.count : n])
-        verdict, _, _ = evaluate_verdict(chain, config, lam=moments.estimate(chain))
+            moments = _CoMoments(pieces)
+        rows = values[moments.count : n]
+        merge = _Merge(moments, rows) if threaded else None
+        if merge is None:
+            moments.add(rows)
+        try:
+            verdict, _, _ = evaluate_verdict(
+                chain, config, lam=lambda: (merge or moments).estimate(chain)
+            )
+        finally:
+            if merge is not None:
+                merge.join()  # before the next block is written
         verdicts.append(verdict)
         if verdict.terminate or n >= config.max_n:
             buf.setflags(write=False)
             return chain, verdicts
-        target = min(config.max_n, max(int(config.next_check_fn(n)), n + 1))
+        step = config.next_check_fn(n)
+        _require_int(step, "next_check_fn(n)")
+        target = min(config.max_n, max(int(step), n + 1))
 
 
 @dataclass(frozen=True)

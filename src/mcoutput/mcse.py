@@ -206,25 +206,29 @@ class _CoMoments:
     """Row count, column mean and centred Gram M2 of the rows added so far.
 
     :meth:`add` merges a block's mean and centred Gram, summed over
-    ``_GRAM_VALUES // p``-row pieces in one reused buffer, by the pairwise
+    ``_GRAM_VALUES // p``-row pieces in one buffer, by the pairwise
     update M2 = M2_a + M2_b + (n_a n_b / n) d d^T, d the difference of the
     means (Chan, Golub & LeVeque 1983; Pebay, SAND2008-6212). The mean is
     ``centre``, the first block's ``data.mean(axis=0)``, plus an ``offset``
     summed from centred rows, so d keeps its digits when the mean is large
     next to the spread. One block is exactly the Gram centred at ``centre``.
+    ``buf``, where given, is that piece buffer for every :meth:`add`, with p
+    columns and at least min(n, ``_GRAM_VALUES // p``) rows for each block
+    of n rows; by default each :meth:`add` makes its own.
     """
 
-    def __init__(self):
+    def __init__(self, buf=None):
         self.count = 0
         self.centre = self.offset = self.m2 = None
+        self._buf = buf
 
     def add(self, data):
         n, p = data.shape
         rows = max(1, _GRAM_VALUES // p)
         with np.errstate(over="ignore", invalid="ignore"):
             mean = data.mean(axis=0)
-            buf = np.empty((min(n, rows), p))
-            centered = np.subtract(data[:rows], mean, out=buf)
+            buf = np.empty((min(n, rows), p)) if self._buf is None else self._buf
+            centered = np.subtract(data[:rows], mean, out=buf[: min(n, rows)])
             m2 = centered.T @ centered
             offset = centered.sum(axis=0)
             for start in range(rows, n, rows):

@@ -1,8 +1,12 @@
 """Cutoffs, effective sample size, Hotelling regions, and the stopping rule."""
 
 import dataclasses
+import hashlib
 import inspect
 import math
+import sys
+import threading
+import time
 import weakref
 
 import numpy as np
@@ -35,7 +39,7 @@ from mcoutput import (
 )
 from mcoutput import inference
 from mcoutput.inference import CHECK_GROWTH
-from mcoutput.mcse import _GRAM_VALUES
+from mcoutput.mcse import _GRAM_VALUES, _CoMoments
 from mcoutput.quantiles import normal_interval
 from mcoutput.errors import (
     DataError,
@@ -593,10 +597,32 @@ def test_a_lambda_that_is_not_this_chains_is_refused(mismatch):
         "cols": lambda: sample_cov_lambda(ChainMatrix(x[:, :2])),
     }[mismatch]()
     cfg = StoppingConfig(p=3, n_star=8)
-    with pytest.raises(ParameterError, match="not the sample covariance of this 400 by 3"):
-        evaluate_verdict(chain, cfg, lam=lam)
+    message = "not the sample covariance of this 400 by 3"
+    for given in (lam, lambda: lam):
+        with pytest.raises(ParameterError, match=message):
+            evaluate_verdict(chain, cfg, lam=given)
     own = evaluate_verdict(chain, cfg, lam=sample_cov_lambda(chain))
     assert own[0] == evaluate_verdict(chain, cfg)[0]
+    later = evaluate_verdict(chain, cfg, lam=lambda: sample_cov_lambda(chain))
+    assert later[0] == own[0]
+
+
+@pytest.mark.parametrize(
+    "lam, name",
+    [
+        (np.eye(3), "ndarray"),
+        (lambda: np.eye(3), "ndarray"),
+        (lambda: None, "NoneType"),
+    ],
+    ids=["array", "function of an array", "function of None"],
+)
+def test_a_lambda_that_is_not_an_estimate_is_refused(lam, name):
+    """Anything but an estimate, given or returned by a function, used to
+    raise an untyped AttributeError."""
+    chain = ChainMatrix(RngStream(93).normal(size=(400, 3)))
+    with pytest.raises(ParameterError) as info:
+        evaluate_verdict(chain, StoppingConfig(p=3, n_star=8), lam=lam)
+    assert str(info.value) == f"lam must be a CovarianceEstimate, got {name}"
 
 
 def _iid_sampler():
@@ -687,6 +713,19 @@ def test_controller_next_check_hook():
     cfg = StoppingConfig(p=1, n_star=8, max_n=700, next_check_fn=lambda n: 3 * n)
     _, verdicts = stopping_controller(_ar1_sampler(0.9), cfg, RngStream(27))
     assert [v.n for v in verdicts] == [8, 24, 72, 216, 648, 700]
+
+
+@pytest.mark.parametrize(
+    "step", [math.nan, math.inf, None, "x", "200", 300.5],
+    ids=["nan", "inf", "None", "'x'", "'200'", "300.5"],
+)
+def test_a_check_schedule_that_is_not_an_integer_is_refused(step):
+    """The next length is checked as b is: NaN, inf, None and 'x' used to
+    raise untyped errors, and '200' and 300.5 were silently truncated."""
+    cfg = StoppingConfig(p=2, n_star=100, next_check_fn=lambda n: step)
+    message = r"^next_check_fn\(n\) must be an integer$"
+    with pytest.raises(ParameterError, match=message):
+        stopping_controller(_iid_sampler_2(), cfg, RngStream(0))
 
 
 def test_stopping_config_holds_the_check_rules():
@@ -872,3 +911,142 @@ def test_bad_batch_lengths_keep_their_estimator_errors():
         evaluate_verdict(chain, flat, batch_size=0)
     with pytest.raises(ParameterError, match="^batch length must be an integer$"):
         evaluate_verdict(chain, flat, batch_size=2.0)
+
+
+def _cpus(monkeypatch, count):
+    """Make the controller see ``count`` CPUs: with two it merges each
+    check's new rows on a worker thread, with one in line."""
+    monkeypatch.setattr(inference, "cpu_count", lambda: count)
+
+
+def _wide_sampler(k, rng):
+    return rng.normal(size=(int(k), 50))
+
+
+def test_no_merge_thread_outlives_a_run(monkeypatch):
+    _cpus(monkeypatch, 2)
+    before = threading.enumerate()
+    _, verdicts = stopping_controller(_wide_sampler, _wide_config(), RngStream(43))
+    assert sum(v.n * 50 > _GRAM_VALUES for v in verdicts) == 4
+    assert threading.enumerate() == before
+
+
+def test_no_merge_thread_outlives_a_check_that_raises(monkeypatch):
+    """The batch rule raises at the first merged check while its merge,
+    slowed down, still runs: the check joins the worker before raising."""
+    _cpus(monkeypatch, 2)
+    add = _CoMoments.add
+
+    def slow_add(self, data):
+        if self.count:
+            time.sleep(0.2)
+        add(self, data)
+
+    class RuleError(Exception):
+        pass
+
+    def rule(n):
+        if n * 50 > _GRAM_VALUES:
+            raise RuleError(n)
+        return default_batch_size(n)
+
+    monkeypatch.setattr(_CoMoments, "add", slow_add)
+    before = threading.enumerate()
+    with pytest.raises(RuleError):
+        stopping_controller(
+            _wide_sampler, _wide_config(batch_size_fn=rule), RngStream(45)
+        )
+    assert threading.enumerate() == before
+
+
+def test_a_merge_error_on_the_worker_reaches_the_caller_with_its_type(monkeypatch):
+    _cpus(monkeypatch, 2)
+    threads = []
+
+    class MergeError(Exception):
+        pass
+
+    def failing_add(self, data):
+        threads.append(threading.current_thread())
+        raise MergeError("merge failed")
+
+    monkeypatch.setattr(_CoMoments, "add", failing_add)
+    cfg = StoppingConfig(p=2, n_star=8, max_n=2_000)
+    with pytest.raises(MergeError, match="^merge failed$"):
+        stopping_controller(_iid_sampler_2(), cfg, RngStream(47))
+    assert len(threads) == 1 and threads[0] is not threading.current_thread()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_the_lambda_function_is_called_once_per_check_after_sigma(monkeypatch, cpus):
+    _cpus(monkeypatch, cpus)
+    events = []
+
+    def sigma(chain, b, _original=inference.batch_means_sigma):
+        events.append(("sigma", chain.rows))
+        return _original(chain, b)
+
+    def record(chain, config, batch_size=None, lam=None):
+        def counted():
+            events.append(("lam", chain.rows))
+            return lam()
+
+        return evaluate_verdict(chain, config, batch_size, counted)
+
+    monkeypatch.setattr(inference, "batch_means_sigma", sigma)
+    monkeypatch.setattr(inference, "evaluate_verdict", record)
+    _, verdicts = stopping_controller(_wide_sampler, _wide_config(), RngStream(49))
+    assert events == [(e, v.n) for v in verdicts for e in ("sigma", "lam")]
+
+
+def test_the_merge_thread_changes_no_bit_under_fast_switching(monkeypatch):
+    """Switching threads every microsecond while Sigma and the merge run
+    at once gives the serial path's chain and verdicts."""
+    runs = []
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        for cpus in (1, 2):
+            _cpus(monkeypatch, cpus)
+            chain, verdicts = stopping_controller(
+                _wide_sampler, _wide_config(use_flat_top=True), RngStream(51)
+            )
+            runs.append((chain.values.tobytes(), repr(verdicts)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert runs[0] == runs[1]
+
+
+def _stopping_recipe(seed, n=400_000, p=50, rho=0.95, c=0.5):
+    """The path of the benchmark's ``stopping`` workload: a stationary
+    p-dimensional AR(1) with coefficient rho and standard normal
+    innovations equicorrelated at c, from ``default_rng(seed)``."""
+    rng = np.random.default_rng(seed)
+    eps = math.sqrt(1.0 - c) * rng.standard_normal((n, p))
+    eps += math.sqrt(c) * rng.standard_normal((n, 1))
+    eps[0] /= math.sqrt(1.0 - rho * rho)
+    return lfilter([1.0], [1.0, -rho], eps, axis=0)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_the_merge_thread_changes_no_bit(monkeypatch, seed):
+    """Flat-top Sigma at p = 50 on rho = 0.95: the run stops at its tenth
+    check, all but the first merged, with the serial path's chain and
+    verdicts."""
+    path = _stopping_recipe(seed)
+    cfg = StoppingConfig(p=50, use_flat_top=True, max_n=len(path))
+    runs = []
+    for cpus in (1, 2):
+        _cpus(monkeypatch, cpus)
+        drawn = 0
+
+        def sampler(k, rng):
+            nonlocal drawn
+            drawn += k
+            return path[drawn - k : drawn]
+
+        chain, verdicts = stopping_controller(sampler, cfg, None)
+        runs.append((hashlib.sha256(chain.values).hexdigest(), repr(verdicts)))
+    assert runs[0] == runs[1]
+    assert verdicts[-1].terminate and len(verdicts) == 10
+    assert [v.n * 50 > _GRAM_VALUES for v in verdicts] == [False] + [True] * 9

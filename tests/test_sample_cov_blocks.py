@@ -78,8 +78,9 @@ def _controller_lambdas(monkeypatch, x, n_star):
     lams = []
 
     def record(chain, config, batch_size=None, lam=None):
-        lams.append(lam)
-        return evaluate_verdict(chain, config, batch_size, lam)
+        result = evaluate_verdict(chain, config, batch_size, lam)
+        lams.append(result[1])
+        return result
 
     monkeypatch.setattr(inference, "evaluate_verdict", record)
     drawn = 0
