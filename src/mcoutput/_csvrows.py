@@ -127,19 +127,14 @@ class _ByteRange(io.RawIOBase):
         return len(data)
 
 
-def cpu_count():
-    """CPUs this process may run on: its affinity set where the platform
-    has one, else ``os.cpu_count()``."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
 def _pieces(size):
     if os.name != "posix":  # ranges need os.pread and Popen's pass_fds
         return 1
-    return min(cpu_count(), 2 * size // _SPLIT_BYTES)
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return min(cpus, 2 * size // _SPLIT_BYTES)
 
 
 def _cuts(fd, size, head_end, pieces):

@@ -113,6 +113,16 @@ class RngStream:
         return ndtri(self.uniform(size))
 
 
+def _float_array(data, copy):
+    """``data`` as a float64 array, always a new one when ``copy``. Bool,
+    integer and numeric-string values are cast; complex values raise
+    DataError, since the cast would drop their imaginary parts."""
+    arr = np.asarray(data)
+    if arr.dtype.kind == "c":
+        raise DataError(f"chain values must be real, got {arr.dtype} values")
+    return arr.astype(float, copy=copy)
+
+
 class ChainMatrix:
     """Immutable n-by-p record of functional evaluations.
 
@@ -134,23 +144,28 @@ class ChainMatrix:
     __slots__ = ("_data", "labels")
 
     def __init__(self, data, labels=None):
-        self._freeze(np.array(data, dtype=float), labels)
+        arr = _float_array(data, copy=True)
+        if not np.isfinite(arr).all():
+            raise DataError("chain values must all be finite")
+        self._freeze(arr, labels)
 
     @classmethod
-    def _adopt(cls, arr, labels=None, finite=False):
+    def _adopt(cls, arr, labels=None):
         """Wrap a float64 array the package owns, without copying it.
 
         ``arr`` is fresh, or a view of a package-owned buffer whose rows
-        under the view are never written again. The checks are those of
-        ``ChainMatrix(arr)``, less the scan for non-finite values when the
-        caller has already made it (``finite``); ``arr`` itself is then
-        marked read-only, so no caller may keep a writable reference.
+        under the view are never written again. Every caller has already
+        found its values finite (the file readers as they parse, the
+        stopping controller block by block; an indicator series holds only
+        0.0 and 1.0), so only the shape and label checks of
+        ``ChainMatrix(arr)`` are made; ``arr`` itself is then marked
+        read-only, so no caller may keep a writable reference.
         """
         chain = cls.__new__(cls)
-        chain._freeze(arr, labels, finite)
+        chain._freeze(arr, labels)
         return chain
 
-    def _freeze(self, arr, labels, finite=False):
+    def _freeze(self, arr, labels):
         """Check a float array and its labels, then store it read-only."""
         if arr.ndim == 1:
             arr = arr[:, None]
@@ -160,8 +175,6 @@ class ChainMatrix:
             )
         if arr.shape[1] < 1:
             raise DimensionError("chain needs at least one column")
-        if not finite and arr.size and not np.isfinite(arr).all():
-            raise DataError("chain values must all be finite")
         if labels is not None:
             labels = tuple(str(lab) for lab in labels)
             if len(labels) != arr.shape[1]:

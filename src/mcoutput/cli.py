@@ -127,7 +127,7 @@ def _loadtxt_chain(fh):
         arr = _csvrows.read_after_head(
             fh, head_end, len(labels), csv.field_size_limit()
         )
-        return ChainMatrix._adopt(arr, labels, finite=True)
+        return ChainMatrix._adopt(arr, labels)
     except (ValueError, csv.Error, OutputAnalysisError):
         return None
 

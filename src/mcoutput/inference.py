@@ -13,15 +13,14 @@ same moment, so either rule may drive termination.
 """
 
 import math
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.special import fdtri, gammaincinv
 
-from ._csvrows import cpu_count
-from .chain import ChainMatrix
+from .chain import ChainMatrix, _float_array
 from .errors import (
     DataError,
     DegreesOfFreedomError,
@@ -377,8 +376,9 @@ def evaluate_verdict(chain, config, batch_size=None, lam=None):
     Returns (verdict, lambda_estimate, sigma_estimate). ``batch_size``
     defaults to ``config.batch_size_fn(n)``. ``lam`` is Lambda for this
     chain when the caller already has it, or a function of no arguments
-    that returns it, called once, after Sigma is computed, as
-    :func:`stopping_controller` passes it; by default it is
+    that returns it, called once, after Sigma is computed:
+    :func:`stopping_controller` passes one that waits for the merge its
+    worker thread runs meanwhile. By default it is
     ``sample_cov_lambda(chain)``. A ``lam`` that is not a sample covariance
     of n rows and p columns raises :class:`ParameterError`. A batch-means
     Sigma has rank at most a - 1, so a = n // b <= p batches raise
@@ -421,29 +421,6 @@ def evaluate_verdict(chain, config, batch_size=None, lam=None):
     return verdict, lam, sig
 
 
-class _Merge(threading.Thread):
-    """``moments.add(rows)`` on a worker thread, started at once.
-    :meth:`estimate` joins it, re-raises with its type what ``add`` raised,
-    and returns ``moments.estimate(chain)``, computed on the calling thread."""
-
-    def __init__(self, moments, rows):
-        super().__init__()
-        self.moments, self.rows, self.error = moments, rows, None
-        self.start()
-
-    def run(self):
-        try:
-            self.moments.add(self.rows)
-        except BaseException as exc:  # re-raised by estimate
-            self.error = exc
-
-    def estimate(self, chain):
-        self.join()
-        if self.error is not None:
-            raise self.error
-        return self.moments.estimate(chain)
-
-
 def stopping_controller(
     sampler: Callable[[int, object], np.ndarray],
     config: StoppingConfig,
@@ -461,12 +438,12 @@ def stopping_controller(
 
     Lambda comes from one co-moment accumulator, rebuilt from all n rows
     (``sample_cov_lambda``'s bits) while n * p <= ``_GRAM_VALUES``; past
-    that each check merges in only its new rows, equal to rounding. Where
-    the process may run on more than one CPU, that merge runs on a worker
-    thread while ``evaluate_verdict`` computes Sigma, and ``lam`` is a
-    function that waits for it and then factors Lambda on the calling
-    thread; on one CPU the merge runs first, in line. Either way the bits
-    are the same, and no worker outlives its check, even one that raises.
+    that each check merges in only its new rows, equal to rounding. The
+    merge runs on one worker thread, kept for the whole run, while
+    ``evaluate_verdict`` computes Sigma; ``lam`` is a function that waits
+    for it, re-raising its error with its type, and then factors Lambda on
+    the calling thread. The worker is joined when the controller returns
+    or raises, after any merge still running.
 
     Memory: one buffer of ``config.max_n`` by p doubles is reserved before
     the first draw, and each block is written into it once; the merges
@@ -475,8 +452,8 @@ def stopping_controller(
     check sees the rows drawn so far as a read-only view of the buffer, and
     the returned chain is such a view, with the buffer itself read-only. A
     reservation the machine refuses raises :class:`ParameterError` before
-    the sampler is called. Each block is checked for finite values once, as
-    it is copied in.
+    the sampler is called. Each block is checked once, as it is copied in:
+    complex or non-finite values raise :class:`DataError`.
 
     Returns (chain, verdicts), one verdict per check in order.
     """
@@ -497,47 +474,45 @@ def stopping_controller(
     # per-thread arena, and the peak grew from check to check
     piece_rows = min(config.max_n, max(1, _GRAM_VALUES // config.p))
     pieces = np.empty((piece_rows, config.p))
-    threaded = cpu_count() > 1
     n = 0
     verdicts = []
     moments = _CoMoments(pieces)
     target = min(config.n_star, config.max_n)
-    while True:
-        k = target - n
-        block = np.asarray(sampler(k, rng), dtype=float)
-        if block.ndim == 1:
-            block = block[:, None]
-        if block.shape != (k, config.p):
-            raise DimensionError(
-                f"sampler returned shape {block.shape}, expected ({k}, {config.p})"
-            )
-        if not np.isfinite(block).all():
-            raise DataError("chain values must all be finite")
-        buf[n:target] = block  # a copy: no block is kept
-        n = target
-        # rows below n are never written again, so every check's chain
-        # stays immutable, and all of them were found finite on the way in
-        chain = ChainMatrix._adopt(values[:n], labels, finite=True)
-        if n * config.p <= _GRAM_VALUES:
-            moments = _CoMoments(pieces)
-        rows = values[moments.count : n]
-        merge = _Merge(moments, rows) if threaded else None
-        if merge is None:
-            moments.add(rows)
-        try:
-            verdict, _, _ = evaluate_verdict(
-                chain, config, lam=lambda: (merge or moments).estimate(chain)
-            )
-        finally:
-            if merge is not None:
-                merge.join()  # before the next block is written
-        verdicts.append(verdict)
-        if verdict.terminate or n >= config.max_n:
-            buf.setflags(write=False)
-            return chain, verdicts
-        step = config.next_check_fn(n)
-        _require_int(step, "next_check_fn(n)")
-        target = min(config.max_n, max(int(step), n + 1))
+    # leaving the block, by a return or a raise, joins the worker after
+    # its last merge, so no worker outlives the run
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        while True:
+            k = target - n
+            returned = _float_array(sampler(k, rng), copy=False)
+            block = returned[:, None] if returned.ndim == 1 else returned
+            if block.shape != (k, config.p):
+                raise DimensionError(
+                    f"sampler returned shape {returned.shape}, "
+                    f"expected ({k}, {config.p})"
+                )
+            if not np.isfinite(block).all():
+                raise DataError("chain values must all be finite")
+            buf[n:target] = block  # a copy: no block is kept
+            n = target
+            # rows below n are never written again, so every check's chain
+            # stays immutable, and all of them were found finite on the way in
+            chain = ChainMatrix._adopt(values[:n], labels)
+            if n * config.p <= _GRAM_VALUES:
+                moments = _CoMoments(pieces)
+            merge = pool.submit(moments.add, values[moments.count : n])
+
+            def lam():
+                merge.result()  # done before the next block is written
+                return moments.estimate(chain)
+
+            verdict, _, _ = evaluate_verdict(chain, config, lam=lam)
+            verdicts.append(verdict)
+            if verdict.terminate or n >= config.max_n:
+                buf.setflags(write=False)
+                return chain, verdicts
+            step = config.next_check_fn(n)
+            _require_int(step, "next_check_fn(n)")
+            target = min(config.max_n, max(int(step), n + 1))
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,9 @@ this directory on ``sys.path``.
 - :func:`sample_cov_centred_copy` is the target covariance from one
   centred n-by-p copy of the chain, which the row-block
   ``sample_cov_lambda`` is checked against.
+- :func:`stopping_replay` is the stopping controller's checks replayed on
+  one thread, each on its own copy of the chain's head, which the
+  controller and its merge worker are checked against.
 """
 
 import math
@@ -36,6 +39,7 @@ from mcoutput import (
     kde_bandwidth,
 )
 from mcoutput.errors import DataError
+from mcoutput.inference import evaluate_verdict
 from mcoutput.lcd_demo import (
     BETA_PRIOR_RATE,
     LAMBDA_PRIOR_RATE,
@@ -43,6 +47,7 @@ from mcoutput.lcd_demo import (
     POSTERIOR_LAMBDA_SHAPE,
     sum_t_pow,
 )
+from mcoutput.mcse import _GRAM_VALUES, _CoMoments
 
 _N_FAILURES = len(LCD_FAILURE_HOURS)
 _SUM_LOG_TIMES = float(np.log(LCD_FAILURE_HOURS).sum())
@@ -189,3 +194,25 @@ def sample_cov_centred_copy(x):
     centered = x - x.mean(axis=0)
     mat = (centered.T @ centered) / x.shape[0]
     return 0.5 * (mat + mat.T)
+
+
+def stopping_replay(path, config):
+    """``stopping_controller`` over the rows of ``path``, serially.
+
+    The same check schedule and the same co-moments: rebuilt from the whole
+    head while n * p <= ``_GRAM_VALUES``, else with only the new rows merged
+    in, in line, before ``evaluate_verdict(head, config, lam=...)``. Returns
+    (chain, verdicts) as the controller does.
+    """
+    moments, verdicts = _CoMoments(), []
+    n = min(config.n_star, config.max_n)
+    while True:
+        head = ChainMatrix(path[:n])
+        if n * config.p <= _GRAM_VALUES:
+            moments = _CoMoments()
+        moments.add(head.values[moments.count :])
+        verdict, _, _ = evaluate_verdict(head, config, lam=moments.estimate(head))
+        verdicts.append(verdict)
+        if verdict.terminate or n >= config.max_n:
+            return head, verdicts
+        n = min(config.max_n, max(int(config.next_check_fn(n)), n + 1))

@@ -125,8 +125,6 @@ def test_adopted_array_is_shared_and_frozen():
     assert chain.values.shape == (6, 1)
     assert chain.labels == ("x",)
     assert not chain.values.flags.writeable
-    with pytest.raises(DataError):
-        ChainMatrix._adopt(np.array([1.0, np.nan]))
     with pytest.raises(DimensionError):
         ChainMatrix._adopt(np.zeros((2, 2)), ["only_one"])
 
@@ -136,6 +134,29 @@ def test_chain_rejects_non_finite():
         ChainMatrix([1.0, np.nan, 2.0])
     with pytest.raises(DataError):
         ChainMatrix([[1.0], [np.inf]])
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        np.array([[1 + 2j, 2], [3, 4]]),
+        [[1 + 2j, 2.0], [3.0, 4.0]],
+        np.array([1.0, 2.0], dtype=np.complex64),
+    ],
+    ids=["array", "list", "complex64"],
+)
+def test_chain_refuses_complex_values(data):
+    """The float cast would keep only the real parts, or fail untyped."""
+    with pytest.raises(DataError, match="^chain values must be real, got complex"):
+        ChainMatrix(data)
+
+
+def test_chain_casts_bool_and_numeric_string_values():
+    flags = ChainMatrix(np.array([[True, False], [False, True]]))
+    assert flags.values.dtype == np.float64
+    np.testing.assert_array_equal(flags.values, [[1.0, 0.0], [0.0, 1.0]])
+    text = ChainMatrix(np.full((2, 2), "1.5"))
+    np.testing.assert_array_equal(text.values, np.full((2, 2), 1.5))
 
 
 def test_chain_rejects_bad_shapes():

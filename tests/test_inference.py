@@ -50,7 +50,7 @@ from mcoutput.errors import (
     ParameterError,
     SingularEstimateError,
 )
-from oracles import Ar1Spec, generate_ar1
+from oracles import Ar1Spec, generate_ar1, stopping_replay
 
 M1 = 6146.334113110594  # 4 * chi2_{.95,1} / .05^2
 M2 = 7529.096402175241  # the p = 2 default cutoff
@@ -778,6 +778,27 @@ def test_controller_rejects_misshapen_sampler_output():
         stopping_controller(bad, StoppingConfig(p=1, n_star=8, max_n=10), RngStream(0))
 
 
+def test_a_one_dimensional_block_is_reported_as_returned():
+    flat = lambda k, rng: rng.normal(size=int(k))
+    with pytest.raises(DimensionError) as info:
+        stopping_controller(flat, StoppingConfig(p=2, n_star=8), RngStream(0))
+    assert str(info.value) == "sampler returned shape (8,), expected (8, 2)"
+
+
+def test_controller_refuses_complex_blocks():
+    """Casting a complex block to float would keep only its real parts."""
+    calls = []
+
+    def sampler(k, rng):
+        calls.append(k)
+        return rng.normal(size=(int(k), 2)) + 1j
+
+    cfg = StoppingConfig(p=2, n_star=8, max_n=2_000)
+    with pytest.raises(DataError, match="^chain values must be real, got complex"):
+        stopping_controller(sampler, cfg, RngStream(0))
+    assert calls == [8]
+
+
 def test_controller_rejects_a_non_finite_block_after_the_first_check():
     calls = []
 
@@ -913,18 +934,11 @@ def test_bad_batch_lengths_keep_their_estimator_errors():
         evaluate_verdict(chain, flat, batch_size=2.0)
 
 
-def _cpus(monkeypatch, count):
-    """Make the controller see ``count`` CPUs: with two it merges each
-    check's new rows on a worker thread, with one in line."""
-    monkeypatch.setattr(inference, "cpu_count", lambda: count)
-
-
 def _wide_sampler(k, rng):
     return rng.normal(size=(int(k), 50))
 
 
-def test_no_merge_thread_outlives_a_run(monkeypatch):
-    _cpus(monkeypatch, 2)
+def test_no_merge_thread_outlives_a_run():
     before = threading.enumerate()
     _, verdicts = stopping_controller(_wide_sampler, _wide_config(), RngStream(43))
     assert sum(v.n * 50 > _GRAM_VALUES for v in verdicts) == 4
@@ -933,8 +947,7 @@ def test_no_merge_thread_outlives_a_run(monkeypatch):
 
 def test_no_merge_thread_outlives_a_check_that_raises(monkeypatch):
     """The batch rule raises at the first merged check while its merge,
-    slowed down, still runs: the check joins the worker before raising."""
-    _cpus(monkeypatch, 2)
+    slowed down, still runs: the controller joins the worker before raising."""
     add = _CoMoments.add
 
     def slow_add(self, data):
@@ -960,7 +973,6 @@ def test_no_merge_thread_outlives_a_check_that_raises(monkeypatch):
 
 
 def test_a_merge_error_on_the_worker_reaches_the_caller_with_its_type(monkeypatch):
-    _cpus(monkeypatch, 2)
     threads = []
 
     class MergeError(Exception):
@@ -977,9 +989,7 @@ def test_a_merge_error_on_the_worker_reaches_the_caller_with_its_type(monkeypatc
     assert len(threads) == 1 and threads[0] is not threading.current_thread()
 
 
-@pytest.mark.parametrize("cpus", [1, 2])
-def test_the_lambda_function_is_called_once_per_check_after_sigma(monkeypatch, cpus):
-    _cpus(monkeypatch, cpus)
+def test_the_lambda_function_is_called_once_per_check_after_sigma(monkeypatch):
     events = []
 
     def sigma(chain, b, _original=inference.batch_means_sigma):
@@ -999,22 +1009,63 @@ def test_the_lambda_function_is_called_once_per_check_after_sigma(monkeypatch, c
     assert events == [(e, v.n) for v in verdicts for e in ("sigma", "lam")]
 
 
-def test_the_merge_thread_changes_no_bit_under_fast_switching(monkeypatch):
+def test_one_worker_thread_serves_the_whole_run(monkeypatch):
+    """The worker starts at the first merge and is the only thread the run
+    adds: the sampler never sees more than one thread beyond the caller's."""
+    merged_on, live = set(), []
+    add = _CoMoments.add
+
+    def recording_add(self, data):
+        merged_on.add(threading.current_thread())
+        add(self, data)
+
+    def sampler(k, rng):
+        live.append(threading.active_count())
+        return _wide_sampler(k, rng)
+
+    monkeypatch.setattr(_CoMoments, "add", recording_add)
+    start = threading.active_count()
+    _, verdicts = stopping_controller(sampler, _wide_config(), RngStream(53))
+    assert live == [start] + [start + 1] * (len(verdicts) - 1)
+    assert len(merged_on) == 1 and threading.current_thread() not in merged_on
+    assert threading.active_count() == start
+
+
+def _path_sampler(path):
+    """A sampler that hands out the rows of ``path`` in order."""
+    drawn = 0
+
+    def sampler(k, rng):
+        nonlocal drawn
+        drawn += k
+        return path[drawn - k : drawn]
+
+    return sampler
+
+
+def _same_bits(path, cfg):
+    """The controller's verdicts over ``path``, once its chain bytes and
+    ``repr(verdicts)`` are found equal to those of its serial replay."""
+    runs = (
+        stopping_controller(_path_sampler(path), cfg, None),
+        stopping_replay(path, cfg),
+    )
+    digests = [(hashlib.sha256(c.values).hexdigest(), repr(v)) for c, v in runs]
+    assert digests[0] == digests[1]
+    return runs[0][1]
+
+
+def test_the_merge_thread_changes_no_bit_under_fast_switching():
     """Switching threads every microsecond while Sigma and the merge run
-    at once gives the serial path's chain and verdicts."""
-    runs = []
+    at once gives the serial replay's chain and verdicts."""
+    path = RngStream(51).normal(size=(40_000, 50))
     interval = sys.getswitchinterval()
     try:
         sys.setswitchinterval(1e-6)
-        for cpus in (1, 2):
-            _cpus(monkeypatch, cpus)
-            chain, verdicts = stopping_controller(
-                _wide_sampler, _wide_config(use_flat_top=True), RngStream(51)
-            )
-            runs.append((chain.values.tobytes(), repr(verdicts)))
+        verdicts = _same_bits(path, _wide_config(use_flat_top=True))
     finally:
         sys.setswitchinterval(interval)
-    assert runs[0] == runs[1]
+    assert sum(v.n * 50 > _GRAM_VALUES for v in verdicts) == 4
 
 
 def _stopping_recipe(seed, n=400_000, p=50, rho=0.95, c=0.5):
@@ -1029,24 +1080,11 @@ def _stopping_recipe(seed, n=400_000, p=50, rho=0.95, c=0.5):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_the_merge_thread_changes_no_bit(monkeypatch, seed):
+def test_the_merge_thread_changes_no_bit(seed):
     """Flat-top Sigma at p = 50 on rho = 0.95: the run stops at its tenth
-    check, all but the first merged, with the serial path's chain and
+    check, all but the first merged, with the serial replay's chain and
     verdicts."""
     path = _stopping_recipe(seed)
-    cfg = StoppingConfig(p=50, use_flat_top=True, max_n=len(path))
-    runs = []
-    for cpus in (1, 2):
-        _cpus(monkeypatch, cpus)
-        drawn = 0
-
-        def sampler(k, rng):
-            nonlocal drawn
-            drawn += k
-            return path[drawn - k : drawn]
-
-        chain, verdicts = stopping_controller(sampler, cfg, None)
-        runs.append((hashlib.sha256(chain.values).hexdigest(), repr(verdicts)))
-    assert runs[0] == runs[1]
+    verdicts = _same_bits(path, StoppingConfig(p=50, use_flat_top=True, max_n=len(path)))
     assert verdicts[-1].terminate and len(verdicts) == 10
     assert [v.n * 50 > _GRAM_VALUES for v in verdicts] == [False] + [True] * 9
