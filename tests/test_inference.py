@@ -989,7 +989,10 @@ def test_a_merge_error_on_the_worker_reaches_the_caller_with_its_type(monkeypatc
     assert len(threads) == 1 and threads[0] is not threading.current_thread()
 
 
-def test_the_lambda_function_is_called_once_per_check_after_sigma(monkeypatch):
+@pytest.mark.parametrize("runs", [1, 2])
+def test_the_lambda_function_is_called_once_per_check_after_sigma(monkeypatch, runs):
+    """With ``runs`` runs in a row, each on its own worker, every run calls
+    ``lam`` once per check, after Sigma."""
     events = []
 
     def sigma(chain, b, _original=inference.batch_means_sigma):
@@ -1005,8 +1008,10 @@ def test_the_lambda_function_is_called_once_per_check_after_sigma(monkeypatch):
 
     monkeypatch.setattr(inference, "batch_means_sigma", sigma)
     monkeypatch.setattr(inference, "evaluate_verdict", record)
-    _, verdicts = stopping_controller(_wide_sampler, _wide_config(), RngStream(49))
-    assert events == [(e, v.n) for v in verdicts for e in ("sigma", "lam")]
+    for _ in range(runs):
+        events.clear()
+        _, verdicts = stopping_controller(_wide_sampler, _wide_config(), RngStream(49))
+        assert events == [(e, v.n) for v in verdicts for e in ("sigma", "lam")]
 
 
 def test_one_worker_thread_serves_the_whole_run(monkeypatch):
