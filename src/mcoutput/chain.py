@@ -113,14 +113,21 @@ class RngStream:
         return ndtri(self.uniform(size))
 
 
-def _float_array(data, copy):
+def _float_array(data, copy, what="chain"):
     """``data`` as a float64 array, always a new one when ``copy``. Bool,
-    integer and numeric-string values are cast; complex values raise
-    DataError, since the cast would drop their imaginary parts."""
-    arr = np.asarray(data)
-    if arr.dtype.kind == "c":
-        raise DataError(f"chain values must be real, got {arr.dtype} values")
-    return arr.astype(float, copy=copy)
+    integer and numeric-string values are cast. Anything else raises
+    DataError: complex values, whose imaginary parts the cast would drop,
+    datetimes, time spans and records, which it would turn into counts or
+    fields, and data it cannot cast: text, ragged rows, mappings."""
+    try:
+        arr = np.asarray(data)
+        kind = arr.dtype.kind
+        if kind not in "cmMV":
+            return arr.astype(float, copy=copy)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DataError(f"{what} values must be numbers: {exc}") from None
+    need = "real" if kind == "c" else "numbers"
+    raise DataError(f"{what} values must be {need}, got {arr.dtype} values")
 
 
 class ChainMatrix:

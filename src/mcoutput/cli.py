@@ -315,8 +315,9 @@ def _region_tables(region, stem):
     return {f"{stem}_region.csv": (["kind", "x", "y"], kinds, *points.T)}
 
 
-def _batch_size(args, n):
-    return default_batch_size(n) if args.batch_size is None else args.batch_size
+def _batch_rule(args):
+    b = args.batch_size
+    return default_batch_size if b is None else lambda n: b
 
 
 def _check_grid_points(args):
@@ -341,9 +342,10 @@ def cmd_analyze(args):
     if p > n:
         raise InsufficientDataError(f"more columns ({p}) than rows ({n})")
     config = StoppingConfig(
-        p=p, alpha=args.alpha, epsilon=args.epsilon, use_flat_top=args.flat_top
+        p=p, alpha=args.alpha, epsilon=args.epsilon, use_flat_top=args.flat_top,
+        batch_size_fn=_batch_rule(args),
     )
-    verdict, lam, sig = evaluate_verdict(chain, config, args.batch_size)
+    verdict, lam, sig = evaluate_verdict(chain, config)
     summary = summarize(chain, sig, args.alpha, args.quantiles)
     b = sig.batch_size
 
@@ -484,7 +486,7 @@ def cmd_plotdata(args):
             raise UsageError(f"--alpha must be inside (0, 1), got {args.alpha}")
         levels = (0.025, 0.975)
         marker_alpha = _marker_alpha(args.alpha, p, levels)
-        sigma = batch_means_sigma(chain, _batch_size(args, n))
+        sigma = batch_means_sigma(chain, _batch_rule(args)(n))
         summary = summarize(chain, sigma, args.alpha, levels)
         summary.raise_failures(region=False)
         tables = _density_tables(chain, summary, marker_alpha, args.grid_points, stem)
@@ -493,7 +495,7 @@ def cmd_plotdata(args):
             raise UsageError(
                 f"region plot data needs a two-column chain, got p={p}"
             )
-        sigma = batch_means_sigma(chain, _batch_size(args, n))
+        sigma = batch_means_sigma(chain, _batch_rule(args)(n))
         summary = summarize(chain, sigma, args.alpha, ())
         summary.raise_failures()
         tables = _region_tables(summary.region, stem)

@@ -188,7 +188,7 @@ class ConfidenceRegion:
 
     def mahalanobis2(self, x):
         """Quadratic form (x - center)^T shape^(-1) (x - center)."""
-        r = np.asarray(x, dtype=float) - self.center
+        r = _float_array(x, copy=False, what="point") - self.center
         return float(r @ np.linalg.solve(self.shape, r))
 
     def contains(self, x):
@@ -226,7 +226,7 @@ def hotelling_region(mean, sigma_est, n, alpha, q):
     log 2 + (p/2) log pi - log p - log Gamma(p/2) + (p/2) log(T^2 / n)
     + (1/2) log det(Sigma).
     """
-    center = np.atleast_1d(np.asarray(mean, dtype=float)).copy()
+    center = np.atleast_1d(_float_array(mean, copy=True, what="mean"))
     if center.ndim != 1:
         raise DimensionError("mean must be a vector")
     if not np.isfinite(center).all():
@@ -296,7 +296,7 @@ class StoppingConfig:
     automatic fallback to plain batch means when the combination is not
     usable. ``batch_size_fn(n)`` is Sigma's batch length at a check of n
     rows, :func:`default_batch_size` by default; :func:`evaluate_verdict`
-    calls it whenever no b is given. ``next_check_fn(n)`` is the length to
+    calls it at every check. ``next_check_fn(n)`` is the length to
     check at after a failed check at n, by default n grown by
     ``CHECK_GROWTH``, so estimation cost stays proportional to the final
     length; :func:`stopping_controller` refuses one that is not an integer
@@ -370,19 +370,18 @@ def _own_lambda(lam, chain):
     return lam
 
 
-def evaluate_verdict(chain, config, batch_size=None, lam=None):
+def evaluate_verdict(chain, config, lam=None):
     """Run one convergence check on a chain.
 
-    Returns (verdict, lambda_estimate, sigma_estimate). ``batch_size``
-    defaults to ``config.batch_size_fn(n)``. ``lam`` is Lambda for this
-    chain when the caller already has it, or a function of no arguments
-    that returns it, called once, after Sigma is computed:
-    :func:`stopping_controller` passes one that waits for the merge its
-    worker thread runs meanwhile. By default it is
-    ``sample_cov_lambda(chain)``. A ``lam`` that is not a sample covariance
-    of n rows and p columns raises :class:`ParameterError`. A batch-means
-    Sigma has rank at most a - 1, so a = n // b <= p batches raise
-    :class:`InsufficientDataError`.
+    Returns (verdict, lambda_estimate, sigma_estimate). Sigma's batch
+    length is b = ``config.batch_size_fn(n)``. Lambda is ``lam()``, or
+    ``sample_cov_lambda(chain)`` when ``lam`` is None, computed once, after
+    Sigma, so Sigma's errors come first: :func:`stopping_controller` passes
+    a ``lam`` that waits for the merge its worker thread runs meanwhile. A
+    ``lam`` that is not callable, or returns anything but the sample
+    covariance of n rows and p columns, raises :class:`ParameterError`. A
+    batch-means Sigma has rank at most a - 1, so a = n // b <= p batches
+    raise :class:`InsufficientDataError`.
     """
     n = chain.rows
     if chain.cols != config.p:
@@ -390,11 +389,10 @@ def evaluate_verdict(chain, config, batch_size=None, lam=None):
             f"chain has {chain.cols} columns, config expects p={config.p}"
         )
     if lam is not None and not callable(lam):
-        _own_lambda(lam, chain)
-    b = config.batch_size_fn(n) if batch_size is None else batch_size
-    if lam is None:
-        lam = sample_cov_lambda(chain)
+        raise ParameterError(f"lam must be callable, got {type(lam).__name__}")
+    b = config.batch_size_fn(n)
     _require_int(b, "batch length")
+    b = int(b)
     if b >= 1 and n // b <= config.p:
         raise InsufficientDataError(
             f"too few batches for Sigma: a={n // b} batches of length b={b} "
@@ -405,8 +403,7 @@ def evaluate_verdict(chain, config, batch_size=None, lam=None):
     fallback = sig is not None and sig.chol is None
     if sig is None or fallback:
         sig = batch_means_sigma(chain, b)
-    if callable(lam):
-        lam = _own_lambda(lam(), chain)
+    lam = sample_cov_lambda(chain) if lam is None else _own_lambda(lam(), chain)
     value = ess(n, lam, sig)
     verdict = StoppingVerdict(
         n=n,

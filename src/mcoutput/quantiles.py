@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .chain import ChainMatrix
+from .chain import ChainMatrix, _float_array
 from .errors import (
     DataError,
     DegenerateDataError,
@@ -67,7 +67,7 @@ def _as_series(v):
                 f"quantile operations take one column, got {v.cols}"
             )
         return np.ascontiguousarray(v.column(0))
-    arr = np.asarray(v, dtype=float)
+    arr = _float_array(v, copy=False, what="series")
     if arr.ndim != 1:
         raise DimensionError(f"series must be 1-dimensional, got ndim={arr.ndim}")
     arr = np.ascontiguousarray(arr)
@@ -134,7 +134,7 @@ def kde_at(v, x):
     (a point at +-inf is refused, not given density 0).
     """
     arr = _as_series(v)
-    pts = np.asarray(x, dtype=float)
+    pts = _float_array(x, copy=False, what="evaluation point")
     if pts.ndim > 1:
         raise DimensionError(
             f"evaluation points must be a scalar or 1-D, got ndim={pts.ndim}"

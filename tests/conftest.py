@@ -16,9 +16,10 @@ try:
 except ImportError:
     pass
 else:
-    # a long run of tests/test_cli_boundary.py, as CI makes it
+    # a long run of the property tests in tests/test_cli_boundary.py and
+    # tests/test_verdict_property.py, as CI makes it
     settings.register_profile(
-        "cli-boundary", max_examples=3000, derandomize=True, database=None,
+        "long-run", max_examples=3000, derandomize=True, database=None,
         deadline=None,
     )
 

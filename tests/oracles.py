@@ -211,7 +211,9 @@ def stopping_replay(path, config):
         if n * config.p <= _GRAM_VALUES:
             moments = _CoMoments()
         moments.add(head.values[moments.count :])
-        verdict, _, _ = evaluate_verdict(head, config, lam=moments.estimate(head))
+        verdict, _, _ = evaluate_verdict(
+            head, config, lam=lambda: moments.estimate(head)
+        )
         verdicts.append(verdict)
         if verdict.terminate or n >= config.max_n:
             return head, verdicts

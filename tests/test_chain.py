@@ -151,12 +151,34 @@ def test_chain_refuses_complex_values(data):
         ChainMatrix(data)
 
 
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ([[1.0, "abc"]], "numbers: could not convert string to float"),
+        ([[1.0, 2.0], [3.0]], "numbers: setting an array element with a sequence"),
+        ({"a": 1.0}, "numbers: float() argument must be"),
+        (np.zeros(3, dtype=[("a", float), ("b", float)]), "numbers, got [("),
+        (np.arange(3).astype("datetime64[D]"), "numbers, got datetime64[D] values"),
+        (np.arange(3).astype("timedelta64[s]"), "numbers, got timedelta64[s] values"),
+    ],
+    ids=["text", "ragged", "dict", "record", "datetime64", "timedelta64"],
+)
+def test_chain_refuses_non_numeric_values(data, message):
+    """Each used to raise an untyped ValueError or TypeError, or, for
+    datetimes and time spans, to be stored as counts."""
+    with pytest.raises(DataError) as info:
+        ChainMatrix(data)
+    assert str(info.value).startswith(f"chain values must be {message}")
+
+
 def test_chain_casts_bool_and_numeric_string_values():
     flags = ChainMatrix(np.array([[True, False], [False, True]]))
     assert flags.values.dtype == np.float64
     np.testing.assert_array_equal(flags.values, [[1.0, 0.0], [0.0, 1.0]])
     text = ChainMatrix(np.full((2, 2), "1.5"))
     np.testing.assert_array_equal(text.values, np.full((2, 2), 1.5))
+    counts = ChainMatrix(np.arange(4, dtype=np.int8))
+    np.testing.assert_array_equal(counts.values, [[0.0], [1.0], [2.0], [3.0]])
 
 
 def test_chain_rejects_bad_shapes():

@@ -160,7 +160,7 @@ def test_analyze_overflowing_chain_says_to_rescale(tmp_path, capsys):
     write_chain_csv(ChainMatrix(RngStream(31).normal(size=(3000, 2)) * 1e160), path)
     assert main(["analyze", str(path), "--out-dir", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == (
-        "error: sample-cov covariance overflows; rescale the chain\n"
+        "error: batch-means covariance overflows; rescale the chain\n"
     )
 
 
@@ -184,7 +184,7 @@ def test_analyze_underflowing_chain_says_to_rescale(tmp_path, capsys):
     write_chain_csv(ChainMatrix(RngStream(3).normal(size=(3000, 2)) * 1e-170), path)
     assert main(["analyze", str(path), "--out-dir", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == (
-        "error: sample-cov covariance underflows; rescale the chain\n"
+        "error: batch-means covariance underflows; rescale the chain\n"
     )
 
 

@@ -4,8 +4,8 @@ near-overflow scale, with constant and duplicate columns and a spike, every
 2 with nothing on stderr and only finite numbers in what it writes, or it
 exits 1 with one ``error:`` line and, for ``plotdata``, no output directory.
 
-The ``cli-boundary`` profile (``tests/conftest.py``) runs a few thousand
-examples: ``pytest tests/test_cli_boundary.py --hypothesis-profile=cli-boundary``.
+The ``long-run`` profile (``tests/conftest.py``) runs a few thousand
+examples: ``pytest tests/test_cli_boundary.py --hypothesis-profile=long-run``.
 """
 
 import contextlib

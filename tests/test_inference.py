@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import inspect
+import json
 import math
 import sys
 import threading
@@ -50,6 +51,7 @@ from mcoutput.errors import (
     ParameterError,
     SingularEstimateError,
 )
+import oracles
 from oracles import Ar1Spec, generate_ar1, stopping_replay
 
 M1 = 6146.334113110594  # 4 * chi2_{.95,1} / .05^2
@@ -235,9 +237,11 @@ def _duplicate_column_chain():
 @pytest.mark.parametrize("use_flat_top", [False, True])
 def test_singular_lambda_error_names_the_target_covariance(use_flat_top):
     chain = _duplicate_column_chain()
-    cfg = StoppingConfig(p=2, n_star=8, use_flat_top=use_flat_top)
+    cfg = StoppingConfig(
+        p=2, n_star=8, use_flat_top=use_flat_top, batch_size_fn=lambda n: 10
+    )
     with pytest.raises(SingularEstimateError) as info:
-        evaluate_verdict(chain, cfg, batch_size=10)
+        evaluate_verdict(chain, cfg)
     message = str(info.value)
     assert "target covariance" in message
     assert "flat-top" not in message and "batch means" not in message
@@ -300,9 +304,23 @@ def test_verdict_records_its_batch_length_and_count():
     assert (verdict.batch_size, verdict.batches) == (10, 100) == (
         default_batch_size(1_000), sig.n_used // sig.batch_size
     )
-    verdict, _, sig = evaluate_verdict(chain, StoppingConfig(p=2), batch_size=7)
+    cfg = StoppingConfig(p=2, batch_size_fn=lambda n: 7)
+    verdict, _, sig = evaluate_verdict(chain, cfg)
     assert (verdict.batch_size, verdict.batches) == (7, 142)
     assert sig.batch_size == 7
+
+
+def test_verdicts_hold_python_ints():
+    """A rule may return a numpy integer; the verdict stores a Python int,
+    so ``json.dumps(dataclasses.asdict(verdict))`` works."""
+    chain = generate_ar1(Ar1Spec(rho=0.5, dim=2), 1_000, RngStream(31))
+    cfg = StoppingConfig(p=2, batch_size_fn=lambda n: np.int64(10))
+    verdict, _, sig = evaluate_verdict(chain, cfg)
+    assert type(verdict.batch_size) is int and type(verdict.batches) is int
+    assert type(sig.batch_size) is int
+    assert json.loads(json.dumps(dataclasses.asdict(verdict)))["batch_size"] == 10
+    plain = dataclasses.replace(cfg, batch_size_fn=lambda n: 10)
+    assert evaluate_verdict(chain, plain)[0] == verdict
 
 
 def test_rhat_formula_and_stopping_equivalence():
@@ -424,6 +442,30 @@ def test_hotelling_rejects_non_finite_mean(mean):
     )
     with pytest.raises(DataError, match=r"^mean must be finite, got \["):
         hotelling_region(mean, sig, 2_000, 0.05, 198)
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        (["a", "b"], "numbers: could not convert string to float"),
+        ([1 + 1j, 0.0], "real, got complex128 values"),
+        (np.arange(2).astype("datetime64[D]"), "numbers, got datetime64[D] values"),
+    ],
+    ids=["text", "complex", "datetime64"],
+)
+def test_hotelling_refuses_a_non_numeric_mean_or_point(values, message):
+    """Both used to raise an untyped ValueError or TypeError, or take a
+    datetime as a count of days."""
+    sig = CovarianceEstimate(
+        matrix=np.eye(2), kind="batch-means", batch_size=10, n_used=2_000,
+    )
+    with pytest.raises(DataError) as info:
+        hotelling_region(values, sig, 2_000, 0.05, 198)
+    assert str(info.value).startswith(f"mean values must be {message}")
+    region = hotelling_region([0.0, 0.0], sig, 2_000, 0.05, 198)
+    with pytest.raises(DataError) as info:
+        region.contains(values)
+    assert str(info.value).startswith(f"point values must be {message}")
 
 
 def test_default_hotelling_df_rule():
@@ -577,13 +619,15 @@ def test_evaluate_verdict_flat_top_fallback():
     x = (-1.0) ** t + 0.01 * RngStream(17).normal(512)
     chain = ChainMatrix(x)
     assert not flat_top_sigma(chain, 2).is_psd
-    cfg = StoppingConfig(p=1, n_star=8, use_flat_top=True)
-    verdict, _, sig = evaluate_verdict(chain, cfg, batch_size=2)
+    cfg = StoppingConfig(
+        p=1, n_star=8, use_flat_top=True, batch_size_fn=lambda n: 2
+    )
+    verdict, _, sig = evaluate_verdict(chain, cfg)
     assert verdict.fallback_used
     assert sig.kind == "batch-means"
     assert math.isfinite(verdict.ess)
     # same chain without the flat-top request: no fallback to report
-    plain, _, _ = evaluate_verdict(chain, StoppingConfig(p=1, n_star=8), batch_size=2)
+    plain, _, _ = evaluate_verdict(chain, dataclasses.replace(cfg, use_flat_top=False))
     assert not plain.fallback_used
 
 
@@ -598,31 +642,49 @@ def test_a_lambda_that_is_not_this_chains_is_refused(mismatch):
     }[mismatch]()
     cfg = StoppingConfig(p=3, n_star=8)
     message = "not the sample covariance of this 400 by 3"
-    for given in (lam, lambda: lam):
-        with pytest.raises(ParameterError, match=message):
-            evaluate_verdict(chain, cfg, lam=given)
-    own = evaluate_verdict(chain, cfg, lam=sample_cov_lambda(chain))
+    with pytest.raises(ParameterError, match=message):
+        evaluate_verdict(chain, cfg, lam=lambda: lam)
+    own = evaluate_verdict(chain, cfg, lam=lambda: sample_cov_lambda(chain))
     assert own[0] == evaluate_verdict(chain, cfg)[0]
-    later = evaluate_verdict(chain, cfg, lam=lambda: sample_cov_lambda(chain))
-    assert later[0] == own[0]
 
 
 @pytest.mark.parametrize(
-    "lam, name",
+    "lam, message",
     [
-        (np.eye(3), "ndarray"),
-        (lambda: np.eye(3), "ndarray"),
-        (lambda: None, "NoneType"),
+        (np.eye(3), "lam must be callable, got ndarray"),
+        (lambda: np.eye(3), "lam must be a CovarianceEstimate, got ndarray"),
+        (lambda: None, "lam must be a CovarianceEstimate, got NoneType"),
     ],
     ids=["array", "function of an array", "function of None"],
 )
-def test_a_lambda_that_is_not_an_estimate_is_refused(lam, name):
-    """Anything but an estimate, given or returned by a function, used to
-    raise an untyped AttributeError."""
+def test_a_lambda_that_is_not_an_estimate_is_refused(lam, message):
+    """Anything but an estimate returned by a function, or anything but a
+    function given, used to raise an untyped AttributeError."""
     chain = ChainMatrix(RngStream(93).normal(size=(400, 3)))
     with pytest.raises(ParameterError) as info:
         evaluate_verdict(chain, StoppingConfig(p=3, n_star=8), lam=lam)
-    assert str(info.value) == f"lam must be a CovarianceEstimate, got {name}"
+    assert str(info.value) == message
+
+
+def test_an_estimate_given_as_lambda_is_refused_before_any_work():
+    """Lambda comes only from a function: an estimate passed in, even this
+    chain's own, is refused before the batch rule or an estimator runs."""
+    chain = ChainMatrix(RngStream(93).normal(size=(400, 3)))
+
+    def rule(n):
+        pytest.fail("the batch rule was called")
+
+    cfg = StoppingConfig(p=3, n_star=8, batch_size_fn=rule)
+    with pytest.raises(ParameterError) as info:
+        evaluate_verdict(chain, cfg, lam=sample_cov_lambda(chain))
+    assert str(info.value) == "lam must be callable, got CovarianceEstimate"
+
+
+def test_evaluate_verdict_takes_b_and_lambda_from_one_place_each():
+    """No ``batch_size`` argument: b comes from the config's rule."""
+    params = inspect.signature(evaluate_verdict).parameters
+    assert list(params) == ["chain", "config", "lam"]
+    assert params["lam"].default is None
 
 
 def _iid_sampler():
@@ -702,9 +764,9 @@ def test_controller_check_schedule_is_geometric():
 def test_controller_batch_size_hook():
     cfg = StoppingConfig(p=1, batch_size_fn=lambda n: 100)
     chain, verdicts = stopping_controller(_iid_sampler(), cfg, RngStream(3))
-    direct, _, _ = evaluate_verdict(chain, cfg, batch_size=100)
-    assert verdicts[-1].ess == direct.ess
-    assert evaluate_verdict(chain, cfg)[0] == verdicts[-1]
+    direct, _, sig = evaluate_verdict(chain, cfg)
+    assert direct == verdicts[-1]
+    assert direct.batch_size == sig.batch_size == 100
     default_direct, _, _ = evaluate_verdict(chain, StoppingConfig(p=1))
     assert verdicts[-1].ess != default_direct.ess
 
@@ -799,6 +861,33 @@ def test_controller_refuses_complex_blocks():
     assert calls == [8]
 
 
+@pytest.mark.parametrize(
+    "block",
+    [
+        lambda k: np.full((k, 1), "abc"),
+        lambda k: [[1.0, 2.0]] + [[1.0]] * (k - 1),
+        lambda k: {"a": 1.0},
+        lambda k: np.zeros(k, dtype=[("a", float)]),
+        lambda k: np.arange(k).astype("datetime64[D]"),
+        lambda k: np.arange(k).astype("timedelta64[s]"),
+    ],
+    ids=["text", "ragged", "dict", "record", "datetime64", "timedelta64"],
+)
+def test_controller_refuses_non_numeric_blocks(block):
+    """A block goes through the chain's intake: each used to raise an
+    untyped error or, for datetimes and time spans, be taken as counts."""
+    calls = []
+
+    def sampler(k, rng):
+        calls.append(k)
+        return block(k)
+
+    cfg = StoppingConfig(p=1, n_star=8, max_n=2_000)
+    with pytest.raises(DataError, match="^chain values must be numbers"):
+        stopping_controller(sampler, cfg, RngStream(0))
+    assert calls == [8]
+
+
 def test_controller_rejects_a_non_finite_block_after_the_first_check():
     calls = []
 
@@ -863,9 +952,9 @@ def test_every_checked_chain_keeps_its_bytes(monkeypatch):
     write may reach rows an earlier check saw."""
     seen = []
 
-    def record(chain, config, batch_size=None, **kwargs):
+    def record(chain, config, **kwargs):
         seen.append((chain, chain.values.tobytes()))
-        return evaluate_verdict(chain, config, batch_size, **kwargs)
+        return evaluate_verdict(chain, config, **kwargs)
 
     monkeypatch.setattr(inference, "evaluate_verdict", record)
     cfg = StoppingConfig(p=2, n_star=8, max_n=40_000)
@@ -907,15 +996,17 @@ def test_verdict_needs_more_batches_than_components(use_flat_top):
     verdict used to fail as a singular estimate naming no batch count."""
     p = 6
     chain = ChainMatrix(RngStream(87).normal(size=(96, p)))
-    cfg = StoppingConfig(p=p, n_star=8, use_flat_top=use_flat_top)
     for b in (2, 6, 8, 12, 14, 16, 32, 48):
         a = 96 // b
+        cfg = StoppingConfig(
+            p=p, n_star=8, use_flat_top=use_flat_top, batch_size_fn=lambda n, b=b: b
+        )
         if a > p:
-            verdict, _, _ = evaluate_verdict(chain, cfg, batch_size=b)
+            verdict, _, _ = evaluate_verdict(chain, cfg)
             assert math.isfinite(verdict.ess)
             continue
         with pytest.raises(InsufficientDataError) as info:
-            evaluate_verdict(chain, cfg, batch_size=b)
+            evaluate_verdict(chain, cfg)
         assert str(info.value) == (
             f"too few batches for Sigma: a={a} batches of length b={b} for "
             f"p={p} components; a must exceed p: use a shorter batch or a "
@@ -925,13 +1016,15 @@ def test_verdict_needs_more_batches_than_components(use_flat_top):
 
 def test_bad_batch_lengths_keep_their_estimator_errors():
     chain = ChainMatrix(RngStream(89).normal(size=(96, 2)))
+    plain = StoppingConfig(p=2, n_star=8, batch_size_fn=lambda n: 0)
     with pytest.raises(ParameterError, match="^batch length must be >= 1, got 0$"):
-        evaluate_verdict(chain, StoppingConfig(p=2, n_star=8), batch_size=0)
-    flat = StoppingConfig(p=2, n_star=8, use_flat_top=True)
+        evaluate_verdict(chain, plain)
+    flat = dataclasses.replace(plain, use_flat_top=True)
     with pytest.raises(ParameterError, match="even and >= 2, got 0$"):
-        evaluate_verdict(chain, flat, batch_size=0)
+        evaluate_verdict(chain, flat)
+    flat = dataclasses.replace(flat, batch_size_fn=lambda n: 2.0)
     with pytest.raises(ParameterError, match="^batch length must be an integer$"):
-        evaluate_verdict(chain, flat, batch_size=2.0)
+        evaluate_verdict(chain, flat)
 
 
 def _wide_sampler(k, rng):
@@ -999,12 +1092,12 @@ def test_the_lambda_function_is_called_once_per_check_after_sigma(monkeypatch, r
         events.append(("sigma", chain.rows))
         return _original(chain, b)
 
-    def record(chain, config, batch_size=None, lam=None):
+    def record(chain, config, lam=None):
         def counted():
             events.append(("lam", chain.rows))
             return lam()
 
-        return evaluate_verdict(chain, config, batch_size, counted)
+        return evaluate_verdict(chain, config, counted)
 
     monkeypatch.setattr(inference, "batch_means_sigma", sigma)
     monkeypatch.setattr(inference, "evaluate_verdict", record)
@@ -1048,26 +1141,40 @@ def _path_sampler(path):
     return sampler
 
 
-def _same_bits(path, cfg):
-    """The controller's verdicts over ``path``, once its chain bytes and
-    ``repr(verdicts)`` are found equal to those of its serial replay."""
+def _same_bits(monkeypatch, path, cfg):
+    """The controller's verdicts over ``path``, once its chain bytes,
+    ``repr(verdicts)`` and every check's Lambda bytes are found equal to
+    those of its serial replay. Verdicts alone can match where a rebuilt
+    Lambda stands in for a merged one."""
+    lams = []
+
+    def record(chain, config, lam=None):
+        result = evaluate_verdict(chain, config, lam)
+        lams.append(result[1].matrix.tobytes())
+        return result
+
+    monkeypatch.setattr(inference, "evaluate_verdict", record)
+    monkeypatch.setattr(oracles, "evaluate_verdict", record)
     runs = (
         stopping_controller(_path_sampler(path), cfg, None),
         stopping_replay(path, cfg),
     )
     digests = [(hashlib.sha256(c.values).hexdigest(), repr(v)) for c, v in runs]
     assert digests[0] == digests[1]
+    checks = len(runs[0][1])
+    assert len(lams) == 2 * checks
+    assert lams[:checks] == lams[checks:]
     return runs[0][1]
 
 
-def test_the_merge_thread_changes_no_bit_under_fast_switching():
+def test_the_merge_thread_changes_no_bit_under_fast_switching(monkeypatch):
     """Switching threads every microsecond while Sigma and the merge run
-    at once gives the serial replay's chain and verdicts."""
+    at once gives the serial replay's chain, verdicts and Lambdas."""
     path = RngStream(51).normal(size=(40_000, 50))
     interval = sys.getswitchinterval()
     try:
         sys.setswitchinterval(1e-6)
-        verdicts = _same_bits(path, _wide_config(use_flat_top=True))
+        verdicts = _same_bits(monkeypatch, path, _wide_config(use_flat_top=True))
     finally:
         sys.setswitchinterval(interval)
     assert sum(v.n * 50 > _GRAM_VALUES for v in verdicts) == 4
@@ -1085,11 +1192,12 @@ def _stopping_recipe(seed, n=400_000, p=50, rho=0.95, c=0.5):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_the_merge_thread_changes_no_bit(seed):
+def test_the_merge_thread_changes_no_bit(monkeypatch, seed):
     """Flat-top Sigma at p = 50 on rho = 0.95: the run stops at its tenth
-    check, all but the first merged, with the serial replay's chain and
-    verdicts."""
+    check, all but the first merged, with the serial replay's chain,
+    verdicts and Lambdas."""
     path = _stopping_recipe(seed)
-    verdicts = _same_bits(path, StoppingConfig(p=50, use_flat_top=True, max_n=len(path)))
+    cfg = StoppingConfig(p=50, use_flat_top=True, max_n=len(path))
+    verdicts = _same_bits(monkeypatch, path, cfg)
     assert verdicts[-1].terminate and len(verdicts) == 10
     assert [v.n * 50 > _GRAM_VALUES for v in verdicts] == [False] + [True] * 9

@@ -32,6 +32,34 @@ Z_975 = 1.959963984540054
 
 
 @pytest.mark.parametrize(
+    "call, what",
+    [
+        (lambda v: empirical_quantile(v, 0.5), "series"),
+        (lambda v: kde_at(v, 0.0), "series"),
+        (lambda v: quantile_ci(v, 0.5, 0.05, 1), "series"),
+        (lambda v: kde_at([1.0, 2.0, 3.0], v), "evaluation point"),
+    ],
+    ids=["empirical_quantile", "kde_at", "quantile_ci", "kde_at points"],
+)
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (["a", "b", "c"], "numbers: could not convert string to float"),
+        ([[1.0], [2.0, 3.0]], "numbers: setting an array element with a sequence"),
+        ([1 + 1j, 2.0], "real, got complex128 values"),
+        (np.arange(3).astype("datetime64[D]"), "numbers, got datetime64[D] values"),
+    ],
+    ids=["text", "ragged", "complex", "datetime64"],
+)
+def test_non_numeric_series_are_refused(call, what, data, message):
+    """The series, and kde_at's points, go through the chain's intake: each
+    used to raise an untyped ValueError or TypeError, or cast silently."""
+    with pytest.raises(DataError) as info:
+        call(data)
+    assert str(info.value).startswith(f"{what} values must be {message}")
+
+
+@pytest.mark.parametrize(
     "q,expected",
     [(0.5, 2.0), (1.0 / 3.0, 1.0), (0.999, 3.0), (0.34, 2.0), (0.01, 1.0)],
 )

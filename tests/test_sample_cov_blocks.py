@@ -77,8 +77,8 @@ def _controller_lambdas(monkeypatch, x, n_star):
     The cutoff is out of reach, so the checks run up to len(x)."""
     lams = []
 
-    def record(chain, config, batch_size=None, lam=None):
-        result = evaluate_verdict(chain, config, batch_size, lam)
+    def record(chain, config, lam=None):
+        result = evaluate_verdict(chain, config, lam)
         lams.append(result[1])
         return result
 
