@@ -27,6 +27,8 @@ _TWO64 = 2**64
 _OPEN_LOW = 2.0**-53
 # uniforms drawn at once to serve scalar draws
 _BLOCK = 4096
+# numpy scalars that a float cast turns into counts of their unit
+_TIMES = (np.datetime64, np.timedelta64)
 
 
 class RngStream:
@@ -117,17 +119,22 @@ def _float_array(data, copy, what="chain"):
     """``data`` as a float64 array, always a new one when ``copy``. Bool,
     integer and numeric-string values are cast. Anything else raises
     DataError: complex values, whose imaginary parts the cast would drop,
-    datetimes, time spans and records, which it would turn into counts or
-    fields, and data it cannot cast: text, ragged rows, mappings."""
+    datetimes and time spans, also among other objects, and records, which
+    it would turn into counts or fields, and data it cannot cast: text,
+    ragged rows, mappings."""
     try:
         arr = np.asarray(data)
-        kind = arr.dtype.kind
+        kind, got = arr.dtype.kind, arr.dtype
+        if kind == "O":
+            time = next((v for v in arr.flat if isinstance(v, _TIMES)), None)
+            if time is not None:
+                kind, got = "M", type(time).__name__
         if kind not in "cmMV":
             return arr.astype(float, copy=copy)
     except (TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"{what} values must be numbers: {exc}") from None
     need = "real" if kind == "c" else "numbers"
-    raise DataError(f"{what} values must be {need}, got {arr.dtype} values")
+    raise DataError(f"{what} values must be {need}, got {got} values")
 
 
 class ChainMatrix:
@@ -163,10 +170,11 @@ class ChainMatrix:
         ``arr`` is fresh, or a view of a package-owned buffer whose rows
         under the view are never written again. Every caller has already
         found its values finite (the file readers as they parse, the
-        stopping controller block by block; an indicator series holds only
-        0.0 and 1.0), so only the shape and label checks of
-        ``ChainMatrix(arr)`` are made; ``arr`` itself is then marked
-        read-only, so no caller may keep a writable reference.
+        stopping controller block by block, :func:`discard_initial` from
+        a chain's rows; an indicator series holds only 0.0 and 1.0), so
+        only the shape and label checks of ``ChainMatrix(arr)`` are made;
+        ``arr`` itself is then marked read-only, so no caller may keep a
+        writable reference.
         """
         chain = cls.__new__(cls)
         chain._freeze(arr, labels)
@@ -221,10 +229,11 @@ class ChainMatrix:
 
 
 def discard_initial(chain, k):
-    """Drop the first ``k`` rows (burn-in); ``k=0`` is an identity copy."""
+    """Drop the first ``k`` rows (burn-in): a read-only view of the chain's
+    rows from ``k`` on, so no value is copied or scanned again."""
     _require_int(k, "discard count", 0)
     if k >= chain.rows:
         raise InsufficientDataError(
             f"discarding {k} rows leaves nothing of a {chain.rows}-row chain"
         )
-    return ChainMatrix(chain.values[k:], chain.labels)
+    return ChainMatrix._adopt(chain.values[k:], chain.labels)

@@ -34,7 +34,6 @@ from .errors import (
     _require_int,
 )
 from .mcse import (
-    _GRAM_VALUES,
     CovarianceEstimate,
     _CoMoments,
     batch_means_sigma,
@@ -377,7 +376,7 @@ def evaluate_verdict(chain, config, lam=None):
     length is b = ``config.batch_size_fn(n)``. Lambda is ``lam()``, or
     ``sample_cov_lambda(chain)`` when ``lam`` is None, computed once, after
     Sigma, so Sigma's errors come first: :func:`stopping_controller` passes
-    a ``lam`` that waits for the merge its worker thread runs meanwhile. A
+    a ``lam`` that waits for the update its worker thread runs meanwhile. A
     ``lam`` that is not callable, or returns anything but the sample
     covariance of n rows and p columns, raises :class:`ParameterError`. A
     batch-means Sigma has rank at most a - 1, so a = n // b <= p batches
@@ -433,18 +432,18 @@ def stopping_controller(
     stopping early at ``config.max_n``. It never raises just because the
     budget ran out: the last verdict simply has ``terminate=False``.
 
-    Lambda comes from one co-moment accumulator, rebuilt from all n rows
-    (``sample_cov_lambda``'s bits) while n * p <= ``_GRAM_VALUES``; past
-    that each check merges in only its new rows, equal to rounding. The
-    merge runs on one worker thread, kept for the whole run, while
+    Lambda comes from one co-moment accumulator, handed all n rows at each
+    check: it rebuilds from them (``sample_cov_lambda``'s bits) or merges
+    in only the new ones, equal to rounding, as :class:`_CoMoments` rules.
+    The update runs on one worker thread, kept for the whole run, while
     ``evaluate_verdict`` computes Sigma; ``lam`` is a function that waits
     for it, re-raising its error with its type, and then factors Lambda on
     the calling thread. The worker is joined when the controller returns
-    or raises, after any merge still running.
+    or raises, after any update still running.
 
     Memory: one buffer of ``config.max_n`` by p doubles is reserved before
-    the first draw, and each block is written into it once; the merges
-    share one buffer of at most ``_GRAM_VALUES`` doubles. The reservation
+    the first draw, and each block is written into it once; the accumulator
+    centres rows in one buffer of at most 2**19 doubles. The reservation
     is address space; resident memory grows only with the rows drawn. Each
     check sees the rows drawn so far as a read-only view of the buffer, and
     the returned chain is such a view, with the buffer itself read-only. A
@@ -466,17 +465,12 @@ def stopping_controller(
     # the checks and the caller read a read-only alias of the buffer; its
     # base, a read-only memoryview, cannot be made writable again
     values = np.asarray(memoryview(buf).toreadonly())
-    # every merge centres its rows in this one piece buffer, made here: a
-    # worker that made its own at each check left the memory in glibc's
-    # per-thread arena, and the peak grew from check to check
-    piece_rows = min(config.max_n, max(1, _GRAM_VALUES // config.p))
-    pieces = np.empty((piece_rows, config.p))
     n = 0
     verdicts = []
-    moments = _CoMoments(pieces)
+    moments = _CoMoments(config.p, config.max_n)
     target = min(config.n_star, config.max_n)
     # leaving the block, by a return or a raise, joins the worker after
-    # its last merge, so no worker outlives the run
+    # its last update, so no worker outlives the run
     with ThreadPoolExecutor(max_workers=1) as pool:
         while True:
             k = target - n
@@ -494,9 +488,7 @@ def stopping_controller(
             # rows below n are never written again, so every check's chain
             # stays immutable, and all of them were found finite on the way in
             chain = ChainMatrix._adopt(values[:n], labels)
-            if n * config.p <= _GRAM_VALUES:
-                moments = _CoMoments(pieces)
-            merge = pool.submit(moments.add, values[moments.count : n])
+            merge = pool.submit(moments.update, values[:n])
 
             def lam():
                 merge.result()  # done before the next block is written

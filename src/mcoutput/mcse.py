@@ -203,31 +203,34 @@ def flat_top_sigma(chain, b):
 
 
 class _CoMoments:
-    """Row count, column mean and centred Gram M2 of the rows added so far.
+    """Row count, column mean and centred Gram M2 of a growing chain.
 
-    :meth:`add` merges a block's mean and centred Gram, summed over
-    ``_GRAM_VALUES // p``-row pieces in one buffer, by the pairwise
-    update M2 = M2_a + M2_b + (n_a n_b / n) d d^T, d the difference of the
-    means (Chan, Golub & LeVeque 1983; Pebay, SAND2008-6212). The mean is
-    ``centre``, the first block's ``data.mean(axis=0)``, plus an ``offset``
-    summed from centred rows, so d keeps its digits when the mean is large
-    next to the spread. One block is exactly the Gram centred at ``centre``.
-    ``buf``, where given, is that piece buffer for every :meth:`add`, with p
-    columns and at least min(n, ``_GRAM_VALUES // p``) rows for each block
-    of n rows; by default each :meth:`add` makes its own.
+    :meth:`update` takes all rows so far. Up to ``_GRAM_VALUES`` values it
+    starts over from all of them, :func:`sample_cov_lambda`'s arithmetic;
+    past that it merges only the rows the last call did not have, by the
+    pairwise update M2 = M2_a + M2_b + (n_a n_b / n) d d^T, d the difference
+    of the means (Chan, Golub & LeVeque 1983; Pebay, SAND2008-6212). The
+    mean is ``centre``, the first rows' mean, plus an ``offset`` summed from
+    centred rows, so d keeps its digits when the mean is large next to the
+    spread. Rows are centred in one buffer of at most ``rows`` (the most any
+    call takes) by ``_GRAM_VALUES // p`` rows, made here on the caller's
+    thread: a worker that made its own at each merge left the memory in
+    glibc's per-thread arena, and the peak grew from merge to merge.
     """
 
-    def __init__(self, buf=None):
+    def __init__(self, p, rows):
         self.count = 0
         self.centre = self.offset = self.m2 = None
-        self._buf = buf
+        self._buf = np.empty((min(rows, max(1, _GRAM_VALUES // p)), p))
 
-    def add(self, data):
-        n, p = data.shape
-        rows = max(1, _GRAM_VALUES // p)
+    def update(self, values):
+        """Take ``values``, the last call's rows followed by new ones."""
+        if values.size <= _GRAM_VALUES:
+            self.count = 0
+        data, buf = values[self.count :], self._buf
+        n, rows = len(data), len(buf)
         with np.errstate(over="ignore", invalid="ignore"):
             mean = data.mean(axis=0)
-            buf = np.empty((min(n, rows), p)) if self._buf is None else self._buf
             centered = np.subtract(data[:rows], mean, out=buf[: min(n, rows)])
             m2 = centered.T @ centered
             offset = centered.sum(axis=0)
@@ -248,7 +251,7 @@ class _CoMoments:
         self.count, self.m2 = total, m2
 
     def estimate(self, chain):
-        """Lambda with divisor n for ``chain``, the rows added so far.
+        """Lambda with divisor n for ``chain``, the rows of the last update.
 
         Raises DegenerateDataError naming the first constant column. Only
         columns whose variance could be the rounding noise of their mean,
@@ -275,13 +278,13 @@ def sample_cov_lambda(chain):
     """Target covariance of the functional: divisor n, not n - 1.
 
     Raises DegenerateDataError naming the first constant column. The chain
-    is one block of a :class:`_CoMoments`, so no second n-by-p array is made.
+    is one :meth:`_CoMoments.update`, so no second n-by-p array is made.
     """
     n = chain.rows
     if n < 2:
         raise InsufficientDataError(f"need at least two rows, got {n}")
-    moments = _CoMoments()
-    moments.add(chain.values)
+    moments = _CoMoments(chain.cols, n)
+    moments.update(chain.values)
     return moments.estimate(chain)
 
 

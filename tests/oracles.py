@@ -47,7 +47,7 @@ from mcoutput.lcd_demo import (
     POSTERIOR_LAMBDA_SHAPE,
     sum_t_pow,
 )
-from mcoutput.mcse import _GRAM_VALUES, _CoMoments
+from mcoutput.mcse import _CoMoments
 
 _N_FAILURES = len(LCD_FAILURE_HOURS)
 _SUM_LOG_TIMES = float(np.log(LCD_FAILURE_HOURS).sum())
@@ -199,18 +199,15 @@ def sample_cov_centred_copy(x):
 def stopping_replay(path, config):
     """``stopping_controller`` over the rows of ``path``, serially.
 
-    The same check schedule and the same co-moments: rebuilt from the whole
-    head while n * p <= ``_GRAM_VALUES``, else with only the new rows merged
-    in, in line, before ``evaluate_verdict(head, config, lam=...)``. Returns
-    (chain, verdicts) as the controller does.
+    The same check schedule and the same co-moments, each check's head
+    handed to them in line before ``evaluate_verdict(head, config,
+    lam=...)``. Returns (chain, verdicts) as the controller does.
     """
-    moments, verdicts = _CoMoments(), []
+    moments, verdicts = _CoMoments(config.p, config.max_n), []
     n = min(config.n_star, config.max_n)
     while True:
         head = ChainMatrix(path[:n])
-        if n * config.p <= _GRAM_VALUES:
-            moments = _CoMoments()
-        moments.add(head.values[moments.count :])
+        moments.update(head.values)
         verdict, _, _ = evaluate_verdict(
             head, config, lam=lambda: moments.estimate(head)
         )

@@ -1,11 +1,19 @@
 """Chain container, random streams, and the synthetic AR(1) generator."""
 
 import hashlib
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from mcoutput import ChainMatrix, RngStream, discard_initial
+from mcoutput import (
+    ChainMatrix,
+    RngStream,
+    StoppingConfig,
+    discard_initial,
+    stopping_controller,
+)
 from mcoutput.errors import (
     DataError,
     DimensionError,
@@ -151,24 +159,73 @@ def test_chain_refuses_complex_values(data):
         ChainMatrix(data)
 
 
+def _first_block(data):
+    """``data`` as the first sampler block of a stopping controller."""
+    config = StoppingConfig(p=2, n_star=len(data), max_n=len(data))
+    stopping_controller(lambda k, rng: data, config, None)
+
+
+_DAY = np.datetime64("2020-01-01")
+_SPAN = np.timedelta64(3, "D")
+
+
 @pytest.mark.parametrize(
-    "data, message",
+    "intake, data, message",
     [
-        ([[1.0, "abc"]], "numbers: could not convert string to float"),
-        ([[1.0, 2.0], [3.0]], "numbers: setting an array element with a sequence"),
-        ({"a": 1.0}, "numbers: float() argument must be"),
-        (np.zeros(3, dtype=[("a", float), ("b", float)]), "numbers, got [("),
-        (np.arange(3).astype("datetime64[D]"), "numbers, got datetime64[D] values"),
-        (np.arange(3).astype("timedelta64[s]"), "numbers, got timedelta64[s] values"),
+        (ChainMatrix, [[1.0, "abc"]], "numbers: could not convert string to float"),
+        (
+            ChainMatrix,
+            [[1.0, 2.0], [3.0]],
+            "numbers: setting an array element with a sequence",
+        ),
+        (ChainMatrix, {"a": 1.0}, "numbers: float() argument must be"),
+        (
+            ChainMatrix,
+            np.zeros(3, dtype=[("a", float), ("b", float)]),
+            "numbers, got [(",
+        ),
+        (
+            ChainMatrix,
+            np.arange(3).astype("datetime64[D]"),
+            "numbers, got datetime64[D] values",
+        ),
+        (
+            ChainMatrix,
+            np.arange(3).astype("timedelta64[s]"),
+            "numbers, got timedelta64[s] values",
+        ),
+        (ChainMatrix, [_DAY, 2.0], "numbers, got datetime64 values"),
+        (
+            ChainMatrix,
+            np.array([_SPAN, 1.0], dtype=object),
+            "numbers, got timedelta64 values",
+        ),
+        (
+            _first_block,
+            np.array([[1.0, 2.0]] * 7 + [[1.0, _DAY]], dtype=object),
+            "numbers, got datetime64 values",
+        ),
     ],
-    ids=["text", "ragged", "dict", "record", "datetime64", "timedelta64"],
+    ids=[
+        "text", "ragged", "dict", "record", "datetime64", "timedelta64",
+        "datetime-in-list", "timedelta-in-object-array", "datetime-in-block",
+    ],
 )
-def test_chain_refuses_non_numeric_values(data, message):
+def test_chain_refuses_non_numeric_values(intake, data, message):
     """Each used to raise an untyped ValueError or TypeError, or, for
-    datetimes and time spans, to be stored as counts."""
+    datetimes and time spans, also inside a list or an object array, to be
+    stored as counts."""
     with pytest.raises(DataError) as info:
-        ChainMatrix(data)
+        intake(data)
     assert str(info.value).startswith(f"chain values must be {message}")
+
+
+def test_chain_casts_decimal_fraction_and_mixed_objects():
+    """Other objects that float() takes stay accepted."""
+    data = np.array([Decimal("1.5"), Fraction(1, 4), True, 3, "2.5"], dtype=object)
+    np.testing.assert_array_equal(
+        ChainMatrix(data).column(0), [1.5, 0.25, 1.0, 3.0, 2.5]
+    )
 
 
 def test_chain_casts_bool_and_numeric_string_values():
@@ -213,6 +270,17 @@ def test_discard_initial():
         discard_initial(c, -1)
     with pytest.raises(InsufficientDataError):
         discard_initial(c, 6)
+
+
+def test_discard_initial_keeps_a_read_only_view():
+    """No copy of the kept rows, and no way to write through the view."""
+    c = ChainMatrix(np.arange(40.0).reshape(20, 2), labels=("a", "b"))
+    kept = discard_initial(c, 10)
+    assert np.shares_memory(c.values, kept.values)
+    assert kept.labels == ("a", "b")
+    assert not kept.values.flags.writeable
+    with pytest.raises(ValueError):
+        kept.values.setflags(write=True)
 
 
 def test_ar1_spec_validation():

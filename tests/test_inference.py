@@ -1041,12 +1041,12 @@ def test_no_merge_thread_outlives_a_run():
 def test_no_merge_thread_outlives_a_check_that_raises(monkeypatch):
     """The batch rule raises at the first merged check while its merge,
     slowed down, still runs: the controller joins the worker before raising."""
-    add = _CoMoments.add
+    update = _CoMoments.update
 
-    def slow_add(self, data):
-        if self.count:
+    def slow_update(self, values):
+        if values.size > _GRAM_VALUES:
             time.sleep(0.2)
-        add(self, data)
+        update(self, values)
 
     class RuleError(Exception):
         pass
@@ -1056,7 +1056,7 @@ def test_no_merge_thread_outlives_a_check_that_raises(monkeypatch):
             raise RuleError(n)
         return default_batch_size(n)
 
-    monkeypatch.setattr(_CoMoments, "add", slow_add)
+    monkeypatch.setattr(_CoMoments, "update", slow_update)
     before = threading.enumerate()
     with pytest.raises(RuleError):
         stopping_controller(
@@ -1071,11 +1071,11 @@ def test_a_merge_error_on_the_worker_reaches_the_caller_with_its_type(monkeypatc
     class MergeError(Exception):
         pass
 
-    def failing_add(self, data):
+    def failing_update(self, values):
         threads.append(threading.current_thread())
         raise MergeError("merge failed")
 
-    monkeypatch.setattr(_CoMoments, "add", failing_add)
+    monkeypatch.setattr(_CoMoments, "update", failing_update)
     cfg = StoppingConfig(p=2, n_star=8, max_n=2_000)
     with pytest.raises(MergeError, match="^merge failed$"):
         stopping_controller(_iid_sampler_2(), cfg, RngStream(47))
@@ -1108,20 +1108,20 @@ def test_the_lambda_function_is_called_once_per_check_after_sigma(monkeypatch, r
 
 
 def test_one_worker_thread_serves_the_whole_run(monkeypatch):
-    """The worker starts at the first merge and is the only thread the run
+    """The worker starts at the first update and is the only thread the run
     adds: the sampler never sees more than one thread beyond the caller's."""
     merged_on, live = set(), []
-    add = _CoMoments.add
+    update = _CoMoments.update
 
-    def recording_add(self, data):
+    def recording_update(self, values):
         merged_on.add(threading.current_thread())
-        add(self, data)
+        update(self, values)
 
     def sampler(k, rng):
         live.append(threading.active_count())
         return _wide_sampler(k, rng)
 
-    monkeypatch.setattr(_CoMoments, "add", recording_add)
+    monkeypatch.setattr(_CoMoments, "update", recording_update)
     start = threading.active_count()
     _, verdicts = stopping_controller(sampler, _wide_config(), RngStream(53))
     assert live == [start] + [start + 1] * (len(verdicts) - 1)

@@ -112,11 +112,11 @@ def test_merged_blocks_are_no_less_accurate_than_one_block(monkeypatch, shift):
 
 
 def _merged(x, first):
-    """Lambda of x from an accumulator that takes x[:first] and then, as the
+    """Lambda of x from an accumulator handed x[:first] and then, as the
     controller does, the rows up to 1.5 times the last length each time."""
-    moments, n = _CoMoments(), first
+    moments, n = _CoMoments(x.shape[1], len(x)), first
     while moments.count < len(x):
-        moments.add(x[moments.count : n])
+        moments.update(x[:n])
         n = min(len(x), math.ceil(n * CHECK_GROWTH))
     return moments.estimate(ChainMatrix(x))
 
