@@ -12,6 +12,7 @@ one KDE call, so one bandwidth, for the densities at every level.
 """
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,8 @@ __all__ = [
 ]
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+# np.exp(w) is exactly 0.0 for every w <= _EXP_ZERO (0.0 from about -745.13)
+_EXP_ZERO = -746.0
 KDE_BANDWIDTH_RULE = "0.9 * min(sd, iqr/1.34) * n^(-1/5)"
 
 
@@ -126,12 +129,37 @@ def kde_bandwidth(arr):
     return h
 
 
+def _kde_sums(arr, h, pts, out, buf, zero):
+    """``out[i]`` = mean of exp(w), w = -0.5 (z z) and z = (pts[i] - arr) / h,
+    for every point, in the float buffer ``buf`` and the bool buffer ``zero``.
+
+    w is -z z / 2 rounded once, as (-0.5 z) z is, except where z z is below
+    2**-1021, where both give weight 1.0, or overflows, where both give 0.
+    A w <= ``_EXP_ZERO`` (-inf included) has weight exactly 0, so exp is
+    never asked for it: its underflow path costs ten times a normal result.
+    The array that is averaged holds the bits exp would give.
+    """
+    with np.errstate(over="ignore"):  # per thread: each caller enters it
+        for idx, p in enumerate(pts):
+            np.subtract(p, arr, out=buf)
+            np.divide(buf, h, out=buf)
+            np.multiply(buf, buf, out=buf)
+            np.multiply(buf, -0.5, out=buf)
+            np.less_equal(buf, _EXP_ZERO, out=zero)
+            np.putmask(buf, zero, 0.0)
+            np.exp(buf, out=buf)
+            np.putmask(buf, zero, 0.0)
+            out[idx] = buf.mean()
+
+
 def kde_at(v, x):
     """Gaussian kernel density estimate at ``x``.
 
     The bandwidth comes from :func:`kde_bandwidth`, once per call. Accepts a
     scalar or a 1-D grid of evaluation points; every point must be finite
-    (a point at +-inf is refused, not given density 0).
+    (a point at +-inf is refused, not given density 0). A worker thread
+    takes the later half of the points; each point's arithmetic is the
+    same on either thread, and no BLAS is involved.
     """
     arr = _as_series(v)
     pts = _float_array(x, copy=False, what="evaluation point")
@@ -146,19 +174,24 @@ def kde_at(v, x):
     if arr.min() == arr.max():
         raise DegenerateDataError("density estimation needs a non-constant series")
     h = kde_bandwidth(arr)
-    z = np.empty_like(arr)
-    w = np.empty_like(arr)
-    out = np.empty(pts.size)
-    # w = (-0.5 * z) * z, in place; far points overflow it to -inf, and
-    # their kernel weight is exactly 0
-    with np.errstate(over="ignore"):
-        for idx, p in enumerate(pts.flat):
-            np.subtract(p, arr, out=z)
-            np.divide(z, h, out=z)
-            np.multiply(z, -0.5, out=w)
-            np.multiply(w, z, out=w)
-            np.exp(w, out=w)
-            out[idx] = w.mean()
+    flat = pts.reshape(-1)
+    out = np.empty(flat.size)
+    half = (flat.size + 1) // 2
+    # the worker's buffers are made here: a worker's own stay in glibc's
+    # per-thread arena (see mcse._CoMoments)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        later = None
+        if half < flat.size:
+            later = pool.submit(
+                _kde_sums, arr, h, flat[half:], out[half:],
+                np.empty_like(arr), np.empty(arr.size, dtype=bool),
+            )
+        _kde_sums(
+            arr, h, flat[:half], out[:half],
+            np.empty_like(arr), np.empty(arr.size, dtype=bool),
+        )
+        if later is not None:
+            later.result()
     out /= h * _SQRT_2PI
     return float(out[0]) if pts.ndim == 0 else out
 

@@ -17,8 +17,8 @@ except ImportError:
     pass
 else:
     # a long run of the property tests in tests/test_cli_boundary.py,
-    # tests/test_verdict_property.py and tests/test_comoments_property.py,
-    # as CI makes it
+    # tests/test_verdict_property.py, tests/test_comoments_property.py and
+    # tests/test_kde_property.py, as CI makes it
     settings.register_profile(
         "long-run", max_examples=3000, derandomize=True, database=None,
         deadline=None,

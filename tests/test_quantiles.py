@@ -1,6 +1,8 @@
 """Order-statistic quantiles, indicator variances, and KDE-based intervals."""
 
 import math
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from mcoutput import (
     kde_at,
     kde_bandwidth,
     quantile_ci,
+    quantiles,
     summarize,
 )
 from mcoutput.errors import (
@@ -174,6 +177,54 @@ def test_kde_far_outliers_weigh_zero_without_a_warning():
     z = (0.0 - bulk) / h
     expected = np.exp(-0.5 * z * z).sum() / arr.size / (h * math.sqrt(2.0 * math.pi))
     assert kde_at(arr, 0.0) == pytest.approx(expected, rel=1e-12)
+
+
+def test_kde_far_outliers_weigh_zero_on_both_threads_without_a_warning():
+    """Both halves of a grid meet z * z overflow at the 1e150 spikes, the
+    worker's half included, under warnings-as-errors."""
+    arr = RngStream(59).normal(size=3000) * 1e-10
+    arr[::500] = 1e150
+    h = kde_bandwidth(arr)
+    bulk = np.delete(arr, np.s_[::500])
+    points = np.linspace(-3e-10, 3e-10, 7)
+    expected = [
+        np.exp(-0.5 * ((p - bulk) / h) ** 2).sum() / arr.size
+        / (h * math.sqrt(2.0 * math.pi))
+        for p in points
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = kde_at(arr, points)
+    assert got == pytest.approx(expected, rel=1e-12)
+
+
+def test_kde_at_leaves_no_thread_behind():
+    before = threading.active_count()
+    kde_at(RngStream(81).normal(size=500), np.linspace(-2.0, 2.0, 9))
+    assert threading.active_count() == before, threading.enumerate()
+
+
+class _HalfFailed(Exception):
+    pass
+
+
+@pytest.mark.parametrize("failing", ["worker", "caller"])
+def test_kde_at_raises_a_half_s_error_and_joins_the_worker(monkeypatch, failing):
+    """A failure on either thread reaches the caller as it was raised, and
+    the worker is joined before it does."""
+    sums = quantiles._kde_sums
+
+    def fail_on_one_thread(*args):
+        on_worker = threading.current_thread() is not threading.main_thread()
+        if on_worker == (failing == "worker"):
+            raise _HalfFailed(failing)
+        return sums(*args)
+
+    monkeypatch.setattr(quantiles, "_kde_sums", fail_on_one_thread)
+    before = threading.active_count()
+    with pytest.raises(_HalfFailed, match=failing):
+        kde_at(RngStream(81).normal(size=500), np.linspace(-2.0, 2.0, 9))
+    assert threading.active_count() == before, threading.enumerate()
 
 
 def test_quantile_ci_overflowing_sd_is_a_numerics_error():
@@ -356,9 +407,62 @@ def test_one_pass_helper_matches_the_per_level_arithmetic(v, levels, alpha):
             assert quantile_ci(v, q, alpha, 2) == want
 
 
+def _kernel_arguments(arr, points):
+    """How many kernel arguments w = -z z / 2 the points give of each kind:
+    exp(w) exactly 0, exp(w) subnormal, z z below 2**-1021 but not 0, and
+    z z overflowing; with the number of arguments."""
+    h = kde_bandwidth(arr)
+    with np.errstate(over="ignore", under="ignore"):
+        zz = ((np.asarray(points, dtype=float)[:, None] - arr) / h) ** 2
+    w = -0.5 * zz
+    return {
+        "zero weight": int((w <= -746.0).sum()),
+        "subnormal weight": int(((w > -746.0) & (w < -708.4)).sum()),
+        "tiny z z": int(((zz > 0.0) & (zz < 2.0**-1021)).sum()),
+        "z z overflows": int(np.isinf(zz).sum()),
+        "all": zz.size,
+    }
+
+
+def test_kde_skips_exp_only_where_its_result_is_exactly_zero():
+    """exp is monotone, so every argument the kernel loop zeroes itself
+    would give 0.0; the smallest positive result comes from about -745.13."""
+    assert np.exp(quantiles._EXP_ZERO) == 0.0
+    assert np.exp(-745.1332191019411) == 5e-324
+
+
 @pytest.mark.parametrize("scale", [1.0, 1e-150, 1e150])
 def test_kde_grid_equals_per_point_arithmetic(scale):
+    """Bit for bit against one expression per point, on points that meet
+    every kind of kernel argument: weight exactly 0, a subnormal weight, z z
+    too small to halve exactly (a datum at 0), and z z overflowing."""
     arr = RngStream(79).normal(size=2_000) * scale
-    points = np.concatenate([np.linspace(-4.0, 4.0, 33), [1e3, -1e150]]) * scale
+    arr[0] = 0.0
+    h = kde_bandwidth(arr)
+    points = np.concatenate([
+        np.linspace(-4.0, 4.0, 33) * scale,
+        [1e3 * scale, -1e150 * scale],
+        [arr.max() + 38.0 * h, 1e-160 * h, -1e155 * h],
+    ])
+    kinds = _kernel_arguments(arr, points)
+    assert min(kinds.values()) > 0, kinds
     out = kde_at(arr, points)
     assert out.tolist() == [kde_per_point(arr, p) for p in points]
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 3, 201])
+def test_kde_demo_shaped_grid_equals_per_point_arithmetic(count):
+    """The demo's grid, range +- 3h, on a skewed series where about half
+    the kernel weights are exactly 0; with up to three points the caller's
+    half, the worker's half, or no worker at all is empty."""
+    arr = RngStream(83).normal(size=5_000) ** 2
+    h = kde_bandwidth(arr)
+    grid = np.linspace(arr.min() - 3.0 * h, arr.max() + 3.0 * h, count)
+    if count == 201:
+        kinds = _kernel_arguments(arr, grid)
+        assert 0.3 < kinds["zero weight"] / kinds["all"] < 0.7, kinds
+    out = kde_at(arr, grid)
+    assert out.shape == (count,)
+    assert out.tolist() == [kde_per_point(arr, p) for p in grid]
+    if count == 1:
+        assert kde_at(arr, grid[0]) == kde_per_point(arr, grid[0])
