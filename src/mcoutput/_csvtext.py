@@ -1,0 +1,176 @@
+"""The cells and line end of every CSV the package writes, and the child
+process that formats the demo's per-draw tables while its sampler runs.
+
+``cli._write_csv`` writes a float cell as ``FLOAT``, every other cell (an
+integer index or lag, a marker kind) as ``OTHER`` and ends each line with
+``EOL``. The demo's four per-draw tables (chain, params and the lambda and
+beta traces) hold most of its bytes: :class:`DrawTables` streams each run
+of new draws to one child, which formats the tables' bodies with the same
+cells on the CPU the sampler leaves idle.
+
+The parent sends each run as its row count, then the run's (k, 2)
+functional rows and its (k, 2) parameter rows as native doubles. At end of
+input the child writes the total row count, the byte length of each body,
+then the chain, params, lambda trace and beta trace bodies in that order:
+the bytes ``_write_csv`` writes after each table's header.
+
+This module imports only the standard library: the child runs it from its
+file with ``python -S``, without numpy, scipy or the mcoutput package.
+"""
+
+import struct
+import sys
+
+FLOAT = "%.17g"  # 17 significant digits read back as the same double
+OTHER = "%s"
+EOL = "\r\n"
+
+_RUN = struct.Struct("=q")
+_HEAD = struct.Struct("=5q")  # rows, then the byte length of each body
+_DOUBLE = struct.calcsize("d")
+_PIECE = 1 << 20  # the largest piece of a body the parent holds
+_CHILD = "import runpy, sys; runpy.run_path(sys.argv[1], run_name='__main__')"
+
+
+class Bodies:
+    """The four per-draw bodies, formatted one run at a time.
+
+    Each lambda and beta is formatted once, and its cell serves both the
+    params line and its trace line. The 1-based trace index continues
+    across runs.
+    """
+
+    def __init__(self):
+        self.rows = 0
+        self.parts = ([], [], [], [])
+
+    def add(self, run):
+        """Format one run: the bytes of its (k, 2) functional rows, then of
+        its (k, 2) parameter rows, as native doubles."""
+        values = memoryview(run).cast("d")
+        k = len(values) // 4
+        chain, params, lam, beta = self.parts
+        chain.append(_lines(FLOAT, FLOAT, k) % tuple(values[: 2 * k]))
+        cells = ((FLOAT + "\n") * (2 * k) % tuple(values[2 * k :])).split("\n")
+        del cells[-1]
+        params.append(_lines(OTHER, OTHER, k) % tuple(cells))
+        trace = [None] * (2 * k)
+        trace[0::2] = range(self.rows + 1, self.rows + k + 1)
+        for body, column in ((lam, cells[0::2]), (beta, cells[1::2])):
+            trace[1::2] = column
+            body.append(_lines(OTHER, OTHER, k) % tuple(trace))
+        for body in self.parts:
+            body[-1] = body[-1].encode()
+        self.rows += k
+
+    def sizes(self):
+        return [sum(map(len, body)) for body in self.parts]
+
+
+def _lines(first, second, k):
+    return (first + "," + second + EOL) * k
+
+
+class DrawTables:
+    """One child that formats the per-draw bodies while the sampler runs.
+
+    :meth:`send` is ``run_demo``'s ``on_draws``. After the run,
+    :meth:`sizes` ends the child's input, and :meth:`copy` copies each body
+    in turn. Any of these declines where a pipe broke, the child's reply
+    is short, its row count is not the chain's or it exits non-zero; the
+    caller then writes the tables itself. :meth:`close` kills and reaps
+    the child on every path.
+    """
+
+    def __init__(self, proc):
+        self._proc = proc
+        self._broken = False
+
+    @classmethod
+    def start(cls):
+        """A running child, or None where none can start."""
+        import subprocess
+
+        try:
+            proc = subprocess.Popen(
+                [sys.executable, "-S", "-c", _CHILD, __file__],
+                stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                stderr=subprocess.DEVNULL,
+            )
+        except OSError:
+            return None
+        return cls(proc)
+
+    def send(self, functionals, params):
+        """Send one run of draws; after a broken pipe, send nothing more."""
+        if self._broken:
+            return
+        pipe = self._proc.stdin
+        try:
+            pipe.write(_RUN.pack(len(functionals)))
+            pipe.write(functionals)
+            pipe.write(params)
+            pipe.flush()
+        except OSError:
+            self._broken = True
+
+    def sizes(self, rows):
+        """End the child's input; the byte length of each body, or None
+        where the child declines or formatted other than ``rows`` rows."""
+        try:
+            self._proc.stdin.close()
+        except OSError:
+            self._broken = True
+        if self._broken:
+            return None
+        head = self._proc.stdout.read(_HEAD.size)
+        if len(head) < _HEAD.size:
+            return None
+        count, *sizes = _HEAD.unpack(head)
+        return sizes if count == rows else None
+
+    def copy(self, out, size):
+        """Copy the next ``size`` bytes of the child's reply to the binary
+        file ``out``, in pieces of at most 1 MiB; False where it ends short."""
+        while size:
+            piece = self._proc.stdout.read(min(size, _PIECE))
+            if not piece:
+                return False
+            out.write(piece)
+            size -= len(piece)
+        return True
+
+    def exited_ok(self):
+        return self._proc.wait() == 0
+
+    def close(self):
+        self._proc.kill()
+        self._proc.wait()
+        try:
+            self._proc.stdin.close()
+        except OSError:  # a write the pipe refused is still buffered
+            pass
+        self._proc.stdout.close()
+
+
+def _child():
+    """Format the runs on stdin, then write the reply to stdout; exit with
+    status 1, writing nothing, where a run ends early."""
+    src, bodies = sys.stdin.buffer, Bodies()
+    while head := src.read(_RUN.size):
+        if len(head) < _RUN.size:
+            sys.exit(1)
+        size = 4 * _DOUBLE * _RUN.unpack(head)[0]
+        run = src.read(size)
+        if len(run) < size:
+            sys.exit(1)
+        bodies.add(run)
+    out = sys.stdout.buffer
+    out.write(_HEAD.pack(bodies.rows, *bodies.sizes()))
+    for body in bodies.parts:
+        out.writelines(body)
+    out.flush()
+
+
+if __name__ == "__main__":
+    _child()

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, _csvrows, lcd_demo
+from . import __version__, _csvrows, _csvtext, lcd_demo
 from .chain import ChainMatrix, discard_initial
 from .errors import (
     InsufficientDataError,
@@ -73,15 +73,23 @@ def dumps_report(report):
 def _write_csv(path, header, *columns):
     """Write a header row, then one CRLF-terminated line per row: float
     columns to 17 significant digits, every other column (integer indices
-    and lags, string kinds) as ``str``. A ``range`` index column is written
-    without ever being held as an array."""
+    and lags, string kinds) as ``str``, in the cells of ``_csvtext``. A
+    ``range`` index column is written without ever being held as an array.
+    The demo's per-draw bodies come from ``_csvtext``'s child with these
+    same bytes, after a header from ``_csv_file``."""
     columns = [c if isinstance(c, range) else np.asarray(c) for c in columns]
     floats = [not isinstance(c, range) and c.dtype.kind == "f" for c in columns]
-    line = ",".join("%.17g" if f else "%s" for f in floats)
-    line += "\r\n"
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow(header)
+    line = ",".join(_csvtext.FLOAT if f else _csvtext.OTHER for f in floats)
+    line += _csvtext.EOL
+    with _csv_file(path, header) as fh:
         fh.writelines(line % row for row in zip(*columns))
+
+
+def _csv_file(path, header):
+    """``path`` opened for writing, with the header row written."""
+    fh = open(path, "w", newline="")
+    csv.writer(fh).writerow(header)
+    return fh
 
 
 def _chain_table(chain):
@@ -392,28 +400,43 @@ def cmd_analyze(args):
 def cmd_demo(args):
     _check_grid_points(args)
     marker_alpha = _marker_alpha(args.alpha, 2, lcd_demo.CREDIBLE_LEVELS)
-    report = lcd_demo.run_demo(
-        seed=args.seed, alpha=args.alpha, epsilon=args.epsilon, max_n=args.max_n
-    )
-    config = report.config
-    chain = report.chain
-    summary = report.summary
-    n = chain.rows
+    # formats the per-draw bodies while the sampler runs; None where no
+    # child can start
+    draws = _csvtext.DrawTables.start()
+    try:
+        report = lcd_demo.run_demo(
+            seed=args.seed, alpha=args.alpha, epsilon=args.epsilon,
+            max_n=args.max_n, on_draws=draws and draws.send,
+        )
+        config = report.config
+        chain = report.chain
+        summary = report.summary
+        n = chain.rows
 
-    params = (["lambda", "beta"], *report.params.T)
-    lags = lcd_demo.ACF_LAGS
-    tables = {
-        "demo_chain.csv": _chain_table(chain),
-        "demo_params.csv": params,
-        **_trace_tables("demo", *params),
-        **_correlogram_tables(chain, lags, [(0, 0), (1, 1)], "acf", "demo"),
-        **_correlogram_tables(chain, lags, [(0, 1)], "ccf", "demo"),
-        **_density_tables(chain, summary, marker_alpha, args.grid_points, "demo"),
-        **_region_tables(summary.region, "demo"),
-    }
-    out_dir = _resolve_out_dir(args.out_dir)
-    for name, table in tables.items():
-        _write_csv(out_dir / name, *table)
+        params = (["lambda", "beta"], *report.params.T)
+        lags = lcd_demo.ACF_LAGS
+        per_draw = {
+            "demo_chain.csv": _chain_table(chain),
+            "demo_params.csv": params,
+            **_trace_tables("demo", *params),
+        }
+        tables = {
+            **per_draw,
+            **_correlogram_tables(chain, lags, [(0, 0), (1, 1)], "acf", "demo"),
+            **_correlogram_tables(chain, lags, [(0, 1)], "ccf", "demo"),
+            **_density_tables(chain, summary, marker_alpha, args.grid_points, "demo"),
+            **_region_tables(summary.region, "demo"),
+        }
+        out_dir = _resolve_out_dir(args.out_dir)
+        for name, table in tables.items():
+            if name not in per_draw:
+                _write_csv(out_dir / name, *table)
+        if not (draws and _copy_bodies(draws, out_dir, per_draw, n)):
+            for name, table in per_draw.items():
+                _write_csv(out_dir / name, *table)
+    finally:
+        if draws:
+            draws.close()
     files = {Path(name).stem.removeprefix("demo_"): name for name in tables}
 
     final = report.final
@@ -457,6 +480,21 @@ def cmd_demo(args):
         print(f"{label}: mean={mean:.4g} ci=({lo:.4g}, {hi:.4g})")
     print(f"report: {report_path}")
     return 0 if report.terminated else 2
+
+
+def _copy_bodies(draws, out_dir, tables, rows):
+    """Write each per-draw table as its header, then its body copied from
+    the child, in table order; False where the child declines, and the
+    tables must be written in process."""
+    sizes = draws.sizes(rows)
+    if sizes is None:
+        return False
+    for (name, (header, *_)), size in zip(tables.items(), sizes):
+        with _csv_file(out_dir / name, header) as fh:
+            fh.flush()
+            if not draws.copy(fh.buffer, size):
+                return False
+    return draws.exited_ok()
 
 
 def cmd_plotdata(args):

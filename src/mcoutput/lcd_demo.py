@@ -226,13 +226,19 @@ def weibull_mle_beta(times):
     return brentq(score, lo, hi, xtol=1e-10)
 
 
-class _WeibullGibbsSampler:
-    """Stateful scan usable as a stopping-controller sampler."""
+# the most rows of one on_draws call
+_DRAW_RUN = 8192
 
-    def __init__(self):
+
+class _WeibullGibbsSampler:
+    """Stateful scan usable as a stopping-controller sampler; hands each run
+    of new rows to ``on_draws``, where given, as read-only views."""
+
+    def __init__(self, on_draws=None):
         self._beta = BETA_START
         self._s_cur = sum_t_pow(BETA_START)
         self._param_blocks = []
+        self._on_draws = on_draws
         self.steps = 0
         self.accepted = 0
 
@@ -241,14 +247,20 @@ class _WeibullGibbsSampler:
         s_cur = self._s_cur
         h = np.empty((k, 2))
         pr = np.empty((k, 2))
-        for i in range(k):
-            lam = gibbs_lambda(s_cur, rng)
-            beta, s_cur, accepted = mh_beta(lam, beta, s_cur, PROPOSAL_SD, rng)
-            if accepted:
-                self.accepted += 1
-            h[i, 0], h[i, 1] = functional_h(lam, beta)
-            pr[i, 0] = lam
-            pr[i, 1] = beta
+        # a read-only memoryview base: no view of these can be made writable
+        h_seen, pr_seen = (np.asarray(memoryview(a).toreadonly()) for a in (h, pr))
+        for start in range(0, k, _DRAW_RUN):
+            stop = min(start + _DRAW_RUN, k)
+            for i in range(start, stop):
+                lam = gibbs_lambda(s_cur, rng)
+                beta, s_cur, accepted = mh_beta(lam, beta, s_cur, PROPOSAL_SD, rng)
+                if accepted:
+                    self.accepted += 1
+                h[i, 0], h[i, 1] = functional_h(lam, beta)
+                pr[i, 0] = lam
+                pr[i, 1] = beta
+            if self._on_draws is not None:
+                self._on_draws(h_seen[start:stop], pr_seen[start:stop])
         # whoever reads the generator next sees exactly the draws used
         rng._sync()
         self._beta = beta
@@ -293,7 +305,7 @@ def _next_check(n):
     return LONG_RUN_N if n < LONG_RUN_N else _geometric_next_check(n)
 
 
-def run_demo(*, seed=0, alpha=0.05, epsilon=0.05, max_n=200_000):
+def run_demo(*, seed=0, alpha=0.05, epsilon=0.05, max_n=200_000, on_draws=None):
     """Run the lamp-reliability workflow end to end.
 
     Starts beta at its MLE ``BETA_START``, runs the Metropolis-within-Gibbs
@@ -324,6 +336,12 @@ def run_demo(*, seed=0, alpha=0.05, epsilon=0.05, max_n=200_000):
     :class:`StoppingConfig` validates alpha, epsilon and max_n, and
     :class:`RngStream` the seed, before any work; max_n must also exceed
     ``ACF_LAGS``. The other run settings are the module constants above.
+
+    ``on_draws(functionals, params)``, where given, is called after each
+    run of at most 8,192 new rows, in order: read-only (k, 2) views of the
+    run's (MTTF, R1500) rows and (lambda, beta) draws, which concatenate to
+    ``chain.values`` and ``params``. It changes no draw; an exception it
+    raises ends the run.
     """
     config = StoppingConfig(
         p=2, alpha=alpha, epsilon=epsilon, max_n=max_n,
@@ -335,7 +353,7 @@ def run_demo(*, seed=0, alpha=0.05, epsilon=0.05, max_n=200_000):
             f"{ACF_LAGS}, got {max_n}"
         )
     rng = RngStream(seed, STREAM_ID)
-    sampler = _WeibullGibbsSampler()
+    sampler = _WeibullGibbsSampler(on_draws)
     chain, verdicts = stopping_controller(
         sampler, config, rng, labels=("MTTF", "R1500")
     )

@@ -1,0 +1,193 @@
+"""``mcoutput demo`` with its per-draw bodies from ``_csvtext``'s child:
+the same files as when the child declines, for each way it can decline,
+nothing from the child on stderr, and no child left running on any path.
+``tests/test_csvtext_property.py`` checks the bodies on drawn rows."""
+
+import json
+import subprocess
+
+import pytest
+
+from mcoutput import _csvtext, cli
+from mcoutput.cli import main
+
+DEMO = ["demo", "--epsilon", "0.3", "--max-n", "2000"]
+PER_DRAW = (
+    "demo_chain.csv", "demo_params.csv", "demo_trace_lambda.csv",
+    "demo_trace_beta.csv",
+)
+
+
+@pytest.fixture()
+def children(monkeypatch):
+    """Every DrawTables the demo starts."""
+    started = []
+    start = _csvtext.DrawTables.start.__func__
+
+    def recorded(cls):
+        draws = start(cls)
+        started.append(draws)
+        return draws
+
+    monkeypatch.setattr(_csvtext.DrawTables, "start", classmethod(recorded))
+    return started
+
+
+@pytest.fixture()
+def written(monkeypatch):
+    """The names of the tables written in process."""
+    names = []
+    write = cli._write_csv
+
+    def recorded(path, *table):
+        names.append(path.name)
+        return write(path, *table)
+
+    monkeypatch.setattr(cli, "_write_csv", recorded)
+    return names
+
+
+@pytest.fixture(scope="module")
+def child_demo(tmp_path_factory):
+    out = tmp_path_factory.mktemp("child")
+    assert main([*DEMO, "--out-dir", str(out)]) == 0
+    return out
+
+
+def _refuse_popen(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise OSError("no process can start")
+
+    monkeypatch.setattr(subprocess, "Popen", refuse)
+
+
+def _wrap_send(monkeypatch, act):
+    """Call ``act(draws, send, call, functionals, params)`` in place of each
+    send, where ``send`` is the unwrapped method and ``call`` counts from 1."""
+    send = _csvtext.DrawTables.send
+    calls = []
+
+    def wrapped(self, functionals, params):
+        calls.append(None)
+        act(self, send, len(calls), functionals, params)
+
+    monkeypatch.setattr(_csvtext.DrawTables, "send", wrapped)
+
+
+def _kill_after_first_run(monkeypatch):
+    def act(draws, send, call, functionals, params):
+        send(draws, functionals, params)
+        if call == 1:
+            draws._proc.kill()
+            draws._proc.wait()
+
+    _wrap_send(monkeypatch, act)
+
+
+def _drop_the_second_run(monkeypatch):
+    def act(draws, send, call, functionals, params):
+        if call != 2:
+            send(draws, functionals, params)
+
+    _wrap_send(monkeypatch, act)
+
+
+def _cut_the_second_run_short(monkeypatch):
+    """The child reads a run's count with no rows after it, and exits 1."""
+    def act(draws, send, call, functionals, params):
+        if call == 2:
+            draws._proc.stdin.write(_csvtext._RUN.pack(len(functionals)))
+            draws._proc.stdin.flush()
+        else:
+            send(draws, functionals, params)
+
+    _wrap_send(monkeypatch, act)
+
+
+def _kill_before_the_bodies(monkeypatch):
+    """The reply's head arrives, and then its bodies end short."""
+    sizes = _csvtext.DrawTables.sizes
+
+    def killed(self, rows):
+        got = sizes(self, rows)
+        self._proc.kill()
+        self._proc.wait()
+        return got
+
+    monkeypatch.setattr(_csvtext.DrawTables, "sizes", killed)
+
+
+DECLINES = {
+    "popen-refused": _refuse_popen,
+    "killed-mid-run": _kill_after_first_run,
+    "row-count-differs": _drop_the_second_run,
+    "child-exits-non-zero": _cut_the_second_run_short,
+    "body-short": _kill_before_the_bodies,
+}
+
+
+def _same_files(one, two):
+    names = sorted(p.name for p in one.iterdir())
+    assert names == sorted(p.name for p in two.iterdir())
+    for name in names:
+        assert (one / name).read_bytes() == (two / name).read_bytes(), name
+
+
+def test_the_child_writes_the_per_draw_files(
+    child_demo, children, written, tmp_path, capfd
+):
+    assert main([*DEMO, "--out-dir", str(tmp_path)]) == 0
+    assert not set(written) & set(PER_DRAW)
+    assert len(written) == 8
+    assert [draws._proc.returncode for draws in children] == [0]
+    assert capfd.readouterr().err == ""
+    _same_files(child_demo, tmp_path)
+    report = json.loads((tmp_path / "demo_report.json").read_text())
+    assert set(PER_DRAW) <= set(report["files"].values())
+
+
+@pytest.mark.parametrize("decline", list(DECLINES))
+def test_a_decline_writes_the_same_files_in_process(
+    child_demo, children, written, monkeypatch, tmp_path, capfd, decline
+):
+    DECLINES[decline](monkeypatch)
+    assert main([*DEMO, "--out-dir", str(tmp_path)]) == 0
+    assert set(PER_DRAW) <= set(written)
+    assert capfd.readouterr().err == ""
+    _same_files(child_demo, tmp_path)
+    if decline == "popen-refused":
+        assert children == [None]
+    else:
+        (draws,) = children
+        assert draws._proc.returncode is not None
+        assert draws._proc.stdin.closed and draws._proc.stdout.closed
+
+
+def test_no_child_outlives_a_run_that_raises(children, tmp_path, capfd):
+    """run_demo refuses --max-n 50 after the child has started."""
+    out = tmp_path / "out"
+    assert main(["demo", "--max-n", "50", "--out-dir", str(out)]) == 1
+    (draws,) = children
+    assert draws._proc.returncode is not None
+    assert capfd.readouterr().err.startswith("error: max_n must be >= 51")
+    assert not out.exists()
+
+
+def test_no_child_starts_before_the_usage_checks(children, tmp_path):
+    assert main(["demo", "--grid-points", "1", "--out-dir", str(tmp_path)]) == 1
+    assert main(["demo", "--alpha", "2e-16", "--out-dir", str(tmp_path)]) == 1
+    assert children == []
+
+
+def test_child_module_loads_only_the_standard_library(fresh_python):
+    """The child runs the module from its file under -S; ``subprocess`` is
+    imported only when a child starts."""
+    code = (
+        "import runpy, sys\n"
+        f"runpy.run_path({_csvtext.__file__!r})\n"
+        "print(sorted(m for m in ('mcoutput', 'numpy', 'scipy', 'subprocess')"
+        " if m in sys.modules))"
+    )
+    out = fresh_python("-S", "-c", code)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "[]\n"

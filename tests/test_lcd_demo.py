@@ -352,3 +352,51 @@ def test_run_demo_does_not_import_scipy_optimize(fresh_python):
     done = fresh_python("-c", code)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+def test_on_draws_runs_concatenate_to_the_chain_and_params():
+    """Runs of at most 8,192 rows, in order, bit for bit, and the same run
+    as without the hook: the first check's 7,529 rows, then 12,471 rows in
+    two runs."""
+    runs = []
+
+    def keep(functionals, params):
+        assert functionals.shape == params.shape == (len(functionals), 2)
+        runs.append((functionals.copy(), params.copy()))
+
+    report = run_demo(max_n=20_000, on_draws=keep)
+    assert [len(f) for f, _ in runs] == [7_529, 8_192, 4_279]
+    chain = np.vstack([f for f, _ in runs])
+    params = np.vstack([p for _, p in runs])
+    assert chain.tobytes() == report.chain.values.tobytes()
+    assert params.tobytes() == report.params.tobytes()
+    plain = run_demo(max_n=20_000)
+    assert plain.chain.values.tobytes() == report.chain.values.tobytes()
+    assert plain.params.tobytes() == report.params.tobytes()
+    assert plain.verdicts == report.verdicts
+
+
+def test_on_draws_views_are_read_only():
+    def change(functionals, params):
+        for view in (functionals, params):
+            assert not view.flags.writeable
+            with pytest.raises(ValueError):
+                view.flags.writeable = True
+            with pytest.raises(ValueError):
+                view[0, 0] = 1.0
+
+    report = run_demo(epsilon=0.3, max_n=2_000, on_draws=change)
+    assert report.chain.values.tobytes() == run_demo(
+        epsilon=0.3, max_n=2_000
+    ).chain.values.tobytes()
+
+
+def test_on_draws_exception_propagates_with_its_type():
+    class Refused(Exception):
+        pass
+
+    def refuse(functionals, params):
+        raise Refused("no more rows")
+
+    with pytest.raises(Refused, match="no more rows"):
+        run_demo(epsilon=0.3, max_n=2_000, on_draws=refuse)
