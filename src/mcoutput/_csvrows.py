@@ -85,9 +85,9 @@ def read_rows(lines, width, limit):
 def read_after_head(fh, head_end, width, limit):
     """The rows of the seekable chain file ``fh`` after its header, which
     ends at byte ``head_end``. A file of at least ``_SPLIT_BYTES`` is cut
-    just after a ``\\n`` into one range per CPU, the first starting at
-    ``head_end``; otherwise ``fh`` is read on from where ``read_head`` left
-    it. Raises ValueError where a range declines or no data row follows."""
+    just after a ``\\n`` into ranges of at least half that, at most one per
+    CPU, the first from ``head_end``; else ``fh`` is read on from there.
+    Raises ValueError where a range declines or no data row follows."""
     fd = fh.fileno()
     size = os.fstat(fd).st_size
     cuts = _cuts(fd, size, head_end, _pieces(size))

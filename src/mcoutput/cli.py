@@ -110,10 +110,10 @@ def read_chain_csv(path):
     always for input that cannot seek (a pipe), the csv-module parser reads
     it from the start. That parser decides every error, which names the
     physical line of the first bad row in file order. A seekable file of
-    at least 32 MiB is cut into byte ranges, one per CPU, each parsed by
-    the same ``loadtxt`` step at the same time, all but the first in a
-    child process; the ranges join to the same array, bit for bit, and a
-    range that is not clean sends the file to the csv-module parser.
+    at least 32 MiB is cut into byte ranges of at least 16 MiB, at most one
+    per CPU, each parsed by the same ``loadtxt`` step at once, all but the
+    first in a child process; the ranges join to the same array, bit for
+    bit, and a range that is not clean sends the file to the csv-module parser.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         if fh.seekable():

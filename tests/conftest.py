@@ -16,9 +16,8 @@ try:
 except ImportError:
     pass
 else:
-    # a long run of the property tests in tests/test_cli_boundary.py,
-    # tests/test_verdict_property.py, tests/test_comoments_property.py and
-    # tests/test_kde_property.py, as CI makes it
+    # a long run of the property tests that the long-run step of
+    # .github/workflows/tests.yml names
     settings.register_profile(
         "long-run", max_examples=3000, derandomize=True, database=None,
         deadline=None,

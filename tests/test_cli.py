@@ -86,11 +86,16 @@ def _period_four_csv(tmp_path):
     return path
 
 
-@pytest.mark.parametrize("case,fallback", [("ar1", False), ("period4", True)])
+@pytest.mark.parametrize(
+    "case,fallback", [("ar1", False), ("period4", True), ("demo", False)]
+)
 def test_analyze_flat_top_names_the_estimator_it_used(
-    ar1_csv, tmp_path, case, fallback
+    ar1_csv, tmp_path, request, case, fallback
 ):
-    path = ar1_csv if case == "ar1" else _period_four_csv(tmp_path)
+    if case == "demo":
+        path = request.getfixturevalue("demo_chain")
+    else:
+        path = ar1_csv if case == "ar1" else _period_four_csv(tmp_path)
     out = tmp_path / "report.json"
     argv = ["analyze", str(path), "--flat-top", "--out", str(out)]
     if case == "period4":
@@ -352,6 +357,33 @@ def test_demo_plot_files_are_plotdata_output(small_demo, tmp_path):
         stem = "demo_params" if name.startswith("demo_trace_") else "demo_chain"
         twin = plots / name.replace("demo", stem, 1)
         assert twin.read_bytes() == (out / name).read_bytes(), name
+    # the density curves do not depend on the batch length
+    again = tmp_path / "default_b"
+    assert main(["plotdata", chain, "--kind", "density", "--out-dir", str(again)]) == 0
+    for name in ("demo_density_mttf.csv", "demo_density_r1500.csv"):
+        twin = again / name.replace("demo", "demo_chain", 1)
+        assert twin.read_bytes() == (out / name).read_bytes(), name
+
+
+@pytest.fixture(scope="module")
+def demo_chain(small_demo):
+    return small_demo[0] / "demo_chain.csv"
+
+
+def test_demo_chain_and_params_read_back_to_the_same_bytes(small_demo, tmp_path):
+    """The child wrote these files; the in-process writer gives their bytes."""
+    for name in ("demo_chain.csv", "demo_params.csv"):
+        write_chain_csv(read_chain_csv(small_demo[0] / name), tmp_path / name)
+        assert (tmp_path / name).read_bytes() == (small_demo[0] / name).read_bytes()
+
+
+def test_demo_and_its_chain_s_report_give_a_finite_log_volume(demo_chain, tmp_path):
+    out = tmp_path / "report.json"
+    assert main(["analyze", str(demo_chain), "--out", str(out)]) in (0, 2)
+    for path in (demo_chain.with_name("demo_report.json"), out):
+        reject = lambda name: pytest.fail(f"non-finite constant {name} in {path}")
+        report = json.loads(path.read_text(), parse_constant=reject)
+        assert math.isfinite(report["region"]["log_volume"]), path
 
 
 def test_demo_density_mean_marker_is_the_reported_mean(small_demo):
@@ -676,13 +708,17 @@ def test_demo_seed_outside_int64_is_refused(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["analyze", "demo"])
+@pytest.mark.parametrize(
+    "command, chain",
+    [("analyze", "small_two_col"), ("demo", None), ("analyze", "demo_chain")],
+    ids=["analyze", "demo", "analyze-demo-chain"],
+)
 def test_cutoff_beyond_the_largest_double_is_an_error(
-    small_two_col, tmp_path, capsys, command
+    request, tmp_path, capsys, command, chain
 ):
     """This exited with an OverflowError traceback from min_ess_cutoff."""
     out = tmp_path / "out"
-    source = [str(small_two_col)] if command == "analyze" else []
+    source = [str(request.getfixturevalue(chain))] if chain else []
     argv = [command, *source, "--epsilon", "1e-160", "--out-dir", str(out)]
     assert main(argv) == 1
     assert capsys.readouterr().err == (
@@ -700,25 +736,32 @@ MARKER_ALPHA_ERROR = (
 )
 
 
+DENSITY_2E16 = ["--kind", "density", "--alpha", "2e-16"]
+
+
 @pytest.mark.parametrize(
-    "command, options, message",
+    "chain, command, options, message",
     [
-        ("analyze", ["--alpha", "5e-17"], LEVEL_ERROR),
-        ("analyze", ["--alpha", "1e-16"], LEVEL_ERROR),
-        ("plotdata", ["--kind", "region", "--alpha", "5e-17"], LEVEL_ERROR),
-        ("plotdata", ["--kind", "density", "--alpha", "2e-16"], MARKER_ALPHA_ERROR),
+        ("small_two_col", "analyze", ["--alpha", "5e-17"], LEVEL_ERROR),
+        ("small_two_col", "analyze", ["--alpha", "1e-16"], LEVEL_ERROR),
+        ("small_two_col", "plotdata", ["--kind", "region", "--alpha", "5e-17"],
+         LEVEL_ERROR),
+        ("small_two_col", "plotdata", DENSITY_2E16, MARKER_ALPHA_ERROR),
+        ("demo_chain", "plotdata", DENSITY_2E16, MARKER_ALPHA_ERROR),
     ],
-    ids=["analyze-5e-17", "analyze-1e-16", "region-5e-17", "density-2e-16"],
+    ids=["analyze-5e-17", "analyze-1e-16", "region-5e-17", "density-2e-16",
+         "demo-chain-density-2e-16"],
 )
 def test_alpha_whose_level_rounds_to_one_is_an_error(
-    small_two_col, tmp_path, capsys, command, options, message
+    request, tmp_path, capsys, chain, command, options, message
 ):
     """1 - alpha/2 rounds to 1 (for density at the Bonferroni-adjusted
     alpha/6 = 3.3e-17, where the message names --alpha as given). These
     printed "prob must be inside (0, 1), got 1.0", failed on a -inf in the
     report, or wrote -inf,inf marker bands."""
     out = tmp_path / "out"
-    argv = [command, str(small_two_col), *options, "--out-dir", str(out)]
+    source = str(request.getfixturevalue(chain))
+    argv = [command, source, *options, "--out-dir", str(out)]
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith(message)
     assert not out.exists()
@@ -903,8 +946,9 @@ def test_well_formed_file_is_read_without_the_csv_parser(tmp_path, monkeypatch):
     assert not back.values.flags.writeable
 
 
-def test_piped_chain_reads_like_the_file(tmp_path, fresh_python):
-    """A pipe cannot seek back, so it goes to the csv parser alone."""
+def test_piped_chain_reads_like_the_file(tmp_path, fresh_python, demo_chain):
+    """A pipe cannot seek back, so it goes to the csv parser alone. The
+    demo's chain also gives the same report piped as from its file."""
     path = tmp_path / "chain.csv"
     write_chain_csv(ChainMatrix(RngStream(9).normal(size=(3000, 2))), path)
     want = read_chain_csv(path)
@@ -916,14 +960,15 @@ def test_piped_chain_reads_like_the_file(tmp_path, fresh_python):
     out = fresh_python("-c", code, stdin_text=path.read_text())
     assert out.returncode == 0, out.stderr
     assert out.stdout == f"{want.labels} {want.values.tobytes().hex()}\n"
-    piped, direct = tmp_path / "piped.json", tmp_path / "direct.json"
-    argv = ["-m", "mcoutput.cli", "analyze", "/dev/stdin", "--out", str(piped)]
-    out = fresh_python(*argv, stdin_text=path.read_text())
-    assert out.returncode == main(["analyze", str(path), "--out", str(direct)])
-    reports = [json.loads(p.read_text()) for p in (piped, direct)]
-    for report in reports:
-        del report["input"]["path"]
-    assert reports[0] == reports[1]
+    for source in (path, demo_chain):
+        piped, direct = tmp_path / "piped.json", tmp_path / "direct.json"
+        argv = ["-m", "mcoutput.cli", "analyze", "/dev/stdin", "--out", str(piped)]
+        out = fresh_python(*argv, stdin_text=source.read_text())
+        assert out.returncode == main(["analyze", str(source), "--out", str(direct)])
+        reports = [json.loads(p.read_text()) for p in (piped, direct)]
+        for report in reports:
+            del report["input"]["path"]
+        assert reports[0] == reports[1], source
 
 
 @pytest.mark.parametrize(

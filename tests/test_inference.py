@@ -5,6 +5,7 @@ import hashlib
 import inspect
 import json
 import math
+import os
 import sys
 import threading
 import time
@@ -967,13 +968,14 @@ def test_every_checked_chain_keeps_its_bytes(monkeypatch):
 
 def test_controller_returns_a_read_only_buffer():
     cfg = StoppingConfig(p=2, n_star=8, max_n=2_000)
-    chain, _ = stopping_controller(_iid_sampler_2(), cfg, RngStream(33))
-    for arr in (chain.values, chain.values.base):
-        assert not arr.flags.writeable
-        with pytest.raises(ValueError):
-            arr.setflags(write=True)
-    # the buffer the controller wrote, under the read-only memoryview
-    assert not chain.values.base.base.obj.flags.writeable
+    for seed in (33, 0):
+        chain, _ = stopping_controller(_iid_sampler_2(), cfg, RngStream(seed))
+        for arr in (chain.values, chain.values.base):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr.setflags(write=True)
+        # the buffer the controller wrote, under the read-only memoryview
+        assert not chain.values.base.base.obj.flags.writeable
 
 
 def test_a_budget_that_cannot_be_reserved_is_refused_before_sampling():
@@ -1201,3 +1203,42 @@ def test_the_merge_thread_changes_no_bit(monkeypatch, seed):
     verdicts = _same_bits(monkeypatch, path, cfg)
     assert verdicts[-1].terminate and len(verdicts) == 10
     assert [v.n * 50 > _GRAM_VALUES for v in verdicts] == [False] + [True] * 9
+
+
+AFFINITY_RUNS = """
+import hashlib, os, threading
+import numpy as np
+from scipy.signal import lfilter
+from mcoutput import StoppingConfig, stopping_controller
+rng = np.random.default_rng(7)
+e = rng.standard_normal((60_000, 50)) + rng.standard_normal((60_000, 1))
+path = lfilter([1.0], [1.0, -0.95], e, axis=0)
+config = StoppingConfig(p=50, epsilon=0.01, n_star=400, max_n=60_000,
+                        use_flat_top=True)
+def run():
+    drawn = 0
+    def sampler(k, rng):
+        nonlocal drawn
+        drawn += k
+        # at most one merge worker beside the threads at the start
+        assert threading.active_count() <= start + 1, threading.enumerate()
+        return path[drawn - k:drawn]
+    chain, verdicts = stopping_controller(sampler, config, None)
+    assert sum(v.n * 50 > 2**19 for v in verdicts) >= 4, verdicts
+    return hashlib.sha256(chain.values).hexdigest(), repr(verdicts)
+start = threading.active_count()
+every = run()
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+assert run() == every, "one CPU gives other bits than all of them"
+assert threading.active_count() == start, threading.enumerate()
+"""
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs sched_setaffinity and more than one CPU",
+)
+def test_one_cpu_and_all_cpus_give_the_same_bits(fresh_python):
+    """The child pins itself to one CPU, so this process keeps its CPUs."""
+    done = fresh_python("-c", AFFINITY_RUNS)
+    assert done.returncode == 0, done.stderr

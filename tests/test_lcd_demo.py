@@ -225,13 +225,14 @@ def test_run_demo_report_carries_its_stopping_config():
 def test_every_demo_verdict_records_the_batches_that_reproduce_it():
     """The run's config is all evaluate_verdict needs to give the same
     verdict again on the chain's first n rows, square-root batches included."""
-    report = run_demo(epsilon=0.3, max_n=4_000)
-    chain = report.chain
-    for v in report.verdicts:
-        assert v.batch_size == sqrt_batch_size(v.n)
-        assert v.batches == v.n // v.batch_size
-        head = ChainMatrix(chain.values[: v.n], chain.labels)
-        assert evaluate_verdict(head, report.config)[0] == v
+    for max_n in (4_000, 2_000):
+        report = run_demo(epsilon=0.3, max_n=max_n)
+        chain = report.chain
+        for v in report.verdicts:
+            assert v.batch_size == sqrt_batch_size(v.n)
+            assert v.batches == v.n // v.batch_size
+            head = ChainMatrix(chain.values[: v.n], chain.labels)
+            assert evaluate_verdict(head, report.config)[0] == v
 
 
 def test_demo_config_holds_its_batch_rule_and_check_schedule():
@@ -342,16 +343,19 @@ def test_demo_start_is_the_pinned_mle():
     assert _WeibullGibbsSampler()._beta == BETA_START
 
 
-def test_run_demo_does_not_import_scipy_optimize(fresh_python):
+def test_run_demo_does_not_import_scipy_optimize(fresh_python, tmp_path):
     code = (
         "import sys\n"
+        "from mcoutput.cli import main\n"
         "from mcoutput.lcd_demo import run_demo\n"
         "run_demo(max_n=8000)\n"
+        "assert main(['demo', '--epsilon', '0.3', '--max-n', '2000',\n"
+        "             '--out-dir', sys.argv[1]]) == 0\n"
         "print('scipy.optimize' in sys.modules)"
     )
-    done = fresh_python("-c", code)
+    done = fresh_python("-c", code, str(tmp_path))
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    assert done.stdout.splitlines()[-1] == "False"
 
 
 def test_on_draws_runs_concatenate_to_the_chain_and_params():
