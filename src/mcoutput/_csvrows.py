@@ -5,9 +5,10 @@ parse at once.
 Every range goes through ``read_rows``. A range that is not clean (a value
 ``loadtxt`` cannot read, bytes that are not UTF-8, a field over the csv
 limit, a row of another width or a value that is not finite), a child that
-fails and a file with no data row all raise ValueError. That declines the
-whole read, so the csv-module parser, which reads the file again from the
-start, decides every error and names its line.
+fails and a file with no data row all raise ValueError; ``_csvtext.Child``
+runs each child and raises it where one cannot start or fails. That
+declines the whole read, so the csv-module parser, which reads the file
+again from the start, decides every error and names its line.
 
 This module imports only numpy and the standard library: a child runs it
 from its file, without the mcoutput package, whose import loads scipy.
@@ -29,7 +30,6 @@ import numpy as np
 # 0.73 s whole and 0.98 s split at 24 MB, 0.93 s and 0.73 s at 32 MB.
 _SPLIT_BYTES = 32 << 20
 _COUNT = struct.Struct("=q")
-_CHILD = "import runpy, sys; runpy.run_path(sys.argv[1], run_name='__main__')"
 
 
 def read_head(fh):
@@ -165,45 +165,31 @@ def _read_ranges(fd, bounds, width, limit):
     the same time; the rows in file order. A range that declines, or a
     child that cannot start, raises ValueError. Every child is killed and
     reaped on return."""
-    procs = []
+    children = []
     try:
-        try:
-            for start, end in zip(bounds[1:-1], bounds[2:]):
-                procs.append(_launch(fd, start, end, width, limit))
-        except OSError as exc:
-            raise ValueError(f"cannot start a range's child: {exc}") from None
+        for start, end in zip(bounds[1:-1], bounds[2:]):
+            children.append(_launch(fd, start, end, width, limit))
         own = read_range(fd, bounds[0], bounds[1], width, limit)
-        heads = [proc.stdout.read(_COUNT.size) for proc in procs]
-        if any(len(head) < _COUNT.size for head in heads):
-            raise ValueError("a child declined its range")
-        counts = [_COUNT.unpack(head)[0] for head in heads]
+        counts = [_COUNT.unpack(child.read(_COUNT.size))[0] for child in children]
         out = np.empty((len(own) + sum(counts), width))
         out[: len(own)] = own
         row = len(own)
         del own
-        for proc, count in zip(procs, counts):
-            rows = out[row : row + count]
-            if proc.stdout.readinto(rows) < rows.nbytes or proc.wait() != 0:
-                raise ValueError("a child declined its range")
+        for child, count in zip(children, counts):
+            child.readinto(out[row : row + count])
+            child.wait()
             row += count
         return out
     finally:
-        for proc in procs:
-            proc.kill()
-            proc.wait()
-            proc.stdout.close()
+        for child in children:
+            child.close()
 
 
 def _launch(fd, start, end, width, limit):
     """A child that runs ``_child`` on one range of ``fd``."""
-    import subprocess
+    from ._csvtext import Child  # here: a child runs this without the package
 
-    args = (__file__, fd, start, end, width, limit)
-    return subprocess.Popen(
-        [sys.executable, "-c", _CHILD, *map(str, args)],
-        stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
-        stderr=subprocess.DEVNULL, pass_fds=(fd,),
-    )
+    return Child(__file__, fd, start, end, width, limit, pass_fds=(fd,))
 
 
 def _child(fd, start, end, width, limit):

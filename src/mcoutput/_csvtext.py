@@ -1,5 +1,6 @@
-"""The cells and line end of every CSV the package writes, and the child
-process that formats the demo's per-draw tables while its sampler runs.
+"""The cells and line end of every CSV the package writes, the package's
+one child-process launcher, and the child that formats the demo's per-draw
+tables while its sampler runs.
 
 ``cli._write_csv`` writes a float cell as ``FLOAT``, every other cell (an
 integer index or lag, a marker kind) as ``OTHER`` and ends each line with
@@ -14,10 +15,14 @@ input the child writes the total row count, the byte length of each body,
 then the chain, params, lambda trace and beta trace bodies in that order:
 the bytes ``_write_csv`` writes after each table's header.
 
-This module imports only the standard library: the child runs it from its
-file with ``python -S``, without numpy, scipy or the mcoutput package.
+:class:`Child` runs this child and the split read's (``_csvrows``). Both
+decline one way: a child that cannot start, a short reply or a non-zero
+exit raises ValueError, and the caller does the work in process. This
+module imports only the standard library: the child runs it from its file
+with ``python -S``, without numpy, scipy or the mcoutput package.
 """
 
+import contextlib
 import struct
 import sys
 
@@ -71,35 +76,58 @@ def _lines(first, second, k):
     return (first + "," + second + EOL) * k
 
 
-class DrawTables:
-    """One child that formats the per-draw bodies while the sampler runs.
+class Child:
+    """A child that runs the module at ``path`` as ``__main__`` on ``args``,
+    its stdout piped and its stderr discarded; ValueError where it cannot
+    start. :meth:`close` kills and reaps it and closes its pipes."""
 
-    :meth:`send` is ``run_demo``'s ``on_draws``. After the run,
-    :meth:`sizes` ends the child's input, and :meth:`copy` copies each body
-    in turn. Any of these declines where a pipe broke, the child's reply
-    is short, its row count is not the chain's or it exits non-zero; the
-    caller then writes the tables itself. :meth:`close` kills and reaps
-    the child on every path.
-    """
-
-    def __init__(self, proc):
-        self._proc = proc
-        self._broken = False
-
-    @classmethod
-    def start(cls):
-        """A running child, or None where none can start."""
+    def __init__(self, path, *args, flags=(), stdin=False, pass_fds=()):
         import subprocess
 
         try:
-            proc = subprocess.Popen(
-                [sys.executable, "-S", "-c", _CHILD, __file__],
-                stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-                stderr=subprocess.DEVNULL,
+            self._proc = subprocess.Popen(
+                [sys.executable, *flags, "-c", _CHILD, path, *map(str, args)],
+                stdin=subprocess.PIPE if stdin else subprocess.DEVNULL,
+                stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+                pass_fds=pass_fds,
             )
-        except OSError:
-            return None
-        return cls(proc)
+        except OSError as exc:
+            raise ValueError(f"cannot start a child: {exc}") from None
+
+    def read(self, size):
+        """The next ``size`` bytes of the reply; ValueError where it ends short."""
+        data = self._proc.stdout.read(size)
+        if len(data) < size:
+            raise ValueError("the child's reply ended short")
+        return data
+
+    def readinto(self, buf):
+        """Fill ``buf`` from the reply; ValueError where it ends short."""
+        if self._proc.stdout.readinto(buf) < memoryview(buf).nbytes:
+            raise ValueError("the child's reply ended short")
+
+    def wait(self):
+        """Reap the child; ValueError where it exited non-zero."""
+        if status := self._proc.wait():
+            raise ValueError(f"the child exited with status {status}")
+
+    def close(self):
+        self._proc.kill()
+        self._proc.wait()
+        for pipe in filter(None, (self._proc.stdin, self._proc.stdout)):
+            with contextlib.suppress(OSError):  # a refused write stays buffered
+                pipe.close()
+
+
+class DrawTables(Child):
+    """The child that formats the per-draw bodies while the sampler runs:
+    :meth:`send` is ``run_demo``'s ``on_draws``. After the run, :meth:`sizes`
+    ends its input, :meth:`copy` copies each body in turn and :meth:`wait`
+    reaps it; each raises ValueError where the child declines."""
+
+    def __init__(self):
+        super().__init__(__file__, flags=("-S",), stdin=True)
+        self._broken = False
 
     def send(self, functionals, params):
         """Send one run of draws; after a broken pipe, send nothing more."""
@@ -107,50 +135,32 @@ class DrawTables:
             return
         pipe = self._proc.stdin
         try:
-            pipe.write(_RUN.pack(len(functionals)))
-            pipe.write(functionals)
-            pipe.write(params)
+            pipe.writelines((_RUN.pack(len(functionals)), functionals, params))
             pipe.flush()
         except OSError:
             self._broken = True
 
     def sizes(self, rows):
-        """End the child's input; the byte length of each body, or None
-        where the child declines or formatted other than ``rows`` rows."""
+        """End the child's input; the byte length of each body. ValueError
+        where a pipe broke or the child formatted other than ``rows`` rows."""
         try:
             self._proc.stdin.close()
         except OSError:
             self._broken = True
         if self._broken:
-            return None
-        head = self._proc.stdout.read(_HEAD.size)
-        if len(head) < _HEAD.size:
-            return None
-        count, *sizes = _HEAD.unpack(head)
-        return sizes if count == rows else None
+            raise ValueError("the pipe to the child broke")
+        count, *sizes = _HEAD.unpack(self.read(_HEAD.size))
+        if count != rows:
+            raise ValueError(f"the child formatted {count} rows, not {rows}")
+        return sizes
 
     def copy(self, out, size):
-        """Copy the next ``size`` bytes of the child's reply to the binary
-        file ``out``, in pieces of at most 1 MiB; False where it ends short."""
+        """Copy the next ``size`` bytes of the reply to the binary file
+        ``out``, in pieces of at most 1 MiB."""
         while size:
-            piece = self._proc.stdout.read(min(size, _PIECE))
-            if not piece:
-                return False
+            piece = self.read(min(size, _PIECE))
             out.write(piece)
             size -= len(piece)
-        return True
-
-    def exited_ok(self):
-        return self._proc.wait() == 0
-
-    def close(self):
-        self._proc.kill()
-        self._proc.wait()
-        try:
-            self._proc.stdin.close()
-        except OSError:  # a write the pipe refused is still buffered
-            pass
-        self._proc.stdout.close()
 
 
 def _child():

@@ -76,7 +76,8 @@ def _write_csv(path, header, *columns):
     and lags, string kinds) as ``str``, in the cells of ``_csvtext``. A
     ``range`` index column is written without ever being held as an array.
     The demo's per-draw bodies come from ``_csvtext``'s child with these
-    same bytes, after a header from ``_csv_file``."""
+    same bytes, after a header from ``_csv_file``; where that child cannot
+    start or declines, it raises ValueError and they are written here."""
     columns = [c if isinstance(c, range) else np.asarray(c) for c in columns]
     floats = [not isinstance(c, range) and c.dtype.kind == "f" for c in columns]
     line = ",".join(_csvtext.FLOAT if f else _csvtext.OTHER for f in floats)
@@ -112,9 +113,9 @@ def read_chain_csv(path):
     physical line of the first bad row in file order. A seekable file of
     at least 32 MiB is cut into byte ranges of at least 16 MiB, at most one
     per CPU, each parsed by the same ``loadtxt`` step at once, all but the
-    first in a child process; the ranges join to the same array, bit for
-    bit, and a range that is not clean sends the file to the csv-module parser.
-    """
+    first in a ``_csvtext.Child``; the ranges join to the same array, bit for
+    bit. A range that is not clean, or a child that cannot start or fails,
+    raises ValueError, which sends the file to the csv-module parser."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
         if fh.seekable():
             chain = _loadtxt_chain(fh)
@@ -400,9 +401,10 @@ def cmd_analyze(args):
 def cmd_demo(args):
     _check_grid_points(args)
     marker_alpha = _marker_alpha(args.alpha, 2, lcd_demo.CREDIBLE_LEVELS)
-    # formats the per-draw bodies while the sampler runs; None where no
-    # child can start
-    draws = _csvtext.DrawTables.start()
+    try:  # formats the per-draw bodies while the sampler runs
+        draws = _csvtext.DrawTables()
+    except ValueError:  # no child can start
+        draws = None
     try:
         report = lcd_demo.run_demo(
             seed=args.seed, alpha=args.alpha, epsilon=args.epsilon,
@@ -431,7 +433,9 @@ def cmd_demo(args):
         for name, table in tables.items():
             if name not in per_draw:
                 _write_csv(out_dir / name, *table)
-        if not (draws and _copy_bodies(draws, out_dir, per_draw, n)):
+        try:
+            _copy_bodies(draws, out_dir, per_draw, n)
+        except ValueError:  # no child started, or it declined
             for name, table in per_draw.items():
                 _write_csv(out_dir / name, *table)
     finally:
@@ -484,17 +488,16 @@ def cmd_demo(args):
 
 def _copy_bodies(draws, out_dir, tables, rows):
     """Write each per-draw table as its header, then its body copied from
-    the child, in table order; False where the child declines, and the
-    tables must be written in process."""
+    the child, in table order. Raises ValueError where no child started or
+    it declines, and the tables must be written in process."""
+    if draws is None:
+        raise ValueError("no child started")
     sizes = draws.sizes(rows)
-    if sizes is None:
-        return False
     for (name, (header, *_)), size in zip(tables.items(), sizes):
         with _csv_file(out_dir / name, header) as fh:
             fh.flush()
-            if not draws.copy(fh.buffer, size):
-                return False
-    return draws.exited_ok()
+            draws.copy(fh.buffer, size)
+    draws.wait()
 
 
 def cmd_plotdata(args):

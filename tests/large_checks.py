@@ -34,10 +34,14 @@ def test_split_read_of_a_bom_and_a_two_line_header(big, tmp_path, monkeypatch):
         raise AssertionError(f"the csv parser read {name}")
 
     procs, launch = [], _csvrows._launch
+
+    def spy(*args):
+        child = launch(*args)
+        procs.append(child._proc)
+        return child
+
     monkeypatch.setattr(cli, "_csv_chain", refuse)
-    monkeypatch.setattr(
-        _csvrows, "_launch", lambda *args: procs.append(launch(*args)) or procs[-1]
-    )
+    monkeypatch.setattr(_csvrows, "_launch", spy)
     chain, headed = map(cli.read_chain_csv, (big, tmp_path / "big_head.csv"))
     assert os.path.getsize(big) >= _csvrows._SPLIT_BYTES
     assert chain.values.shape == (200_000, 10), chain.values.shape

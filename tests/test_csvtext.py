@@ -20,16 +20,16 @@ PER_DRAW = (
 
 @pytest.fixture()
 def children(monkeypatch):
-    """Every DrawTables the demo starts."""
+    """Every DrawTables the demo starts, or None where none can start."""
     started = []
-    start = _csvtext.DrawTables.start.__func__
+    init = _csvtext.DrawTables.__init__
 
-    def recorded(cls):
-        draws = start(cls)
-        started.append(draws)
-        return draws
+    def recorded(self):
+        started.append(None)
+        init(self)
+        started[-1] = self
 
-    monkeypatch.setattr(_csvtext.DrawTables, "start", classmethod(recorded))
+    monkeypatch.setattr(_csvtext.DrawTables, "__init__", recorded)
     return started
 
 

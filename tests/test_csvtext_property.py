@@ -34,7 +34,7 @@ def _expected_bodies(tmp_path, h, pr):
 
 
 def _through_child(h, pr, cuts):
-    draws = _csvtext.DrawTables.start()
+    draws = _csvtext.DrawTables()
     try:
         for a, b in zip(cuts, cuts[1:]):
             draws.send(h[a:b], pr[a:b])
@@ -42,9 +42,9 @@ def _through_child(h, pr, cuts):
         bodies = []
         for size in sizes:
             out = io.BytesIO()
-            assert draws.copy(out, size)
+            draws.copy(out, size)  # raises where the reply ends short
             bodies.append(out.getvalue())
-        assert draws.exited_ok()
+        draws.wait()  # raises where the child exits non-zero
         return bodies
     finally:
         draws.close()
@@ -92,7 +92,8 @@ def _extremes():
     return x.reshape(6, 2), x[::-1].reshape(6, 2).copy(), [0, 1, 4, 6]
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@settings(derandomize=True, database=None, deadline=None,
+          max_examples=max(100, settings().max_examples))
 @example(_extremes(), 0)
 @given(runs(), st.integers(0, 14))
 def test_bodies_are_the_writer_s_bytes(body_dir, drawn, via):

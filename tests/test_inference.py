@@ -1185,12 +1185,14 @@ def test_the_merge_thread_changes_no_bit_under_fast_switching(monkeypatch):
 def _stopping_recipe(seed, n=400_000, p=50, rho=0.95, c=0.5):
     """The path of the benchmark's ``stopping`` workload: a stationary
     p-dimensional AR(1) with coefficient rho and standard normal
-    innovations equicorrelated at c, from ``default_rng(seed)``."""
+    innovations equicorrelated at c, from ``default_rng(seed)``. The filter
+    runs along the rows of the transpose: the same bytes as along axis 0,
+    in less than half the time."""
     rng = np.random.default_rng(seed)
     eps = math.sqrt(1.0 - c) * rng.standard_normal((n, p))
     eps += math.sqrt(c) * rng.standard_normal((n, 1))
     eps[0] /= math.sqrt(1.0 - rho * rho)
-    return lfilter([1.0], [1.0, -rho], eps, axis=0)
+    return np.ascontiguousarray(lfilter([1.0], [1.0, -rho], eps.T).T)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
