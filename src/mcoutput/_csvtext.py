@@ -7,13 +7,15 @@ integer index or lag, a marker kind) as ``OTHER`` and ends each line with
 ``EOL``. The demo's four per-draw tables (chain, params and the lambda and
 beta traces) hold most of its bytes: :class:`DrawTables` streams each run
 of new draws to one child, which formats the tables' bodies with the same
-cells on the CPU the sampler leaves idle.
+cells on the CPU the sampler leaves idle and appends them to their files.
 
 The parent sends each run as its row count, then the run's (k, 2)
-functional rows and its (k, 2) parameter rows as native doubles. At end of
-input the child writes the total row count, the byte length of each body,
-then the chain, params, lambda trace and beta trace bodies in that order:
-the bytes ``_write_csv`` writes after each table's header.
+functional rows and its (k, 2) parameter rows as native doubles. The end
+frame is the count -1, then the paths of the chain, params, lambda trace
+and beta trace files, NUL-separated, and the end of input. The child
+appends each body to its file, which already holds its header: the bytes
+``_write_csv`` writes after that header. It then replies with its row
+count alone.
 
 :class:`Child` runs this child and the split read's (``_csvrows``). Both
 decline one way: a child that cannot start, a short reply or a non-zero
@@ -23,6 +25,7 @@ with ``python -S``, without numpy, scipy or the mcoutput package.
 """
 
 import contextlib
+import os
 import struct
 import sys
 
@@ -31,9 +34,8 @@ OTHER = "%s"
 EOL = "\r\n"
 
 _RUN = struct.Struct("=q")
-_HEAD = struct.Struct("=5q")  # rows, then the byte length of each body
+_END = _RUN.pack(-1)
 _DOUBLE = struct.calcsize("d")
-_PIECE = 1 << 20  # the largest piece of a body the parent holds
 _CHILD = "import runpy, sys; runpy.run_path(sys.argv[1], run_name='__main__')"
 
 
@@ -67,9 +69,6 @@ class Bodies:
         for body in self.parts:
             body[-1] = body[-1].encode()
         self.rows += k
-
-    def sizes(self):
-        return [sum(map(len, body)) for body in self.parts]
 
 
 def _lines(first, second, k):
@@ -121,9 +120,9 @@ class Child:
 
 class DrawTables(Child):
     """The child that formats the per-draw bodies while the sampler runs:
-    :meth:`send` is ``run_demo``'s ``on_draws``. After the run, :meth:`sizes`
-    ends its input, :meth:`copy` copies each body in turn and :meth:`wait`
-    reaps it; each raises ValueError where the child declines."""
+    :meth:`send` is ``run_demo``'s ``on_draws``. After the run,
+    :meth:`finish` has it append each body to its file and reaps it; it
+    raises ValueError where the child declines."""
 
     def __init__(self):
         super().__init__(__file__, flags=("-S",), stdin=True)
@@ -140,34 +139,32 @@ class DrawTables(Child):
         except OSError:
             self._broken = True
 
-    def sizes(self, rows):
-        """End the child's input; the byte length of each body. ValueError
-        where a pipe broke or the child formatted other than ``rows`` rows."""
+    def finish(self, paths, rows):
+        """End the child's input with ``paths``, the four per-draw files in
+        body order, each holding its header; the child appends each body to
+        its file. ValueError where a pipe broke, the child's row count is
+        not ``rows`` or it exited non-zero."""
+        pipe = self._proc.stdin
         try:
-            self._proc.stdin.close()
+            if not self._broken:
+                pipe.writelines((_END, b"\0".join(map(os.fsencode, paths))))
+            pipe.close()
         except OSError:
             self._broken = True
         if self._broken:
             raise ValueError("the pipe to the child broke")
-        count, *sizes = _HEAD.unpack(self.read(_HEAD.size))
+        (count,) = _RUN.unpack(self.read(_RUN.size))
         if count != rows:
             raise ValueError(f"the child formatted {count} rows, not {rows}")
-        return sizes
-
-    def copy(self, out, size):
-        """Copy the next ``size`` bytes of the reply to the binary file
-        ``out``, in pieces of at most 1 MiB."""
-        while size:
-            piece = self.read(min(size, _PIECE))
-            out.write(piece)
-            size -= len(piece)
+        self.wait()
 
 
 def _child():
-    """Format the runs on stdin, then write the reply to stdout; exit with
-    status 1, writing nothing, where a run ends early."""
+    """Format the runs on stdin, append each body to its file named in the
+    end frame, then reply with the row count; exit with status 1, appending
+    nothing, where a run ends early or the input ends before the end frame."""
     src, bodies = sys.stdin.buffer, Bodies()
-    while head := src.read(_RUN.size):
+    while (head := src.read(_RUN.size)) != _END:
         if len(head) < _RUN.size:
             sys.exit(1)
         size = 4 * _DOUBLE * _RUN.unpack(head)[0]
@@ -175,11 +172,11 @@ def _child():
         if len(run) < size:
             sys.exit(1)
         bodies.add(run)
-    out = sys.stdout.buffer
-    out.write(_HEAD.pack(bodies.rows, *bodies.sizes()))
-    for body in bodies.parts:
-        out.writelines(body)
-    out.flush()
+    paths = src.read().split(b"\0")
+    for path, body in zip(paths, bodies.parts, strict=True):
+        with open(path, "ab") as out:
+            out.writelines(body)
+    sys.stdout.buffer.write(_RUN.pack(bodies.rows))
 
 
 if __name__ == "__main__":

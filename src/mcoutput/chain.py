@@ -214,7 +214,8 @@ class ChainMatrix:
         return self._data.shape[1]
 
     def column(self, i):
-        """Read-only 1-D view of column ``i``."""
+        """Read-only 1-D view of column ``i``, an integer (not a bool)."""
+        _require_int(i, "column index")
         if not 0 <= i < self.cols:
             raise DimensionError(f"column {i} out of range for p={self.cols}")
         return self._data[:, i]

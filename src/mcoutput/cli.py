@@ -75,9 +75,10 @@ def _write_csv(path, header, *columns):
     columns to 17 significant digits, every other column (integer indices
     and lags, string kinds) as ``str``, in the cells of ``_csvtext``. A
     ``range`` index column is written without ever being held as an array.
-    The demo's per-draw bodies come from ``_csvtext``'s child with these
-    same bytes, after a header from ``_csv_file``; where that child cannot
-    start or declines, it raises ValueError and they are written here."""
+    The demo's per-draw bodies are appended by ``_csvtext``'s child with
+    these same bytes, after a header from ``_csv_file``; where that child
+    cannot start or declines, it is reaped and the four tables are
+    rewritten here, which truncates whatever it appended."""
     columns = [c if isinstance(c, range) else np.asarray(c) for c in columns]
     floats = [not isinstance(c, range) and c.dtype.kind == "f" for c in columns]
     line = ",".join(_csvtext.FLOAT if f else _csvtext.OTHER for f in floats)
@@ -434,8 +435,10 @@ def cmd_demo(args):
             if name not in per_draw:
                 _write_csv(out_dir / name, *table)
         try:
-            _copy_bodies(draws, out_dir, per_draw, n)
+            _append_bodies(draws, out_dir, per_draw, n)
         except ValueError:  # no child started, or it declined
+            if draws:  # reaped first, so that nothing appends after the rewrite
+                draws.close()
             for name, table in per_draw.items():
                 _write_csv(out_dir / name, *table)
     finally:
@@ -486,18 +489,15 @@ def cmd_demo(args):
     return 0 if report.terminated else 2
 
 
-def _copy_bodies(draws, out_dir, tables, rows):
-    """Write each per-draw table as its header, then its body copied from
-    the child, in table order. Raises ValueError where no child started or
-    it declines, and the tables must be written in process."""
+def _append_bodies(draws, out_dir, tables, rows):
+    """Write each per-draw table's header, then have the child append its
+    body. Raises ValueError where no child started or it declines, and the
+    tables must be written in process."""
     if draws is None:
         raise ValueError("no child started")
-    sizes = draws.sizes(rows)
-    for (name, (header, *_)), size in zip(tables.items(), sizes):
-        with _csv_file(out_dir / name, header) as fh:
-            fh.flush()
-            draws.copy(fh.buffer, size)
-    draws.wait()
+    for name, (header, *_) in tables.items():
+        _csv_file(out_dir / name, header).close()
+    draws.finish([out_dir / name for name in tables], rows)
 
 
 def cmd_plotdata(args):

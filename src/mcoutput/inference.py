@@ -186,8 +186,17 @@ class ConfidenceRegion:
         return self.center.size
 
     def mahalanobis2(self, x):
-        """Quadratic form (x - center)^T shape^(-1) (x - center)."""
-        r = _float_array(x, copy=False, what="point") - self.center
+        """Quadratic form (x - center)^T shape^(-1) (x - center). A point
+        that is not p values raises DimensionError; one that is not finite
+        raises DataError."""
+        x = _float_array(x, copy=False, what="point")
+        if x.ndim > 1 or x.size != self.dim:
+            raise DimensionError(
+                f"point must hold {self.dim} values, got shape {x.shape}"
+            )
+        if not np.isfinite(x).all():
+            raise DataError("point values must be finite")
+        r = x - self.center
         return float(r @ np.linalg.solve(self.shape, r))
 
     def contains(self, x):

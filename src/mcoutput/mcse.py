@@ -334,7 +334,10 @@ def correlogram(chain, max_lag, pair=(0, 0)):
     n = chain.rows
     if not 0 <= max_lag < n:
         raise ParameterError(f"max_lag must satisfy 0 <= L < n={n}, got {max_lag}")
-    i, j = pair
+    try:
+        i, j = pair
+    except (TypeError, ValueError):
+        raise ParameterError(f"pair must be two column indices, got {pair!r}") from None
     x = chain.column(i)
     y = chain.column(j)
     with np.errstate(over="ignore", invalid="ignore"):

@@ -111,6 +111,23 @@ def test_chain_univariate_input_becomes_column():
     np.testing.assert_array_equal(c.column(0), [1.0, 2.0, 3.0])
 
 
+@pytest.mark.parametrize("index", [True, False, 0.5, 1.0, "0", None])
+def test_column_index_must_be_an_integer(index):
+    """``column(True)`` used to return a 3-D array, ``column(0.5)`` raised a
+    raw IndexError."""
+    c = ChainMatrix([[1.0, 2.0], [3.0, 4.0]])
+    with pytest.raises(ParameterError, match="column index must be an integer"):
+        c.column(index)
+
+
+def test_column_index_takes_numpy_integers():
+    c = ChainMatrix([[1.0, 2.0], [3.0, 4.0]])
+    np.testing.assert_array_equal(c.column(np.int64(1)), [2.0, 4.0])
+    np.testing.assert_array_equal(c.column(np.intp(0)), [1.0, 3.0])
+    with pytest.raises(DimensionError):
+        c.column(np.int64(2))
+
+
 def test_chain_values_are_read_only():
     c = ChainMatrix([[1.0, 2.0], [3.0, 4.0]])
     with pytest.raises(ValueError):

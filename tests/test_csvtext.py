@@ -1,5 +1,6 @@
-"""``mcoutput demo`` with its per-draw bodies from ``_csvtext``'s child:
-the same files as when the child declines, for each way it can decline,
+"""``mcoutput demo`` with its per-draw bodies appended by ``_csvtext``'s
+child: the same files as when the child declines, for each way it can
+decline, the child reaped before the files are rewritten in process,
 nothing from the child on stderr, and no child left running on any path.
 ``tests/test_csvtext_property.py`` checks the bodies on drawn rows."""
 
@@ -34,13 +35,14 @@ def children(monkeypatch):
 
 
 @pytest.fixture()
-def written(monkeypatch):
-    """The names of the tables written in process."""
-    names = []
+def written(monkeypatch, children):
+    """The names of the tables written in process, each with the return
+    codes that the started children had then: None for one still running."""
+    names = {}
     write = cli._write_csv
 
     def recorded(path, *table):
-        names.append(path.name)
+        names[path.name] = [draws._proc.returncode for draws in children if draws]
         return write(path, *table)
 
     monkeypatch.setattr(cli, "_write_csv", recorded)
@@ -104,17 +106,21 @@ def _cut_the_second_run_short(monkeypatch):
     _wrap_send(monkeypatch, act)
 
 
-def _kill_before_the_bodies(monkeypatch):
-    """The reply's head arrives, and then its bodies end short."""
-    sizes = _csvtext.DrawTables.sizes
+def _append_to_a_missing_directory(monkeypatch):
+    """The child formats every row and appends three bodies, then cannot
+    open the fourth file, and exits without a reply."""
+    finish = _csvtext.DrawTables.finish
 
-    def killed(self, rows):
-        got = sizes(self, rows)
-        self._proc.kill()
-        self._proc.wait()
-        return got
+    def missing(self, paths, rows):
+        *paths, last = paths
+        finish(self, [*paths, last.parent / "missing" / last.name], rows)
 
-    monkeypatch.setattr(_csvtext.DrawTables, "sizes", killed)
+    monkeypatch.setattr(_csvtext.DrawTables, "finish", missing)
+
+
+def _exit_non_zero_after_the_reply(monkeypatch):
+    """The child appends every body and replies in full, then exits 3."""
+    monkeypatch.setattr(_csvtext, "_CHILD", _csvtext._CHILD + "; sys.exit(3)")
 
 
 DECLINES = {
@@ -122,7 +128,8 @@ DECLINES = {
     "killed-mid-run": _kill_after_first_run,
     "row-count-differs": _drop_the_second_run,
     "child-exits-non-zero": _cut_the_second_run_short,
-    "body-short": _kill_before_the_bodies,
+    "append-fails": _append_to_a_missing_directory,
+    "exits-after-reply": _exit_non_zero_after_the_reply,
 }
 
 
@@ -153,6 +160,7 @@ def test_a_decline_writes_the_same_files_in_process(
     DECLINES[decline](monkeypatch)
     assert main([*DEMO, "--out-dir", str(tmp_path)]) == 0
     assert set(PER_DRAW) <= set(written)
+    assert None not in written[PER_DRAW[0]]  # reaped before the rewrite
     assert capfd.readouterr().err == ""
     _same_files(child_demo, tmp_path)
     if decline == "popen-refused":

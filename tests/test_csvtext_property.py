@@ -3,8 +3,6 @@
 are the bytes ``cli._write_csv`` writes after each table's header, and the
 trace index continues across runs."""
 
-import io
-
 import numpy as np
 import pytest
 
@@ -33,31 +31,26 @@ def _expected_bodies(tmp_path, h, pr):
     return bodies
 
 
-def _through_child(h, pr, cuts):
+def _through_child(tmp_path, h, pr, cuts):
+    paths = [tmp_path / f"child{i}.csv" for i in range(4)]
+    for path in paths:
+        path.write_bytes(b"")
     draws = _csvtext.DrawTables()
     try:
         for a, b in zip(cuts, cuts[1:]):
             draws.send(h[a:b], pr[a:b])
-        sizes = draws.sizes(len(h))
-        bodies = []
-        for size in sizes:
-            out = io.BytesIO()
-            draws.copy(out, size)  # raises where the reply ends short
-            bodies.append(out.getvalue())
-        draws.wait()  # raises where the child exits non-zero
-        return bodies
+        draws.finish(paths, len(h))  # raises where the child declines
+        return [path.read_bytes() for path in paths]
     finally:
         draws.close()
 
 
-def _in_process(h, pr, cuts):
+def _in_process(tmp_path, h, pr, cuts):
     bodies = _csvtext.Bodies()
     for a, b in zip(cuts, cuts[1:]):
         bodies.add(h[a:b].tobytes() + pr[a:b].tobytes())
     assert bodies.rows == len(h)
-    joined = [b"".join(parts) for parts in bodies.parts]
-    assert bodies.sizes() == [len(body) for body in joined]
-    return joined
+    return [b"".join(parts) for parts in bodies.parts]
 
 
 # any finite double, the special ones, or a mantissa at any binary exponent
@@ -102,4 +95,4 @@ def test_bodies_are_the_writer_s_bytes(body_dir, drawn, via):
     h, pr, cuts = drawn
     expected = _expected_bodies(body_dir, h, pr)
     format_runs = _through_child if via == 0 else _in_process
-    assert format_runs(h, pr, cuts) == expected
+    assert format_runs(body_dir, h, pr, cuts) == expected

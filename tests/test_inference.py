@@ -469,6 +469,31 @@ def test_hotelling_refuses_a_non_numeric_mean_or_point(values, message):
     assert str(info.value).startswith(f"point values must be {message}")
 
 
+@pytest.mark.parametrize(
+    "point, error, message",
+    [
+        ([np.nan, 0.0], DataError, "point values must be finite"),
+        ([np.inf, 0.0], DataError, "point values must be finite"),
+        ([0.0, -np.inf], DataError, "point values must be finite"),
+        ([0.0, 0.0, 0.0], DimensionError, r"must hold 2 values, got shape \(3,\)"),
+        ([0.0], DimensionError, r"point must hold 2 values, got shape \(1,\)"),
+        ([[0.0, 0.0]], DimensionError, r"got shape \(1, 2\)"),
+    ],
+    ids=["nan", "inf", "minus-inf", "three", "one", "row"],
+)
+def test_region_refuses_a_non_finite_or_misshapen_point(point, error, message):
+    """A NaN point used to give nan and False silently, an infinite one a
+    RuntimeWarning and nan, and a 3-vector numpy's broadcast ValueError."""
+    sig = CovarianceEstimate(
+        matrix=np.eye(2), kind="batch-means", batch_size=10, n_used=2_000,
+    )
+    region = hotelling_region([0.0, 0.0], sig, 2_000, 0.05, 198)
+    for method in (region.mahalanobis2, region.contains):
+        with pytest.raises(error, match=message):
+            method(point)
+    assert region.contains(np.array([0.0, 0.0]))
+
+
 def test_default_hotelling_df_rule():
     chain = generate_ar1(Ar1Spec(rho=0.2, dim=2), 1_000, RngStream(13))
     sig = batch_means_sigma(chain, 30)

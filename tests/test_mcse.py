@@ -239,6 +239,35 @@ def test_correlogram_validation():
         correlogram(flat, 3)
 
 
+@pytest.mark.parametrize(
+    "pair, message",
+    [
+        ((0,), "pair must be two column indices"),
+        ((0, 1, 2), "pair must be two column indices"),
+        (3, "pair must be two column indices"),
+        (("0", 1), "column index must be an integer"),
+        ((True, 1), "column index must be an integer"),
+        ((0, 1.0), "column index must be an integer"),
+    ],
+    ids=["one", "three", "scalar", "text", "bool", "float"],
+)
+def test_correlogram_pair_must_be_two_integer_indices(pair, message):
+    """Each used to raise an untyped error, and ``(True, 1)`` a matmul
+    ValueError."""
+    chain = ChainMatrix(RngStream(5).normal(size=(50, 2)))
+    with pytest.raises(ParameterError, match=message):
+        correlogram(chain, 3, pair)
+
+
+def test_correlogram_pair_takes_numpy_integers():
+    chain = ChainMatrix(RngStream(5).normal(size=(50, 2)))
+    want = correlogram(chain, 3, (0, 1))
+    for pair in ((np.int64(0), np.int64(1)), np.array([0, 1])):
+        got = correlogram(chain, 3, pair)
+        np.testing.assert_array_equal(got.values, want.values)
+        assert got.pair == (0, 1)
+
+
 def test_correlogram_overflow_is_a_numerics_error():
     """At 1e160 the variances overflow and every value used to be nan; at
     1e80 only the ccf's variance product overflows, which silently gave 0
