@@ -116,12 +116,12 @@ class RngStream:
 
 
 def _float_array(data, copy, what="chain"):
-    """``data`` as a float64 array, always a new one when ``copy``. Bool,
-    integer and numeric-string values are cast. Anything else raises
+    """``data`` as a finite float64 array, always a new one when ``copy``.
+    Bool, integer and numeric-string values are cast. Anything else raises
     DataError: complex values, whose imaginary parts the cast would drop,
     datetimes and time spans, also among other objects, and records, which
-    it would turn into counts or fields, and data it cannot cast: text,
-    ragged rows, mappings."""
+    it would turn into counts or fields, data it cannot cast (text, ragged
+    rows, mappings), and NaN or an infinity, cast or given."""
     try:
         arr = np.asarray(data)
         kind, got = arr.dtype.kind, arr.dtype
@@ -130,7 +130,10 @@ def _float_array(data, copy, what="chain"):
             if time is not None:
                 kind, got = "M", type(time).__name__
         if kind not in "cmMV":
-            return arr.astype(float, copy=copy)
+            arr = arr.astype(float, copy=copy)
+            if not np.isfinite(arr).all():
+                raise DataError(f"{what} values must all be finite")
+            return arr
     except (TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"{what} values must be numbers: {exc}") from None
     need = "real" if kind == "c" else "numbers"
@@ -146,7 +149,8 @@ class ChainMatrix:
         Two-dimensional (rows are draws). A one-dimensional input is
         treated as a single column, i.e. a univariate series.
     labels : sequence of str, optional
-        One label per column.
+        One label per column. A single string, or anything that cannot be
+        iterated, raises ParameterError.
 
     Notes
     -----
@@ -158,10 +162,7 @@ class ChainMatrix:
     __slots__ = ("_data", "labels")
 
     def __init__(self, data, labels=None):
-        arr = _float_array(data, copy=True)
-        if not np.isfinite(arr).all():
-            raise DataError("chain values must all be finite")
-        self._freeze(arr, labels)
+        self._freeze(_float_array(data, copy=True), labels)
 
     @classmethod
     def _adopt(cls, arr, labels=None):
@@ -191,6 +192,10 @@ class ChainMatrix:
         if arr.shape[1] < 1:
             raise DimensionError("chain needs at least one column")
         if labels is not None:
+            if isinstance(labels, (str, bytes)) or not hasattr(labels, "__iter__"):
+                raise ParameterError(
+                    f"labels must be a sequence of labels, got {type(labels).__name__}"
+                )
             labels = tuple(str(lab) for lab in labels)
             if len(labels) != arr.shape[1]:
                 raise DimensionError(

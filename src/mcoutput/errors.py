@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the integer and alpha checks."""
+"""Exception types shared across the package, and the integer and level checks."""
 
 import numpy as np
 
@@ -54,18 +54,29 @@ class UsageError(OutputAnalysisError):
 
 
 def _require_int(value, what, low=None):
-    """Raise ParameterError unless value is an integer (not a bool) >= low."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+    """Raise ParameterError unless value is an integer (not a bool or a time
+    span, which numpy counts as an integer) >= low."""
+    if isinstance(value, (bool, np.timedelta64)) or not isinstance(
+        value, (int, np.integer)
+    ):
         raise ParameterError(f"{what} must be an integer")
     if low is not None and value < low:
         raise ParameterError(f"{what} must be >= {low}, got {value}")
 
 
+def _require_unit(value, what):
+    """Raise ParameterError unless value is a real number (a Python or numpy
+    int or float, not a time span) inside (0, 1)."""
+    if isinstance(value, np.timedelta64) or not (
+        isinstance(value, (int, float, np.integer, np.floating)) and 0.0 < value < 1.0
+    ):
+        raise ParameterError(f"{what} must be inside (0, 1), got {value}")
+
+
 def _require_alpha(alpha):
     """Raise ParameterError unless alpha is inside (0, 1) with 1 - alpha/2 < 1
     in floating point, that is, alpha > 2**-53."""
-    if not 0.0 < alpha < 1.0:
-        raise ParameterError(f"alpha must be inside (0, 1), got {alpha}")
+    _require_unit(alpha, "alpha")
     if 1.0 - alpha / 2.0 == 1.0:
         raise ParameterError(
             f"alpha must exceed 2**-53, got {alpha}: 1 - alpha/2 rounds to 1"

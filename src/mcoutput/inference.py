@@ -22,7 +22,6 @@ from scipy.special import fdtri, gammaincinv
 
 from .chain import ChainMatrix, _float_array
 from .errors import (
-    DataError,
     DegreesOfFreedomError,
     DimensionError,
     InsufficientDataError,
@@ -32,6 +31,7 @@ from .errors import (
     SingularEstimateError,
     _require_alpha,
     _require_int,
+    _require_unit,
 )
 from .mcse import (
     CovarianceEstimate,
@@ -69,8 +69,7 @@ CHECK_GROWTH = 1.5
 
 def chi2_quantile(prob, dof):
     """Chi-square quantile via the inverse regularized incomplete gamma."""
-    if not 0.0 < prob < 1.0:
-        raise ParameterError(f"prob must be inside (0, 1), got {prob}")
+    _require_unit(prob, "prob")
     if not dof >= 1:
         raise ParameterError(f"dof must be >= 1, got {dof}")
     x = 2.0 * float(gammaincinv(dof / 2.0, prob))
@@ -81,8 +80,7 @@ def chi2_quantile(prob, dof):
 
 def f_quantile(prob, d1, d2):
     """F quantile via the inverse regularized incomplete beta."""
-    if not 0.0 < prob < 1.0:
-        raise ParameterError(f"prob must be inside (0, 1), got {prob}")
+    _require_unit(prob, "prob")
     if not (d1 >= 1 and d2 >= 1):
         raise ParameterError(f"degrees of freedom must be >= 1, got ({d1}, {d2})")
     x = float(fdtri(d1, d2, prob))
@@ -108,12 +106,8 @@ def min_ess_cutoff(alpha=0.05, epsilon=0.05, p=1):
     raises ParameterError.
     """
     _require_alpha(alpha)
-    if not 0.0 < epsilon < 1.0:
-        raise ParameterError(f"epsilon must be inside (0, 1), got {epsilon}")
-    try:
-        _require_int(p, "p", 1)
-    except ParameterError:
-        raise ParameterError(f"p must be an integer >= 1, got {p}") from None
+    _require_unit(epsilon, "epsilon")
+    _require_int(p, "p", 1)
     chi2 = chi2_quantile(1.0 - alpha, p)
     log_m = (
         (2.0 / p) * math.log(2.0)
@@ -140,8 +134,7 @@ def ess(n, lambda_est, sigma_est):
     functional; :class:`SingularEstimateError` is raised instead of
     returning junk when either matrix is not positive definite.
     """
-    if n < 1:
-        raise ParameterError(f"n must be >= 1, got {n}")
+    _require_int(n, "n", 1)
     p = lambda_est.dim
     if sigma_est.dim != p:
         raise DimensionError(
@@ -194,8 +187,6 @@ class ConfidenceRegion:
             raise DimensionError(
                 f"point must hold {self.dim} values, got shape {x.shape}"
             )
-        if not np.isfinite(x).all():
-            raise DataError("point values must be finite")
         r = x - self.center
         return float(r @ np.linalg.solve(self.shape, r))
 
@@ -237,8 +228,6 @@ def hotelling_region(mean, sigma_est, n, alpha, q):
     center = np.atleast_1d(_float_array(mean, copy=True, what="mean"))
     if center.ndim != 1:
         raise DimensionError("mean must be a vector")
-    if not np.isfinite(center).all():
-        raise DataError(f"mean must be finite, got {center.tolist()}")
     p = center.size
     if sigma_est.dim != p:
         raise DimensionError(
@@ -335,6 +324,10 @@ class StoppingConfig:
             object.__setattr__(self, "n_star", cutoff.rounded)
         _require_int(self.n_star, "n_star", 8)
         _require_int(self.max_n, "max_n", 1)
+        if not isinstance(self.use_flat_top, (bool, np.bool_)):
+            raise ParameterError(
+                f"use_flat_top must be a bool, got {self.use_flat_top!r}"
+            )
         for name in ("batch_size_fn", "next_check_fn"):
             rule = getattr(self, name)
             if not callable(rule):
@@ -490,8 +483,6 @@ def stopping_controller(
                     f"sampler returned shape {returned.shape}, "
                     f"expected ({k}, {config.p})"
                 )
-            if not np.isfinite(block).all():
-                raise DataError("chain values must all be finite")
             buf[n:target] = block  # a copy: no block is kept
             n = target
             # rows below n are never written again, so every check's chain

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import RngStream
+from .chain import RngStream, _float_array
 from .errors import DataError, NumericsError, ParameterError
 from .inference import (
     StoppingConfig,
@@ -190,13 +190,14 @@ def weibull_mle_beta(times):
     Solves sum(t^b ln t)/sum(t^b) - 1/b - mean(ln t) = 0, which is
     strictly increasing in b, by doubling a bracket and calling scipy's
     ``brentq`` on it; ``scipy.optimize`` is imported on first use. ``times``
-    is any flat sample of at least two positive failure times.
+    is any flat sample of at least two positive failure times; other values
+    raise DataError.
     """
-    times = np.asarray(times, dtype=float)
+    times = _float_array(times, copy=False, what="failure time")
     if times.ndim != 1 or times.size < 2:
         raise DataError("need a flat sample of at least two failure times")
-    if not (np.isfinite(times).all() and (times > 0.0).all()):
-        raise DataError("failure times must be positive and finite")
+    if not (times > 0.0).all():
+        raise DataError("failure times must be positive")
     log_t = np.log(times)
     mean_log = float(log_t.mean())
 

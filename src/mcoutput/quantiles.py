@@ -27,6 +27,7 @@ from .errors import (
     OutputAnalysisError,
     ParameterError,
     _require_alpha,
+    _require_unit,
 )
 from .mcse import _TINY, batch_means_sigma
 
@@ -63,34 +64,32 @@ class QuantileEstimate:
 
 
 def _as_series(v):
-    """The series as a contiguous 1-D float array; a copy only if strided."""
+    """The series as a contiguous, non-empty 1-D float array, its values
+    checked by ``_float_array``; a copy only if strided."""
     if isinstance(v, ChainMatrix):
         if v.cols != 1:
             raise DimensionError(
                 f"quantile operations take one column, got {v.cols}"
             )
-        return np.ascontiguousarray(v.column(0))
-    arr = _float_array(v, copy=False, what="series")
-    if arr.ndim != 1:
-        raise DimensionError(f"series must be 1-dimensional, got ndim={arr.ndim}")
-    arr = np.ascontiguousarray(arr)
-    if arr.size and not np.isfinite(arr).all():
-        raise DataError("series values must all be finite")
-    return arr
+        arr = v.column(0)
+    else:
+        arr = _float_array(v, copy=False, what="series")
+        if arr.ndim != 1:
+            raise DimensionError(f"series must be 1-dimensional, got ndim={arr.ndim}")
+    if arr.size < 1:
+        raise DataError("series is empty")
+    return np.ascontiguousarray(arr)
 
 
 def _rank(n, q):
     """0-based rank of the order statistic V_(ceil(n q)) of n values."""
-    if not 0.0 < q < 1.0:
-        raise ParameterError(f"quantile level must be inside (0, 1), got {q}")
+    _require_unit(q, "quantile level")
     return min(max(math.ceil(n * q), 1), n) - 1
 
 
 def empirical_quantile(v, q):
     """Order statistic V_(ceil(n q)): the smallest j+1 with j < n q <= j+1."""
     arr = _as_series(v)
-    if arr.size < 1:
-        raise DataError("series is empty")
     k = _rank(arr.size, q)
     return float(np.partition(arr, k)[k])
 
@@ -107,10 +106,15 @@ def indicator_sigma2(v, y, b):
     return float(est.matrix[0, 0])
 
 
-def kde_bandwidth(arr):
-    """Bandwidth of :func:`kde_at` for a 1-D array: ``KDE_BANDWIDTH_RULE``,
+def kde_bandwidth(v):
+    """Bandwidth of :func:`kde_at` for a series: ``KDE_BANDWIDTH_RULE``,
     with the standard deviation alone when the interquartile range is zero.
-    Only a constant array's is below ``_TINY``; others raise NumericsError."""
+    Only a constant series' is below ``_TINY``; others raise NumericsError."""
+    return _bandwidth(_as_series(v))
+
+
+def _bandwidth(arr):
+    """:func:`kde_bandwidth` of an array that ``_as_series`` gave."""
     n = arr.size
     with np.errstate(over="ignore", invalid="ignore"):
         sd = float(arr.std())
@@ -155,7 +159,7 @@ def _kde_sums(arr, h, pts, out, buf, zero):
 def kde_at(v, x):
     """Gaussian kernel density estimate at ``x``.
 
-    The bandwidth comes from :func:`kde_bandwidth`, once per call. Accepts a
+    The bandwidth is :func:`kde_bandwidth`'s, once per call. Accepts a
     scalar or a 1-D grid of evaluation points; every point must be finite
     (a point at +-inf is refused, not given density 0). A worker thread
     takes the later half of the points; each point's arithmetic is the
@@ -167,13 +171,11 @@ def kde_at(v, x):
         raise DimensionError(
             f"evaluation points must be a scalar or 1-D, got ndim={pts.ndim}"
         )
-    if not np.isfinite(pts).all():
-        raise DataError("evaluation points must all be finite")
     if arr.size < 2:
         raise DegenerateDataError("density estimation needs at least two points")
     if arr.min() == arr.max():
         raise DegenerateDataError("density estimation needs a non-constant series")
-    h = kde_bandwidth(arr)
+    h = _bandwidth(arr)
     flat = pts.reshape(-1)
     out = np.empty(flat.size)
     half = (flat.size + 1) // 2
@@ -209,8 +211,6 @@ def _quantile_cis(v, levels, alpha, b):
     try:
         _require_alpha(alpha)
         arr = _as_series(v)
-        if arr.size < 1:
-            raise DataError("series is empty")
     except OutputAnalysisError as exc:
         return (exc,) * len(levels)
     entries = [None] * len(levels)

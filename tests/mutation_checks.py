@@ -59,7 +59,10 @@ MUTATIONS = [
     Mutation(
         "child-truncates-the-header", "_csvtext.py",
         'open(path, "ab")', 'open(path, "wb")',
-        (f"{DECLINE}[killed-mid-run]",),
+        (
+            "tests/test_csvtext.py::test_the_child_writes_the_per_draw_files",
+            f"{DECLINE}[killed-mid-run]",
+        ),
     ),
     # cmd_demo's fallback and its reaping
     Mutation(
@@ -126,14 +129,50 @@ MUTATIONS = [
         "for pipe in ():",
         (f"{DECLINE}[killed-mid-run]",),
     ),
-    # point and index checks at the library boundary
+    # the intakes at the library boundary: _float_array for arrays,
+    # _require_unit for levels, _require_int for counts
     Mutation(
-        "region-takes-a-non-finite-point", "inference.py",
-        "        if not np.isfinite(x).all():\n", "        if False:\n",
+        "intake-takes-a-non-finite-value", "chain.py",
+        "            if not np.isfinite(arr).all():\n", "            if False:\n",
         (
+            "tests/test_chain.py::test_chain_rejects_non_finite",
+            "tests/test_inference.py::"
+            "test_controller_rejects_a_non_finite_block_after_the_first_check",
+            "tests/test_quantiles.py::"
+            "test_non_numeric_series_are_refused[nan-empirical_quantile]",
+            "tests/test_quantiles.py::test_kde_at_refuses_non_finite_points[nan]",
             "tests/test_inference.py::"
             "test_region_refuses_a_non_finite_or_misshapen_point[nan]",
+            "tests/test_inference.py::test_hotelling_rejects_non_finite_mean[nan]",
         ),
+    ),
+    Mutation(
+        "unit-level-of-any-type", "errors.py",
+        "isinstance(value, (int, float, np.integer, np.floating)) and ", "",
+        ("tests/test_inference.py::test_min_ess_cutoff_validation",),
+    ),
+    Mutation(
+        "kde-bandwidth-without-the-series-intake", "quantiles.py",
+        "return _bandwidth(_as_series(v))", "return _bandwidth(v)",
+        (
+            "tests/test_quantiles.py::"
+            "test_non_numeric_series_are_refused[text-kde_bandwidth]",
+        ),
+    ),
+    Mutation(
+        "weibull-mle-back-on-asarray", "lcd_demo.py",
+        '_float_array(times, copy=False, what="failure time")',
+        "np.asarray(times, dtype=float)",
+        (
+            "tests/test_lcd_demo.py::"
+            "test_weibull_mle_takes_the_chain_s_intake[complex]",
+        ),
+    ),
+    Mutation(
+        "ess-takes-any-n", "inference.py",
+        '    _require_int(n, "n", 1)\n    p = lambda_est.dim\n',
+        "    p = lambda_est.dim\n",
+        ("tests/test_inference.py::test_ess_n_must_be_an_integer",),
     ),
     Mutation(
         "region-takes-a-point-of-any-length", "inference.py",

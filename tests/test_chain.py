@@ -111,10 +111,12 @@ def test_chain_univariate_input_becomes_column():
     np.testing.assert_array_equal(c.column(0), [1.0, 2.0, 3.0])
 
 
-@pytest.mark.parametrize("index", [True, False, 0.5, 1.0, "0", None])
+@pytest.mark.parametrize(
+    "index", [True, False, 0.5, 1.0, "0", None, np.timedelta64(1, "D")]
+)
 def test_column_index_must_be_an_integer(index):
     """``column(True)`` used to return a 3-D array, ``column(0.5)`` raised a
-    raw IndexError."""
+    raw IndexError; numpy counts a time span as an integer."""
     c = ChainMatrix([[1.0, 2.0], [3.0, 4.0]])
     with pytest.raises(ParameterError, match="column index must be an integer"):
         c.column(index)
@@ -270,6 +272,29 @@ def test_chain_labels():
     assert bare.label(1) == "col1"
     with pytest.raises(DimensionError):
         ChainMatrix([[1.0, 2.0]], labels=("only_one",))
+
+
+def _labelled_run(labels):
+    """A two-column stopping run of 8 rows with ``labels``."""
+    config = StoppingConfig(p=2, n_star=8, max_n=8)
+    return stopping_controller(
+        lambda k, rng: np.ones((k, 2)), config, None, labels=labels
+    )
+
+
+@pytest.mark.parametrize(
+    "labels", ["ab", b"ab", 5, 2.0], ids=["str", "bytes", "int", "float"]
+)
+@pytest.mark.parametrize(
+    "intake",
+    [lambda labels: ChainMatrix([[1.0, 2.0]], labels), _labelled_run],
+    ids=["ChainMatrix", "controller"],
+)
+def test_labels_must_be_a_sequence_of_labels(intake, labels):
+    """A string used to be split into one label per character, and a value
+    that cannot be iterated raised an untyped TypeError."""
+    with pytest.raises(ParameterError, match="^labels must be a sequence of labels"):
+        intake(labels)
 
 
 def test_chain_allows_zero_rows():

@@ -1,5 +1,6 @@
 """``mcoutput demo`` with its per-draw bodies appended by ``_csvtext``'s
-child: the same files as when the child declines, for each way it can
+child: the bytes that ``cli._write_csv`` writes in process from the same
+tables, and the same files as when the child declines, for each way it can
 decline, the child reaped before the files are rewritten in process,
 nothing from the child on stderr, and no child left running on any path.
 ``tests/test_csvtext_property.py`` checks the bodies on drawn rows."""
@@ -141,15 +142,32 @@ def _same_files(one, two):
 
 
 def test_the_child_writes_the_per_draw_files(
-    child_demo, children, written, tmp_path, capfd
+    child_demo, children, written, monkeypatch, tmp_path, capfd
 ):
-    assert main([*DEMO, "--out-dir", str(tmp_path)]) == 0
+    """The child's files hold the bytes that ``cli._write_csv`` writes in
+    process from the same tables."""
+    tables = {}
+    append = cli._append_bodies
+
+    def recorded(draws, out_dir, per_draw, rows):
+        tables.update(per_draw)
+        return append(draws, out_dir, per_draw, rows)
+
+    monkeypatch.setattr(cli, "_append_bodies", recorded)
+    out = tmp_path / "child"
+    assert main([*DEMO, "--out-dir", str(out)]) == 0
     assert not set(written) & set(PER_DRAW)
     assert len(written) == 8
     assert [draws._proc.returncode for draws in children] == [0]
     assert capfd.readouterr().err == ""
-    _same_files(child_demo, tmp_path)
-    report = json.loads((tmp_path / "demo_report.json").read_text())
+    assert sorted(tables) == sorted(PER_DRAW)
+    in_process = tmp_path / "in-process"
+    in_process.mkdir()
+    for name, table in tables.items():
+        cli._write_csv(in_process / name, *table)
+        assert (out / name).read_bytes() == (in_process / name).read_bytes(), name
+    _same_files(child_demo, out)
+    report = json.loads((out / "demo_report.json").read_text())
     assert set(PER_DRAW) <= set(report["files"].values())
 
 

@@ -111,6 +111,11 @@ def test_quantile_input_validation():
         chi2_quantile(0.5, 0)
     with pytest.raises(ParameterError):
         f_quantile(1.0, 2, 2)
+    for prob in ("0.5", np.timedelta64(1, "D"), None):
+        with pytest.raises(ParameterError, match=r"^prob must be inside \(0, 1\)"):
+            chi2_quantile(prob, 2)
+        with pytest.raises(ParameterError, match=r"^prob must be inside \(0, 1\)"):
+            f_quantile(prob, 2, 2)
 
 
 def test_min_ess_cutoff_default_bivariate():
@@ -151,6 +156,8 @@ def test_min_ess_cutoff_validation():
         min_ess_cutoff(0.05, 1.0, 1)
     with pytest.raises(ParameterError):
         min_ess_cutoff(0.05, 0.05, 0)
+    with pytest.raises(ParameterError, match=r"^epsilon must be inside \(0, 1\)"):
+        min_ess_cutoff(0.05, "0.05", 1)
 
 
 def test_min_ess_cutoff_beyond_the_largest_double_is_a_parameter_error():
@@ -193,7 +200,7 @@ def test_alpha_whose_level_rounds_to_one_is_refused(entry):
         with pytest.raises(ParameterError, match=r"^alpha must exceed 2\*\*-53, got "):
             fn(alpha)
     assert fn(SMALLEST_ALPHA) is not None
-    for alpha in (0.0, 1.0, -0.5, math.nan):
+    for alpha in (0.0, 1.0, -0.5, math.nan, "0.05", np.timedelta64(1, "D")):
         with pytest.raises(ParameterError, match=r"^alpha must be inside \(0, 1\)"):
             fn(alpha)
 
@@ -216,6 +223,18 @@ def test_ess_scale_invariance(c):
     scaled = ChainMatrix(c * chain.values)
     lam_c, sig_c = _estimate_pair(scaled, 26)
     assert ess(scaled.rows, lam_c, sig_c) == pytest.approx(base, rel=1e-10)
+
+
+def test_ess_n_must_be_an_integer():
+    """``ess(100.5, ...)`` used to return 150.8, ``ess(True, ...)`` 1.5, and
+    ``ess("5", ...)`` raised an untyped TypeError."""
+    est = CovarianceEstimate(np.eye(2), "batch-means", 10, 100)
+    for n in (100.5, 100.0, True, "5", np.timedelta64(5, "D")):
+        with pytest.raises(ParameterError, match="^n must be an integer$"):
+            ess(n, est, est)
+    with pytest.raises(ParameterError, match="^n must be >= 1, got 0$"):
+        ess(0, est, est)
+    assert ess(np.int64(100), est, est) == 100.0
 
 
 def test_ess_rejects_singular_sigma():
@@ -441,7 +460,7 @@ def test_hotelling_rejects_non_finite_mean(mean):
         matrix=np.eye(2), kind="batch-means", batch_size=10,
         n_used=2_000,
     )
-    with pytest.raises(DataError, match=r"^mean must be finite, got \["):
+    with pytest.raises(DataError, match="^mean values must all be finite$"):
         hotelling_region(mean, sig, 2_000, 0.05, 198)
 
 
@@ -472,9 +491,9 @@ def test_hotelling_refuses_a_non_numeric_mean_or_point(values, message):
 @pytest.mark.parametrize(
     "point, error, message",
     [
-        ([np.nan, 0.0], DataError, "point values must be finite"),
-        ([np.inf, 0.0], DataError, "point values must be finite"),
-        ([0.0, -np.inf], DataError, "point values must be finite"),
+        ([np.nan, 0.0], DataError, "^point values must all be finite$"),
+        ([np.inf, 0.0], DataError, "^point values must all be finite$"),
+        ([0.0, -np.inf], DataError, "^point values must all be finite$"),
         ([0.0, 0.0, 0.0], DimensionError, r"must hold 2 values, got shape \(3,\)"),
         ([0.0], DimensionError, r"point must hold 2 values, got shape \(1,\)"),
         ([[0.0, 0.0]], DimensionError, r"got shape \(1, 2\)"),
@@ -618,6 +637,14 @@ def test_stopping_config_is_frozen():
         cfg.alpha = 0.5
     assert cfg.alpha == 0.05
     assert cfg.cutoff.value == pytest.approx(M2, rel=1e-12)
+
+
+@pytest.mark.parametrize("flag", ["no", 1, None], ids=["str", "int", "None"])
+def test_use_flat_top_must_be_a_bool(flag):
+    """A truthy string such as "no" used to switch Sigma to flat-top."""
+    with pytest.raises(ParameterError, match="^use_flat_top must be a bool, got "):
+        StoppingConfig(p=2, use_flat_top=flag)
+    assert StoppingConfig(p=2, use_flat_top=np.bool_(True)).use_flat_top
 
 
 @pytest.mark.parametrize("name", ["batch_size_fn", "next_check_fn"])

@@ -193,6 +193,26 @@ def test_weibull_mle_degenerate_sample():
         weibull_mle_beta([1.0, -2.0, 3.0])
 
 
+@pytest.mark.parametrize(
+    "times, message",
+    [
+        (TIMES + 1j, "be real, got complex128 values"),
+        (TIMES.astype("datetime64[D]"), "be numbers, got datetime64[D] values"),
+        (["a", "b"], "be numbers: could not convert string to float"),
+        ({"a": 1.0}, "be numbers: float() argument must be"),
+        ([1.0, np.nan, 3.0], "all be finite"),
+        ([1.0, np.inf, 3.0], "all be finite"),
+    ],
+    ids=["complex", "datetime64", "text", "dict", "nan", "inf"],
+)
+def test_weibull_mle_takes_the_chain_s_intake(times, message):
+    """Complex times used to lose their imaginary parts with a ComplexWarning,
+    datetimes became day counts, and text and a dict raised untyped errors."""
+    with pytest.raises(DataError) as info:
+        weibull_mle_beta(times)
+    assert str(info.value).startswith(f"failure time values must {message}")
+
+
 def test_run_demo_two_stage_schedule():
     """With a loose epsilon the pilot check fails; the jump to LONG_RUN_N
     is capped at max_n, where the check succeeds, so exactly two verdicts

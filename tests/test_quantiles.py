@@ -41,25 +41,32 @@ Z_975 = 1.959963984540054
         (lambda v: kde_at(v, 0.0), "series"),
         (lambda v: quantile_ci(v, 0.5, 0.05, 1), "series"),
         (lambda v: kde_at([1.0, 2.0, 3.0], v), "evaluation point"),
+        (kde_bandwidth, "series"),
     ],
-    ids=["empirical_quantile", "kde_at", "quantile_ci", "kde_at points"],
+    ids=[
+        "empirical_quantile", "kde_at", "quantile_ci", "kde_at points",
+        "kde_bandwidth",
+    ],
 )
 @pytest.mark.parametrize(
     "data, message",
     [
-        (["a", "b", "c"], "numbers: could not convert string to float"),
-        ([[1.0], [2.0, 3.0]], "numbers: setting an array element with a sequence"),
-        ([1 + 1j, 2.0], "real, got complex128 values"),
-        (np.arange(3).astype("datetime64[D]"), "numbers, got datetime64[D] values"),
+        (["a", "b", "c"], "be numbers: could not convert string to float"),
+        ([[1.0], [2.0, 3.0]], "be numbers: setting an array element with a sequence"),
+        ([1 + 1j, 2.0], "be real, got complex128 values"),
+        (np.arange(3).astype("datetime64[D]"), "be numbers, got datetime64[D] values"),
+        ([1.0, np.nan, 2.0], "all be finite"),
     ],
-    ids=["text", "ragged", "complex", "datetime64"],
+    ids=["text", "ragged", "complex", "datetime64", "nan"],
 )
 def test_non_numeric_series_are_refused(call, what, data, message):
     """The series, and kde_at's points, go through the chain's intake: each
-    used to raise an untyped ValueError or TypeError, or cast silently."""
+    used to raise an untyped ValueError or TypeError, or cast silently.
+    kde_bandwidth had no intake: a list raised AttributeError, and NaN was
+    reported as an overflowing standard deviation."""
     with pytest.raises(DataError) as info:
         call(data)
-    assert str(info.value).startswith(f"{what} values must be {message}")
+    assert str(info.value).startswith(f"{what} values must {message}")
 
 
 @pytest.mark.parametrize(
@@ -116,6 +123,19 @@ def test_empirical_quantile_validation():
         empirical_quantile(np.ones((4, 2)), 0.5)
     with pytest.raises(DataError):
         empirical_quantile([1.0, np.nan], 0.5)
+    with pytest.raises(ParameterError, match=r"^quantile level must be inside \("):
+        empirical_quantile([1.0, 2.0], "0.5")
+
+
+def test_kde_bandwidth_takes_one_non_empty_series():
+    """A 2-D array used to get the bandwidth of its flattened values, and an
+    empty one a RuntimeWarning; a single column of a chain is a series."""
+    with pytest.raises(DimensionError, match="got ndim=2"):
+        kde_bandwidth(np.ones((4, 2)))
+    with pytest.raises(DataError, match="^series is empty$"):
+        kde_bandwidth(np.empty(0))
+    arr = RngStream(79).normal(size=50)
+    assert kde_bandwidth(ChainMatrix(arr)) == kde_bandwidth(list(arr))
 
 
 def test_indicator_sigma2_iid_median():
@@ -330,7 +350,8 @@ def test_quantile_ci_alpha_validation():
 def test_kde_at_refuses_non_finite_points(x):
     """A NaN point used to give a NaN density with no error, and a point at
     +-inf a density of exactly 0; both are refused now."""
-    with pytest.raises(DataError, match="evaluation points must all be finite"):
+    message = "^evaluation point values must all be finite$"
+    with pytest.raises(DataError, match=message):
         kde_at(RngStream(71).normal(size=50), x)
 
 
