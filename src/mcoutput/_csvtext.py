@@ -4,18 +4,17 @@ tables while its sampler runs.
 
 ``cli._write_csv`` writes a float cell as ``FLOAT``, every other cell (an
 integer index or lag, a marker kind) as ``OTHER`` and ends each line with
-``EOL``. The demo's four per-draw tables (chain, params and the lambda and
-beta traces) hold most of its bytes: :class:`DrawTables` streams each run
-of new draws to one child, which formats the tables' bodies with the same
-cells on the CPU the sampler leaves idle and appends them to their files.
+``EOL``. The demo's two per-draw tables (chain and params) hold most of its
+bytes: :class:`DrawTables` streams each run of new draws to one child,
+which formats the tables' bodies with the same cells on the CPU the
+sampler leaves idle and appends them to their files.
 
 The parent sends each run as its row count, then the run's (k, 2)
 functional rows and its (k, 2) parameter rows as native doubles. The end
-frame is the count -1, then the paths of the chain, params, lambda trace
-and beta trace files, NUL-separated, and the end of input. The child
-appends each body to its file, which already holds its header: the bytes
-``_write_csv`` writes after that header. It then replies with its row
-count alone.
+frame is the count -1, then the paths of the chain and params files,
+NUL-separated, and the end of input. The child appends each body to its
+file, which already holds its header: the bytes ``_write_csv`` writes
+after that header. It then replies with its row count alone.
 
 :class:`Child` runs this child and the split read's (``_csvrows``). Both
 decline one way: a child that cannot start, a short reply or a non-zero
@@ -32,6 +31,7 @@ import sys
 FLOAT = "%.17g"  # 17 significant digits read back as the same double
 OTHER = "%s"
 EOL = "\r\n"
+_ROW = FLOAT + "," + FLOAT + EOL  # a per-draw line: two floats
 
 _RUN = struct.Struct("=q")
 _END = _RUN.pack(-1)
@@ -40,39 +40,21 @@ _CHILD = "import runpy, sys; runpy.run_path(sys.argv[1], run_name='__main__')"
 
 
 class Bodies:
-    """The four per-draw bodies, formatted one run at a time.
-
-    Each lambda and beta is formatted once, and its cell serves both the
-    params line and its trace line. The 1-based trace index continues
-    across runs.
-    """
+    """The two per-draw bodies, chain and params, formatted one run at a
+    time."""
 
     def __init__(self):
         self.rows = 0
-        self.parts = ([], [], [], [])
+        self.parts = ([], [])
 
     def add(self, run):
         """Format one run: the bytes of its (k, 2) functional rows, then of
         its (k, 2) parameter rows, as native doubles."""
         values = memoryview(run).cast("d")
         k = len(values) // 4
-        chain, params, lam, beta = self.parts
-        chain.append(_lines(FLOAT, FLOAT, k) % tuple(values[: 2 * k]))
-        cells = ((FLOAT + "\n") * (2 * k) % tuple(values[2 * k :])).split("\n")
-        del cells[-1]
-        params.append(_lines(OTHER, OTHER, k) % tuple(cells))
-        trace = [None] * (2 * k)
-        trace[0::2] = range(self.rows + 1, self.rows + k + 1)
-        for body, column in ((lam, cells[0::2]), (beta, cells[1::2])):
-            trace[1::2] = column
-            body.append(_lines(OTHER, OTHER, k) % tuple(trace))
-        for body in self.parts:
-            body[-1] = body[-1].encode()
+        for body, half in zip(self.parts, (values[: 2 * k], values[2 * k :])):
+            body.append((_ROW * k % tuple(half)).encode())
         self.rows += k
-
-
-def _lines(first, second, k):
-    return (first + "," + second + EOL) * k
 
 
 class Child:
@@ -140,10 +122,10 @@ class DrawTables(Child):
             self._broken = True
 
     def finish(self, paths, rows):
-        """End the child's input with ``paths``, the four per-draw files in
-        body order, each holding its header; the child appends each body to
-        its file. ValueError where a pipe broke, the child's row count is
-        not ``rows`` or it exited non-zero."""
+        """End the child's input with ``paths``, the chain and params files,
+        each holding its header; the child appends each body to its file.
+        ValueError where a pipe broke, the child's row count is not
+        ``rows`` or it exited non-zero."""
         pipe = self._proc.stdin
         try:
             if not self._broken:

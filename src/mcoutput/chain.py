@@ -234,9 +234,16 @@ class ChainMatrix:
         return f"ChainMatrix(rows={self.rows}, cols={self.cols})"
 
 
+def _require_chain(chain):
+    """Raise DataError unless ``chain`` is a ChainMatrix."""
+    if not isinstance(chain, ChainMatrix):
+        raise DataError(f"chain must be a ChainMatrix, got {type(chain).__name__}")
+
+
 def discard_initial(chain, k):
     """Drop the first ``k`` rows (burn-in): a read-only view of the chain's
     rows from ``k`` on, so no value is copied or scanned again."""
+    _require_chain(chain)
     _require_int(k, "discard count", 0)
     if k >= chain.rows:
         raise InsufficientDataError(

@@ -77,7 +77,7 @@ def _write_csv(path, header, *columns):
     ``range`` index column is written without ever being held as an array.
     The demo's per-draw bodies are appended by ``_csvtext``'s child with
     these same bytes, after a header from ``_csv_file``; where that child
-    cannot start or declines, it is reaped and the four tables are
+    cannot start or declines, it is reaped and the two tables are
     rewritten here, which truncates whatever it appended."""
     columns = [c if isinstance(c, range) else np.asarray(c) for c in columns]
     floats = [not isinstance(c, range) and c.dtype.kind == "f" for c in columns]
@@ -416,12 +416,10 @@ def cmd_demo(args):
         summary = report.summary
         n = chain.rows
 
-        params = (["lambda", "beta"], *report.params.T)
         lags = lcd_demo.ACF_LAGS
         per_draw = {
             "demo_chain.csv": _chain_table(chain),
-            "demo_params.csv": params,
-            **_trace_tables("demo", *params),
+            "demo_params.csv": (["lambda", "beta"], *report.params.T),
         }
         tables = {
             **per_draw,

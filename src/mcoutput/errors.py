@@ -64,12 +64,15 @@ def _require_int(value, what, low=None):
         raise ParameterError(f"{what} must be >= {low}, got {value}")
 
 
+def _is_real(value):
+    """Whether value is a Python or numpy int or float, not a bool or time span."""
+    real = isinstance(value, (int, float, np.integer, np.floating))
+    return real and not isinstance(value, (bool, np.timedelta64))
+
+
 def _require_unit(value, what):
-    """Raise ParameterError unless value is a real number (a Python or numpy
-    int or float, not a time span) inside (0, 1)."""
-    if isinstance(value, np.timedelta64) or not (
-        isinstance(value, (int, float, np.integer, np.floating)) and 0.0 < value < 1.0
-    ):
+    """Raise ParameterError unless value is a real number inside (0, 1)."""
+    if not (_is_real(value) and 0.0 < value < 1.0):
         raise ParameterError(f"{what} must be inside (0, 1), got {value}")
 
 

@@ -29,6 +29,7 @@ from .errors import (
     OutputAnalysisError,
     ParameterError,
     SingularEstimateError,
+    _is_real,
     _require_alpha,
     _require_int,
     _require_unit,
@@ -151,8 +152,8 @@ def ess(n, lambda_est, sigma_est):
 
 def rhat_from_ess(ess_value):
     """Scale-free convergence diagnostic sqrt(1 + 1 / ESS)."""
-    if not (math.isfinite(ess_value) and ess_value > 0.0):
-        raise ParameterError(f"ess must be positive and finite, got {ess_value}")
+    if not (_is_real(ess_value) and math.isfinite(ess_value) and ess_value > 0.0):
+        raise ParameterError(f"ess must be a positive finite number, got {ess_value!r}")
     return math.sqrt(1.0 + 1.0 / ess_value)
 
 

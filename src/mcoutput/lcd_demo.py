@@ -204,11 +204,12 @@ def weibull_mle_beta(times):
     def score(b):
         with np.errstate(over="ignore"):
             w = np.exp(b * log_t)
-        total = w.sum()
-        if not np.isfinite(total):
-            # overflow region: sign is that of the largest observation's term
-            return float(log_t.max()) - 1.0 / b - mean_log
-        return float((w * log_t).sum()) / float(total) - 1.0 / b - mean_log
+            total, weighted = w.sum(), (w * log_t).sum()
+        if not (np.isfinite(total) and np.isfinite(weighted)):
+            # overflow region: the same ratio, weighted by (t / max t)^b <= 1
+            w = np.exp(b * (log_t - log_t.max()))
+            total, weighted = w.sum(), (w * log_t).sum()
+        return float(weighted) / float(total) - 1.0 / b - mean_log
 
     lo = 1e-8
     hi = 1.0

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .chain import _require_chain
 from .errors import (
     DegenerateDataError,
     InsufficientDataError,
@@ -119,6 +120,7 @@ def _check_underflow(kind, mat, centered, data):
 
 def _complete_batches(chain, b):
     """Number a = n // b of complete batches of length b; at least two."""
+    _require_chain(chain)
     a = chain.rows // b
     if a < 2:
         raise InsufficientDataError(
@@ -280,6 +282,7 @@ def sample_cov_lambda(chain):
     Raises DegenerateDataError naming the first constant column. The chain
     is one :meth:`_CoMoments.update`, so no second n-by-p array is made.
     """
+    _require_chain(chain)
     n = chain.rows
     if n < 2:
         raise InsufficientDataError(f"need at least two rows, got {n}")
@@ -330,6 +333,7 @@ def correlogram(chain, max_lag, pair=(0, 0)):
     deviations, so the lag-0 autocorrelation is exactly 1 and the lag-0
     cross-correlation is the ordinary sample correlation.
     """
+    _require_chain(chain)
     _require_int(max_lag, "max_lag")
     n = chain.rows
     if not 0 <= max_lag < n:

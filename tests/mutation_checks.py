@@ -42,8 +42,8 @@ DECLINE = "tests/test_csvtext.py::test_a_decline_writes_the_same_files_in_proces
 MUTATIONS = [
     # the demo's per-draw bodies, formatted and appended by _csvtext's child
     Mutation(
-        "trace-index-restarts-each-run", "_csvtext.py",
-        "range(self.rows + 1, self.rows + k + 1)", "range(1, k + 1)",
+        "params-body-from-the-functional-rows", "_csvtext.py",
+        "(values[: 2 * k], values[2 * k :])", "(values[: 2 * k], values[: 2 * k])",
         ("tests/test_csvtext_property.py::test_bodies_are_the_writer_s_bytes",),
     ),
     Mutation(
@@ -148,7 +148,7 @@ MUTATIONS = [
     ),
     Mutation(
         "unit-level-of-any-type", "errors.py",
-        "isinstance(value, (int, float, np.integer, np.floating)) and ", "",
+        "return real and not isinstance(", "return not isinstance(",
         ("tests/test_inference.py::test_min_ess_cutoff_validation",),
     ),
     Mutation(
@@ -194,6 +194,26 @@ MUTATIONS = [
             "tests/test_mcse.py::"
             "test_correlogram_pair_must_be_two_integer_indices[one]",
         ),
+    ),
+    Mutation(
+        "rhat-takes-any-type", "inference.py",
+        "if not (_is_real(ess_value) and ", "if not (",
+        (
+            "tests/test_inference.py::"
+            "test_rhat_from_ess_refuses_a_value_that_is_not_a_number[bool]",
+        ),
+    ),
+    Mutation(
+        "mcse-takes-an-array", "chain.py",
+        "    if not isinstance(chain, ChainMatrix):\n", "    if False:\n",
+        ("tests/test_mcse.py::test_an_array_is_refused_as_a_chain",),
+    ),
+    # the Weibull MLE's profile score near overflow
+    Mutation(
+        "weibull-score-ignores-an-overflowed-weighted-sum", "lcd_demo.py",
+        "if not (np.isfinite(total) and np.isfinite(weighted)):",
+        "if not np.isfinite(total):",
+        ("tests/test_lcd_demo.py::test_weibull_mle_near_overflow_is_scale_free",),
     ),
 ]
 

@@ -335,11 +335,10 @@ def small_demo(tmp_path_factory):
 
 
 def test_demo_plot_files_are_plotdata_output(small_demo, tmp_path):
-    """plotdata on the exported chain and params, with the report's batch
-    length for density and region, writes all ten demo plot files byte for
-    byte."""
+    """plotdata on the exported chain, with the report's batch length for
+    density and region, writes all eight demo plot files byte for byte."""
     out, report = small_demo
-    chain, params = str(out / "demo_chain.csv"), str(out / "demo_params.csv")
+    chain = str(out / "demo_chain.csv")
     b = str(report["asymptotic_covariance"]["batch_size"])
     plots = tmp_path / "plots"
     for argv in (
@@ -347,15 +346,13 @@ def test_demo_plot_files_are_plotdata_output(small_demo, tmp_path):
         [chain, "--kind", "ccf", "--lags", "50"],
         [chain, "--kind", "density", "--batch-size", b],
         [chain, "--kind", "region", "--batch-size", b],
-        [params, "--kind", "trace"],
     ):
         assert main(["plotdata", *argv, "--out-dir", str(plots)]) == 0
     files = report["files"]
     names = [name for key, name in files.items() if key not in ("chain", "params")]
-    assert len(names) == len(list(plots.iterdir())) == 10
+    assert len(names) == len(list(plots.iterdir())) == 8
     for name in names:
-        stem = "demo_params" if name.startswith("demo_trace_") else "demo_chain"
-        twin = plots / name.replace("demo", stem, 1)
+        twin = plots / name.replace("demo", "demo_chain", 1)
         assert twin.read_bytes() == (out / name).read_bytes(), name
     # the density curves do not depend on the batch length
     again = tmp_path / "default_b"
@@ -363,6 +360,23 @@ def test_demo_plot_files_are_plotdata_output(small_demo, tmp_path):
     for name in ("demo_density_mttf.csv", "demo_density_r1500.csv"):
         twin = again / name.replace("demo", "demo_chain", 1)
         assert twin.read_bytes() == (out / name).read_bytes(), name
+
+
+def test_trace_of_the_demo_params_is_their_cells(small_demo, tmp_path):
+    """The demo writes no trace files: plotdata's trace of its params holds
+    each cell of that file's columns, after its 1-based index."""
+    out, _ = small_demo
+    assert main(
+        ["plotdata", str(out / "demo_params.csv"), "--kind", "trace",
+         "--out-dir", str(tmp_path)]
+    ) == 0
+    header, *rows = _crlf_lines(out / "demo_params.csv")
+    assert header == "lambda,beta"
+    columns = zip(*(row.split(",") for row in rows))
+    for label, cells in zip(("lambda", "beta"), columns):
+        trace = _crlf_lines(tmp_path / f"demo_params_trace_{label}.csv")
+        assert trace == ["index,value", *(f"{i},{c}" for i, c in enumerate(cells, 1))]
+    assert len(list(tmp_path.iterdir())) == 2
 
 
 @pytest.fixture(scope="module")

@@ -14,10 +14,7 @@ from mcoutput import _csvtext, cli
 from mcoutput.cli import main
 
 DEMO = ["demo", "--epsilon", "0.3", "--max-n", "2000"]
-PER_DRAW = (
-    "demo_chain.csv", "demo_params.csv", "demo_trace_lambda.csv",
-    "demo_trace_beta.csv",
-)
+PER_DRAW = ("demo_chain.csv", "demo_params.csv")
 
 
 @pytest.fixture()
@@ -108,8 +105,8 @@ def _cut_the_second_run_short(monkeypatch):
 
 
 def _append_to_a_missing_directory(monkeypatch):
-    """The child formats every row and appends three bodies, then cannot
-    open the fourth file, and exits without a reply."""
+    """The child formats every row and appends the chain body, then cannot
+    open the params file, and exits without a reply."""
     finish = _csvtext.DrawTables.finish
 
     def missing(self, paths, rows):
@@ -187,6 +184,20 @@ def test_a_decline_writes_the_same_files_in_process(
         (draws,) = children
         assert draws._proc.returncode is not None
         assert draws._proc.stdin.closed and draws._proc.stdout.closed
+
+
+@pytest.mark.parametrize("decline", [None, "popen-refused", "append-fails"])
+def test_the_directory_holds_the_report_s_files(monkeypatch, tmp_path, decline):
+    """The report names every file the demo writes but itself, from the child
+    and from a decline, and no trace file copies the params."""
+    if decline:
+        DECLINES[decline](monkeypatch)
+    assert main([*DEMO, "--out-dir", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "demo_report.json").read_text())
+    names = sorted(p.name for p in tmp_path.iterdir())
+    assert names == sorted([*report["files"].values(), "demo_report.json"])
+    assert len(names) == 11
+    assert not list(tmp_path.glob("demo_trace_*"))
 
 
 def test_no_child_outlives_a_run_that_raises(children, tmp_path, capfd):

@@ -353,6 +353,17 @@ def test_rhat_formula_and_stopping_equivalence():
         rhat_from_ess(0.0)
 
 
+@pytest.mark.parametrize(
+    "value", ["5", True, None, np.timedelta64(5), 1 + 0j],
+    ids=["text", "bool", "none", "timedelta", "complex"],
+)
+def test_rhat_from_ess_refuses_a_value_that_is_not_a_number(value):
+    """Text, None and a complex value raised an untyped TypeError, and a
+    bool or a time span gave a number."""
+    with pytest.raises(ParameterError, match="ess must be a positive finite number"):
+        rhat_from_ess(value)
+
+
 def test_hotelling_univariate_halfwidth_identity():
     chain = generate_ar1(Ar1Spec(rho=0.3), 1_000, RngStream(7))
     sig = batch_means_sigma(chain, 10)

@@ -193,6 +193,17 @@ def test_weibull_mle_degenerate_sample():
         weibull_mle_beta([1.0, -2.0, 3.0])
 
 
+def test_weibull_mle_near_overflow_is_scale_free():
+    """t^b ln t overflowed for t near the largest double and escaped as a
+    RuntimeWarning; beta is the same for the times scaled by any factor."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        beta = weibull_mle_beta([1e308, 1e307])
+        assert beta == pytest.approx(weibull_mle_beta([10.0, 1.0]), rel=1e-9)
+        beta = weibull_mle_beta(TIMES * (1e300 / TIMES.max()))
+        assert beta == pytest.approx(BETA_START, rel=1e-9)
+
+
 @pytest.mark.parametrize(
     "times, message",
     [

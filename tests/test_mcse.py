@@ -10,6 +10,7 @@ from mcoutput import (
     batch_means_sigma,
     correlogram,
     default_batch_size,
+    discard_initial,
     evaluate_verdict,
     flat_top_sigma,
     quantile_ci,
@@ -18,6 +19,7 @@ from mcoutput import (
     stopping_controller,
 )
 from mcoutput.errors import (
+    DataError,
     DegenerateDataError,
     InsufficientDataError,
     NumericsError,
@@ -26,6 +28,23 @@ from mcoutput.errors import (
 from oracles import Ar1Spec, generate_ar1
 
 HAND_CHAIN = ChainMatrix([1.0, 2.0, 3.0, 4.0])
+
+
+@pytest.mark.parametrize(
+    "estimate",
+    [
+        lambda x: batch_means_sigma(x, 2),
+        lambda x: flat_top_sigma(x, 2),
+        sample_cov_lambda,
+        lambda x: correlogram(x, 1),
+        lambda x: discard_initial(x, 1),
+    ],
+    ids=["batch_means", "flat_top", "sample_cov", "correlogram", "discard"],
+)
+def test_an_array_is_refused_as_a_chain(estimate):
+    """A numpy array used to raise an untyped AttributeError."""
+    with pytest.raises(DataError, match="chain must be a ChainMatrix, got ndarray"):
+        estimate(np.arange(8.0).reshape(4, 2))
 
 
 def test_batch_means_hand_value():
